@@ -146,10 +146,10 @@ def _profile_x(obj, grid: Grid1D, n: int) -> np.ndarray:
 
 def _parse_initial(obj, grid: Grid1D, n: int) -> Field:
     x = _profile_x(obj, grid, n)
-    c_tot = float(obj.get("c_tot", 1.0))
-    if c_tot <= 0:
-        raise ConfigError("initial: c_tot must be positive")
-    return Field(c=x * c_tot, grid=grid)
+    try:
+        return Field(c=x * float(obj.get("c_tot", 1.0)), grid=grid)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"initial: {exc}") from exc
 
 
 def _parse_reactions(items, names: tuple[str, ...]) -> ReactionNetwork:
@@ -181,16 +181,17 @@ def _parse_reactions(items, names: tuple[str, ...]) -> ReactionNetwork:
 def _parse_sim(obj) -> SimConfig:
     _check_keys(obj, {"t_end", "cfl_safety", "checkpoint_interval",
                       "max_steps", "floor_eps", "dt_refresh_steps"}, "sim")
+    interval = obj.get("checkpoint_interval")
     try:
         return SimConfig(
             t_end=float(_require(obj, "t_end", "sim")),
             cfl_safety=float(obj.get("cfl_safety", 0.4)),
-            checkpoint_interval=obj.get("checkpoint_interval"),
+            checkpoint_interval=None if interval is None else float(interval),
             max_steps=int(obj.get("max_steps", 10_000_000)),
             floor_eps=float(obj.get("floor_eps", 1e-12)),
             dt_refresh_steps=int(obj.get("dt_refresh_steps", 10)),
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"sim: {exc}") from exc
 
 

@@ -8,9 +8,9 @@ has null vector x, range orthogonal to ones, and (after symmetrization
 by X^{-1/2} A X^{1/2}) a real spectrum contained in (-inf, -delta] u {0}
 with delta = min_{i != j} 1 / D_ij.
 
-Three independent solve routes are provided: orthonormal projection onto
-E (primary), the reduced (n-1)x(n-1) system via the B matrix, and the
-bordered matrix A - mu (x (x) e) used as a test oracle.
+Two independent solve routes are provided: orthonormal projection onto
+E (primary) and the reduced (n-1)x(n-1) system via the B matrix; the
+tests add a third, the bordered matrix A - mu (x (x) e).
 
 Array arguments may be batched along leading axes; the public wrappers
 take the domain types from :mod:`msdiff.mixture`.
@@ -25,17 +25,7 @@ import scipy.linalg
 from .errors import DegenerateComposition, EigSolverFailure, NotConvex, SingularSystem
 from .linalg import project_zero_sum, simplex_basis
 from .mixture import Composition, DrivingForce, FluxSet
-from .thermo import ThermoModel, convexity_check, gamma_matrix
-
-#: Compositions are floored at this value (then renormalized) inside
-#: matrix assembly, keeping A irreducible at simplex boundaries.
-X_FLOOR = 1e-12
-
-
-def _as_x(x) -> np.ndarray:
-    if isinstance(x, Composition):
-        return x.x
-    return np.asarray(x, dtype=float)
+from .thermo import X_FLOOR, ThermoModel, _as_x, convexity_check, gamma_matrix
 
 
 def floor_composition(x, floor: float = X_FLOOR) -> np.ndarray:
@@ -58,13 +48,19 @@ def assemble_A(x, dmat) -> np.ndarray:
 
     The composition is floored and renormalized first.
     """
-    x = floor_composition(x)
-    inv = _inverse_diffusivities(dmat)
-    n = inv.shape[0]
-    a = x[..., :, None] * inv
-    s = np.einsum("ik,...k->...i", inv, x)
-    idx = np.arange(n)
-    a[..., idx, idx] = -s
+    return _assemble_A(floor_composition(x), _inverse_diffusivities(dmat))
+
+
+def _assemble_A(x: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """A(x) from the inverse diffusivities, batched over leading axes of
+    ``x``; no floor."""
+    return _with_diagonal(x[..., :, None] * inv, inv, x)
+
+
+def _with_diagonal(a: np.ndarray, inv: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``a`` with its diagonal set to -s_i = -sum_k x_k / D_ik."""
+    idx = np.arange(inv.shape[0])
+    a[..., idx, idx] = -np.einsum("ik,...k->...i", inv, x)
     return a
 
 
@@ -73,13 +69,8 @@ def assemble_A_sym(x, dmat) -> np.ndarray:
     sqrt(x_i x_j) / D_ij, same diagonal as A.  Null vector sqrt(x)."""
     x = floor_composition(x)
     inv = _inverse_diffusivities(dmat)
-    n = inv.shape[0]
     rx = np.sqrt(x)
-    a = rx[..., :, None] * rx[..., None, :] * inv
-    s = np.einsum("ik,...k->...i", inv, x)
-    idx = np.arange(n)
-    a[..., idx, idx] = -s
-    return a
+    return _with_diagonal(rx[..., :, None] * rx[..., None, :] * inv, inv, x)
 
 
 def assemble_B(x, dmat) -> np.ndarray:
@@ -133,26 +124,30 @@ def spectrum(x, dmat) -> SpectrumReport:
     return SpectrumReport(eigenvalues=w, delta=delta, gap_ok=gap_ok)
 
 
-def _fluxes_projected(x, dmat, d, c_tot) -> np.ndarray:
+def _reduce(m: np.ndarray) -> np.ndarray:
+    """P^T m P for n x n matrices m (batched), P the zero-sum basis."""
+    p = simplex_basis(m.shape[-1])
+    return p.T @ m @ p
+
+
+def _fluxes_projected(d, a, c_tot) -> tuple[np.ndarray, np.ndarray]:
     """Batched solve of A J = c_tot d by projection onto the zero-sum
-    subspace.  ``x``/``d`` shaped (..., n); ``c_tot`` scalar or (...)."""
-    n = x.shape[-1]
-    p = simplex_basis(n)
-    a = assemble_A(x, dmat)
-    k = p.T @ a @ p
+    subspace.  ``d`` shaped (..., n), ``a`` (..., n, n); ``c_tot`` scalar
+    or (...).  Returns J and the reduced matrix K = P^T A P."""
+    p = simplex_basis(d.shape[-1])
+    k = _reduce(a)
     rhs = (np.asarray(c_tot)[..., None] * d) @ p
-    y = np.linalg.solve(k, rhs[..., None])[..., 0]
-    return y @ p.T
+    y = _solve_reduced(k, rhs[..., None])[..., 0]
+    return y @ p.T, k
 
 
-def _fluxes_reduced(x, dmat, d, c_tot) -> np.ndarray:
-    """Batched solve via the reduced B system; last flux from the
-    zero-sum constraint."""
-    b = assemble_B(x, dmat)
-    rhs = -(np.asarray(c_tot)[..., None] * d)[..., :-1]
-    jr = np.linalg.solve(b, rhs[..., None])[..., 0]
-    jn = -jr.sum(axis=-1, keepdims=True)
-    return np.concatenate([jr, jn], axis=-1)
+def _solve_reduced(k: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Batched solve of K Y = B for reduced (n-1)x(n-1) systems.  For a
+    binary mixture K is 1x1; dividing gives LAPACK's 1x1 result bit for
+    bit without its per-system call cost."""
+    if k.shape[-1] == 1:
+        return b / k
+    return np.linalg.solve(k, b)
 
 
 def _as_d(d) -> np.ndarray:
@@ -168,11 +163,11 @@ def solve_fluxes_invariant(comp: Composition, dmat, d) -> FluxSet:
     """
     x = floor_composition(comp)
     dv = _as_d(d)
-    j = _fluxes_projected(x, dmat, dv, comp.c_tot)
     a = assemble_A(x, dmat)
+    j, _ = _fluxes_projected(dv, a, comp.c_tot)
     resid = np.linalg.norm(a @ j - comp.c_tot * dv)
     scale = np.linalg.norm(a) * np.linalg.norm(j) + comp.c_tot * np.linalg.norm(dv)
-    if scale > 0 and resid > 1e-10 * scale:
+    if not (scale == 0 or resid <= 1e-10 * scale):  # NaN fails too
         raise SingularSystem(f"projected solve residual {resid!r} (scale {scale!r})")
     return FluxSet(J=project_zero_sum(j))
 
@@ -191,21 +186,6 @@ def solve_fluxes_reduced(comp: Composition, dmat, d) -> FluxSet:
         raise SingularSystem("vanishing pivot in reduced-system LU")
     jr = scipy.linalg.lu_solve((lu, piv), -comp.c_tot * dv[:-1])
     return FluxSet(J=np.append(jr, -jr.sum()))
-
-
-def solve_fluxes_bordered(comp: Composition, dmat, d, mu: float | None = None) -> FluxSet:
-    """Test-oracle route: solve (A - mu x (x) e) J = c_tot d, which is
-    invertible for 0 < mu < delta.  Default mu = delta / 2."""
-    x = floor_composition(comp)
-    dv = _as_d(d)
-    if mu is None:
-        mu = 0.5 * spectral_gap_delta(dmat)
-    a_mu = assemble_A(x, dmat) - mu * np.outer(x, np.ones_like(x))
-    try:
-        j = np.linalg.solve(a_mu, comp.c_tot * dv)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(str(exc)) from exc
-    return FluxSet(J=project_zero_sum(j))
 
 
 def fick_limit_D(x, dmat, i: int) -> float:
@@ -230,13 +210,13 @@ def _diffusion_matrix_reduced(x, dmat, model: ThermoModel) -> np.ndarray:
     -J(v), where J solves A J = Gamma v (the c_tot factors cancel).
     Batched over leading axes of ``x``.
     """
-    n = x.shape[-1]
-    p = simplex_basis(n)
-    a = assemble_A(x, dmat)
-    g = gamma_matrix(model, floor_composition(x))
-    k = p.T @ a @ p
-    r = p.T @ g @ p
-    return -np.linalg.solve(k, r)
+    k = _reduce(assemble_A(x, dmat))
+    return _operator_reduced(k, gamma_matrix(model, floor_composition(x)))
+
+
+def _operator_reduced(k: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """M = -K^{-1} (P^T Gamma P) from K = P^T A P, batched."""
+    return -_solve_reduced(k, _reduce(g))
 
 
 def diffusion_operator_spectrum(x, dmat, model: ThermoModel,

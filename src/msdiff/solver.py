@@ -6,19 +6,25 @@ grid; fluxes at interior faces come from the flux-force inversion in
 :mod:`msdiff.mskernel` evaluated at arithmetic-mean face compositions,
 and time stepping is explicit Euler with an adaptive step bounded by the
 spectral radius of the effective diffusion operator.
+
+Inputs are validated on construction (``Grid1D``, ``Field``, ``Reaction``,
+``SimConfig``), i.e. at :func:`simulate`/:func:`step` entry; the step loop
+then makes one kernel pass per step over plain arrays and builds a
+``Field`` only at checkpoints.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from typing import NamedTuple
 
 import numpy as np
-from scipy.special import xlogy
 
 from .errors import MaxStepsExceeded, NotConvex, PositivityViolation
 from .mixture import MixtureSpec
-from .mskernel import (_diffusion_matrix_reduced, _fluxes_projected,
-                       floor_composition)
-from .thermo import IDEAL, ThermoModel, gamma_matrix, ln_activity_coeffs
+from .mskernel import (_assemble_A, _fluxes_projected, _inverse_diffusivities,
+                       _operator_reduced, floor_composition)
+from .thermo import (IDEAL, ThermoModel, _margules_gamma, gibbs_density,
+                     ln_activity_coeffs)
 
 #: Relative tolerance on per-cell total-concentration uniformity.
 ISOBARIC_TOL = 1e-8
@@ -37,8 +43,8 @@ class Grid1D:
     def __post_init__(self):
         if self.ncells < 2:
             raise ValueError(f"need >= 2 cells, got {self.ncells}")
-        if self.length <= 0:
-            raise ValueError(f"domain length must be positive, got {self.length!r}")
+        if not 0 < self.length < np.inf:
+            raise ValueError(f"domain length must be positive and finite: {self.length!r}")
 
     @property
     def h(self) -> float:
@@ -60,12 +66,9 @@ class Field:
         c = np.array(self.c, dtype=float)
         if c.ndim != 2 or c.shape[0] != self.grid.ncells:
             raise ValueError(f"c must be (ncells, nspecies), got {c.shape}")
-        if np.any(c < 0):
-            raise ValueError("concentrations must be nonnegative")
-        totals = c.sum(axis=1)
-        ref = totals.mean()
-        if np.max(np.abs(totals - ref)) > ISOBARIC_TOL * ref:
-            raise ValueError("per-cell total concentration must be uniform")
+        if not np.all((c >= 0) & (c < np.inf)):
+            raise ValueError("concentrations must be finite and nonnegative")
+        _uniform_total(c.sum(axis=1))
         c.setflags(write=False)
         object.__setattr__(self, "c", c)
 
@@ -93,8 +96,8 @@ class Reaction:
             raise ValueError("reactant/product stoichiometries must be equal-length vectors")
         if np.any(r < 0) or np.any(p < 0):
             raise ValueError("stoichiometric coefficients must be nonnegative")
-        if self.rate_constant < 0:
-            raise ValueError("rate constant must be nonnegative")
+        if not 0 <= self.rate_constant < np.inf:
+            raise ValueError("rate constant must be nonnegative and finite")
         if p.sum() != r.sum():
             raise ValueError(
                 "reaction must conserve total moles (isobaric constraint): "
@@ -140,54 +143,112 @@ class SimConfig:
     checkpoint_interval: float | None = None  # default t_end / 50
     max_steps: int = 10_000_000
     floor_eps: float = 1e-12
-    dt_refresh_steps: int = 10  # stable_dt recomputed every this many steps
+    dt_refresh_steps: int = 10  # dt bound recomputed every this many steps
 
     def __post_init__(self):
-        if self.t_end <= 0:
-            raise ValueError("t_end must be positive")
+        if not 0 < self.t_end < np.inf:
+            raise ValueError("t_end must be positive and finite")
         if not 0 < self.cfl_safety <= 1:
             raise ValueError("cfl_safety must be in (0, 1]")
-        if self.max_steps <= 0:
+        if not self.max_steps > 0:
             raise ValueError("max_steps must be positive")
+        if self.dt_refresh_steps < 1:
+            raise ValueError("dt_refresh_steps must be at least 1")
+        if not 0 < self.cp_interval < np.inf:
+            raise ValueError("checkpoint_interval must be positive and finite")
+        if not 0 < self.floor_eps < np.inf:
+            raise ValueError("floor_eps must be positive and finite")
 
     @property
     def cp_interval(self) -> float:
-        return self.checkpoint_interval if self.checkpoint_interval else self.t_end / 50
+        if self.checkpoint_interval is None:
+            return self.t_end / 50
+        return self.checkpoint_interval
 
 
-def _model_of(spec: MixtureSpec, model: ThermoModel | None) -> ThermoModel:
-    if model is not None:
-        return model
-    return spec.thermo if spec.thermo is not None else IDEAL
+class _State(NamedTuple):
+    """What one step needs at concentrations ``c``."""
+    c: np.ndarray
+    c_tot: float             # per-cell total, uniform to ISOBARIC_TOL
+    jf: np.ndarray           # fluxes at all ncells+1 faces, zero at the walls
+    w: float                 # dissipation W = -sum_faces sum_i J_i dmu_i
+    lam: np.ndarray | None   # diffusion-operator eigenvalues at the faces
 
 
-def _face_states(field: Field, floor: float):
-    """Face compositions (arithmetic mean, renormalized, floored),
-    mole-fraction jumps across faces, and face totals."""
-    c = field.c
-    totals = c.sum(axis=1, keepdims=True)
-    x = c / totals
-    xf = 0.5 * (x[:-1] + x[1:])
-    xf /= xf.sum(axis=1, keepdims=True)
-    xf = floor_composition(xf, floor)
-    grad = (x[1:] - x[:-1]) / field.grid.h
-    ctf = 0.5 * (totals[:-1, 0] + totals[1:, 0])
-    return xf, grad, ctf
+def _uniform_total(totals: np.ndarray) -> float:
+    """Mean per-cell total concentration; raises ``ValueError`` unless it
+    is positive and every cell is within ISOBARIC_TOL of it."""
+    ref = float(totals.mean())
+    if not (ref > 0 and np.max(np.abs(totals - ref)) <= ISOBARIC_TOL * ref):
+        raise ValueError("per-cell total concentration must be positive and uniform")
+    return ref
+
+
+class _Kernel:
+    """The step kernel: set up once per run, then one call per step computes
+    face states, fluxes, W and, with ``bound``, the dt spectrum, each once."""
+
+    def __init__(self, spec: MixtureSpec, model: ThermoModel | None, grid: Grid1D,
+                 floor: float):
+        model = model or spec.thermo or IDEAL
+        self.model, self.h, self.floor = model, grid.h, floor
+        self.inv = _inverse_diffusivities(spec.dmat)
+        # None on the ideal path, where Gamma = I is skipped
+        self.amat = None if model.is_ideal else model.interactions(spec.n)
+
+    def __call__(self, c: np.ndarray, bound: bool = False) -> _State:
+        """Face compositions are floored arithmetic means, shared by the flux
+        solve, Gamma and the spectrum; h cancels in W against the gradient."""
+        totals = c.sum(axis=1, keepdims=True)
+        c_tot = _uniform_total(totals)
+        x = c / totals
+        xf = 0.5 * (x[:-1] + x[1:])
+        xf = floor_composition(xf / xf.sum(axis=1, keepdims=True), self.floor)
+        d = (x[1:] - x[:-1]) / self.h
+        xm = np.maximum(x, self.floor)
+        mu = np.log(xm)
+        g = None
+        if self.amat is not None:
+            g = _margules_gamma(xf, self.amat)
+            d = np.einsum("fij,fj->fi", g, d)
+            mu += ln_activity_coeffs(self.model, xm)
+        d -= d.mean(axis=1, keepdims=True)
+        ctf = 0.5 * (totals[:-1, 0] + totals[1:, 0])
+        j, k = _fluxes_projected(d, _assemble_A(xf, self.inv), ctf)
+        jf = np.zeros((c.shape[0] + 1, c.shape[1]))
+        jf[1:-1] = j
+        w = float(-np.sum(j * (mu[1:] - mu[:-1])))
+        lam = None
+        if bound:
+            m = _operator_reduced(k, np.eye(c.shape[1]) if g is None else g)
+            # binary mixtures: M is 1x1 per face, its own eigenvalue
+            lam = m[..., 0] if m.shape[-1] == 1 else np.linalg.eigvals(m).real
+        return _State(c=c, c_tot=c_tot, jf=jf, w=w, lam=lam)
+
+    def dt_bound(self, st: _State, reactions: ReactionNetwork,
+                 cfl_safety: float) -> float:
+        """cfl * h^2 / (2 lambda_max) from the spectrum in ``st``, capped
+        so reactions change no concentration by more than 10% per step."""
+        lam_min = float(st.lam.min())
+        if lam_min <= 0:
+            raise NotConvex(f"diffusion operator eigenvalue {lam_min!r} <= 0 at a face")
+        dt = cfl_safety * self.h * self.h / (2.0 * float(st.lam.max()))
+        if reactions.reactions:
+            f = reactions.rates(st.c)
+            consuming = f < 0
+            if np.any(consuming):
+                dt = min(dt, float(0.1 * np.min(st.c[consuming] / -f[consuming])))
+            producing = f > 0
+            if np.any(producing):
+                dt = min(dt, float(0.1 * st.c_tot / np.max(f[producing])))
+        return dt
 
 
 def face_fluxes(field: Field, spec: MixtureSpec, model: ThermoModel | None = None,
                 floor: float = 1e-12) -> np.ndarray:
     """Fluxes at all ncells+1 faces; the two boundary faces carry zero
     flux (Neumann walls)."""
-    model = _model_of(spec, model)
-    xf, grad, ctf = _face_states(field, floor)
-    g = gamma_matrix(model, xf)
-    d = np.einsum("fij,fj->fi", g, grad)
-    d -= d.mean(axis=1, keepdims=True)
-    j = _fluxes_projected(xf, spec.dmat, d, ctf)
-    out = np.zeros((field.grid.ncells + 1, field.nspecies))
-    out[1:-1] = j
-    return out
+    return _Kernel(spec, model, field.grid, floor)(field.c).jf
 
 
 def stable_dt(field: Field, spec: MixtureSpec, model: ThermoModel | None = None,
@@ -200,26 +261,8 @@ def stable_dt(field: Field, spec: MixtureSpec, model: ThermoModel | None = None,
 
     Raises ``NotConvex`` if the operator loses positivity at any face.
     """
-    model = _model_of(spec, model)
-    xf, _, _ = _face_states(field, floor)
-    m = _diffusion_matrix_reduced(xf, spec.dmat, model)
-    w = np.linalg.eigvals(m)
-    lam_min = float(w.real.min())
-    if lam_min <= 0:
-        raise NotConvex(f"diffusion operator eigenvalue {lam_min!r} <= 0 at a face")
-    lam_max = float(w.real.max())
-    h = field.grid.h
-    dt = cfl_safety * h * h / (2.0 * lam_max)
-    if reactions.reactions:
-        f = reactions.rates(field.c)
-        ct = field.c_tot
-        consuming = f < 0
-        if np.any(consuming):
-            dt = min(dt, float(0.1 * np.min(field.c[consuming] / -f[consuming])))
-        producing = f > 0
-        if np.any(producing):
-            dt = min(dt, float(0.1 * ct / np.max(f[producing])))
-    return dt
+    kernel = _Kernel(spec, model, field.grid, floor)
+    return kernel.dt_bound(kernel(field.c, bound=True), reactions, cfl_safety)
 
 
 def step(field: Field, spec: MixtureSpec, model: ThermoModel | None = None,
@@ -232,25 +275,26 @@ def step(field: Field, spec: MixtureSpec, model: ThermoModel | None = None,
     beyond the noise threshold raise ``PositivityViolation``; tiny ones
     are clamped to zero.
     """
-    jf = face_fluxes(field, spec, model, floor)
-    return _advance(field, jf, reactions, dt)
+    kernel = _Kernel(spec, model, field.grid, floor)
+    cn = _advance(kernel(field.c), reactions, dt, field.time, kernel.h)
+    return Field(c=cn, grid=field.grid, time=field.time + dt)
 
 
-def _advance(field: Field, jf: np.ndarray, reactions: ReactionNetwork,
-             dt: float) -> Field:
-    h = field.grid.h
-    rhs = (jf[:-1] - jf[1:]) / h
+def _advance(st: _State, reactions: ReactionNetwork, dt: float, t: float,
+             h: float) -> np.ndarray:
+    """Concentrations after one explicit Euler step of length ``dt``
+    from time ``t``."""
+    rhs = (st.jf[:-1] - st.jf[1:]) / h
     if reactions.reactions:
-        rhs = rhs + reactions.rates(field.c)
-    cn = field.c + dt * rhs
-    ct = field.c_tot
-    if np.any(cn < -POSITIVITY_REL * ct):
+        rhs = rhs + reactions.rates(st.c)
+    cn = st.c + dt * rhs
+    if np.any(cn < -POSITIVITY_REL * st.c_tot):
         cell, sp = np.unravel_index(np.argmin(cn), cn.shape)
         raise PositivityViolation(
-            f"c[{cell},{sp}] = {cn[cell, sp]!r} at t = {field.time + dt!r} "
+            f"c[{cell},{sp}] = {cn[cell, sp]!r} at t = {t + dt!r} "
             "(CFL or model breach)")
     np.clip(cn, 0.0, None, out=cn)
-    return Field(c=cn, grid=field.grid, time=field.time + dt)
+    return cn
 
 
 @dataclass(frozen=True)
@@ -282,43 +326,16 @@ class Trajectory:
         return self.checkpoints[-1]
 
 
-def _entropy_of(field: Field, model: ThermoModel, floor: float) -> float:
-    c = field.c
-    totals = c.sum(axis=1, keepdims=True)
-    x = c / totals
-    lng = ln_activity_coeffs(model, x)
-    return float((np.sum(c * lng) + np.sum(xlogy(c, x))) * field.grid.h)
-
-
-def _dissipation_from(jf: np.ndarray, field: Field, model: ThermoModel,
-                      floor: float) -> float:
-    """W = -sum over interior faces of J_i (mu_i,R - mu_i,L); the cell
-    width cancels against the gradient."""
-    c = field.c
-    totals = c.sum(axis=1, keepdims=True)
-    x = np.maximum(c / totals, floor)
-    mu = ln_activity_coeffs(model, x) + np.log(x)
-    return float(-np.sum(jf[1:-1] * (mu[1:] - mu[:-1])))
-
-
-def _dissipation_of(field: Field, spec: MixtureSpec, model: ThermoModel,
-                    floor: float) -> float:
-    jf = face_fluxes(field, spec, model, floor)
-    return _dissipation_from(jf, field, model, floor)
-
-
-def _checkpoint(field: Field, spec: MixtureSpec, model: ThermoModel,
-                floor: float, w: float, cum_w: float) -> Checkpoint:
-    c = np.array(field.c)
-    c.setflags(write=False)
+def _checkpoint(field: Field, model: ThermoModel, w: float,
+                cum_w: float) -> Checkpoint:
     return Checkpoint(
         time=field.time,
-        c=c,
-        masses=c.sum(axis=0) * field.grid.h,
-        entropy=_entropy_of(field, model, floor),
+        c=field.c,
+        masses=field.c.sum(axis=0) * field.grid.h,
+        entropy=gibbs_density(model, field.c) * field.grid.h,
         dissipation=w,
         cumulative_dissipation=cum_w,
-        min_concentration=float(c.min()),
+        min_concentration=float(field.c.min()),
     )
 
 
@@ -327,42 +344,41 @@ def simulate(initial: Field, spec: MixtureSpec, model: ThermoModel | None = None
              config: SimConfig | None = None) -> Trajectory:
     """Run the explicit finite-volume scheme to ``config.t_end``.
 
-    Strictly positive initial concentrations are recommended; exact
-    zeros are handled through the composition floor.  Raises
-    ``MaxStepsExceeded``, ``PositivityViolation``, or ``NotConvex``.
+    Validation happens at entry (``initial`` and ``config`` check
+    themselves); the loop steps plain arrays and builds a ``Field`` only
+    at checkpoints.  Exact zeros are handled through the composition
+    floor.  Raises ``MaxStepsExceeded``, ``PositivityViolation``, or ``NotConvex``.
     """
     if config is None:
         raise ValueError("a SimConfig is required")
-    model = _model_of(spec, model)
-    floor = config.floor_eps
-    field = initial
-    jf = face_fluxes(field, spec, model, floor)
-    w = _dissipation_from(jf, field, model, floor)
-    cum_w = 0.0
-    traj = Trajectory(grid=initial.grid, names=spec.names, c_tot0=initial.c_tot)
-    traj.checkpoints.append(_checkpoint(field, spec, model, floor, w, cum_w))
+    grid = initial.grid
+    kernel = _Kernel(spec, model, grid, config.floor_eps)
+    model, refresh = kernel.model, config.dt_refresh_steps
+    st = kernel(initial.c, bound=True)
+    w, cum_w = st.w, 0.0
+    traj = Trajectory(grid=grid, names=spec.names, c_tot0=initial.c_tot)
+    traj.checkpoints.append(_checkpoint(initial, model, w, cum_w))
 
+    t = initial.time
     interval = config.cp_interval
-    next_cp = interval
+    next_cp = t + interval
     tiny = 1e-12 * config.t_end
     steps = 0
-    dt_bound = stable_dt(field, spec, model, reactions, config.cfl_safety, floor)
-    while field.time < config.t_end - tiny:
-        if steps and steps % config.dt_refresh_steps == 0:
-            dt_bound = stable_dt(field, spec, model, reactions,
-                                 config.cfl_safety, floor)
-        dt = min(dt_bound, config.t_end - field.time, next_cp - field.time)
-        field = _advance(field, jf, reactions, dt)
-        jf = face_fluxes(field, spec, model, floor)
-        w_new = _dissipation_from(jf, field, model, floor)
-        cum_w += 0.5 * (w + w_new) * dt
-        w = w_new
+    while t < config.t_end - tiny:
+        if steps % refresh == 0:
+            dt_bound = kernel.dt_bound(st, reactions, config.cfl_safety)
+        dt = min(dt_bound, config.t_end - t, next_cp - t)
+        c = _advance(st, reactions, dt, t, kernel.h)
+        t += dt
         steps += 1
+        st = kernel(c, bound=steps % refresh == 0)
+        cum_w += 0.5 * (w + st.w) * dt
+        w = st.w
         if steps > config.max_steps:
-            raise MaxStepsExceeded(f"{steps} steps at t = {field.time!r}")
-        if field.time >= next_cp - tiny:
-            traj.checkpoints.append(_checkpoint(field, spec, model, floor, w, cum_w))
+            raise MaxStepsExceeded(f"{steps} steps at t = {t!r}")
+        if t >= next_cp - tiny:
+            traj.checkpoints.append(_checkpoint(Field(c, grid, t), model, w, cum_w))
             next_cp += interval
-    if traj.checkpoints[-1].time < field.time - tiny:
-        traj.checkpoints.append(_checkpoint(field, spec, model, floor, w, cum_w))
+    if traj.checkpoints[-1].time < t - tiny:
+        traj.checkpoints.append(_checkpoint(Field(st.c, grid, t), model, w, cum_w))
     return traj

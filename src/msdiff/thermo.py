@@ -24,7 +24,8 @@ from .linalg import simplex_basis
 from .mixture import Composition, DrivingForce
 
 #: Compositions with any fraction below this floor are degenerate for
-#: quantities involving ln(x) or 1/x.
+#: quantities involving ln(x) or 1/x; :mod:`msdiff.mskernel` floors at it
+#: (then renormalizes) to keep A irreducible at simplex boundaries.
 X_FLOOR = 1e-12
 
 
@@ -104,13 +105,15 @@ def gamma_matrix(model: ThermoModel, x) -> np.ndarray:
     if np.any(x < X_FLOOR):
         raise DegenerateComposition(
             f"gamma_matrix needs an interior composition (floor {X_FLOOR:g})")
-    eye = np.eye(n)
     if model.is_ideal:
-        return np.broadcast_to(eye, x.shape + (n,)).copy()
-    a = model.interactions(n)
-    ax = x @ a
+        return np.broadcast_to(np.eye(n), x.shape + (n,)).copy()
+    return _margules_gamma(x, model.interactions(n))
+
+
+def _margules_gamma(x: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Two-suffix Gamma for interactions ``a``, batched; no domain check."""
     # d(ln gamma_i)/dx_j = A_ij - (A x)_j
-    return eye + x[..., :, None] * (a - ax[..., None, :])
+    return np.eye(a.shape[0]) + x[..., :, None] * (a - (x @ a)[..., None, :])
 
 
 def driving_force(model: ThermoModel, x, grad_x) -> DrivingForce:

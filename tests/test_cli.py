@@ -148,6 +148,38 @@ class TestSimulateCommand:
         code, _ = _run(["simulate", "--config", _write(tmp_path, cfg)])
         assert code == EXIT_CONVEXITY
 
+    @pytest.mark.parametrize("key,value", [
+        ("t_end", float("nan")), ("t_end", float("inf")),
+        ("dt_refresh_steps", 0), ("checkpoint_interval", -0.001),
+        ("checkpoint_interval", 0.0), ("checkpoint_interval", float("nan")),
+        ("floor_eps", 0.0), ("floor_eps", float("nan")),
+        ("max_steps", [3]),
+    ])
+    def test_bad_sim_value_is_config_error(self, tmp_path, key, value):
+        cfg = json.loads(json.dumps(SIM))
+        cfg["sim"][key] = value
+        code, _ = _run(["simulate", "--config", _write(tmp_path, cfg)])
+        assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("initial", [
+        {"kind": "uniform", "x": [0.5, 0.5], "c_tot": float("inf")},
+        {"kind": "uniform", "x": [float("nan"), 0.5], "c_tot": 1.0},
+        {"kind": "uniform", "x": [1.5, -0.5], "c_tot": 1.0},
+    ])
+    def test_bad_initial_field_is_config_error(self, tmp_path, initial):
+        cfg = json.loads(json.dumps(SIM))
+        cfg["initial"] = initial
+        code, _ = _run(["simulate", "--config", _write(tmp_path, cfg)])
+        assert code == EXIT_CONFIG
+
+    def test_exact_zeros_run(self, tmp_path):
+        cfg = json.loads(json.dumps(SIM))
+        cfg["initial"] = {"kind": "step", "x_left": [1.0, 0.0],
+                          "x_right": [0.0, 1.0], "c_tot": 1.0}
+        code, _ = _run(["simulate", "--config", _write(tmp_path, cfg),
+                        "--out", str(tmp_path / "zeros")])
+        assert code == EXIT_OK
+
     def test_reactions_parse_by_name(self, tmp_path):
         cfg = json.loads(json.dumps(SIM))
         cfg["reactions"] = [{"reactants": {"A": 1}, "products": {"B": 1},

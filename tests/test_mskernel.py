@@ -2,14 +2,25 @@
 import numpy as np
 import pytest
 
-from msdiff import (IDEAL, Composition, ThermoModel, assemble_A,
+from msdiff import (IDEAL, Composition, FluxSet, ThermoModel, assemble_A,
                     assemble_A_sym, assemble_B, diffusion_operator_spectrum,
-                    fick_limit_D, mole_fractions, solve_fluxes_bordered,
-                    solve_fluxes_invariant, solve_fluxes_reduced,
-                    spectral_gap_delta, spectrum)
+                    fick_limit_D, mole_fractions, solve_fluxes_invariant,
+                    solve_fluxes_reduced, spectral_gap_delta, spectrum)
 from msdiff.errors import DegenerateComposition, NotConvex
 from msdiff.linalg import simplex_basis
-from msdiff.mskernel import _diffusion_matrix_reduced, floor_composition
+from msdiff.mskernel import (_diffusion_matrix_reduced, _solve_reduced,
+                             floor_composition)
+
+
+def solve_fluxes_bordered(comp, dmat, d, mu=None):
+    """Oracle route: solve (A - mu x (x) e) J = c_tot d, which is
+    invertible for 0 < mu < delta.  Default mu = delta / 2."""
+    x = floor_composition(comp)
+    if mu is None:
+        mu = 0.5 * spectral_gap_delta(dmat)
+    a_mu = assemble_A(x, dmat) - mu * np.outer(x, np.ones_like(x))
+    j = np.linalg.solve(a_mu, comp.c_tot * np.asarray(d, dtype=float))
+    return FluxSet(J=j - j.mean())
 
 
 def _random_instance(rng, nmin=2, nmax=6, xmin=1e-3):
@@ -259,6 +270,13 @@ class TestDiffusionOperator:
             diffusion_operator_spectrum(x, dmat, above)
         w = diffusion_operator_spectrum(x, dmat, above, require_convex=False)
         assert w[0] == pytest.approx(-0.05, rel=1e-10)
+
+    def test_scalar_reduced_solve_is_lapack_bit_for_bit(self):
+        # binary mixtures divide instead of calling LAPACK per face
+        rng = np.random.default_rng(79)
+        k = rng.uniform(0.1, 10.0, size=(500, 1, 1)) * rng.choice([-1.0, 1.0], size=(500, 1, 1))
+        b = rng.standard_normal((500, 1, 1))
+        assert np.array_equal(_solve_reduced(k, b), np.linalg.solve(k, b))
 
     def test_reduced_matrix_consistent_with_flux_solve(self):
         rng = np.random.default_rng(73)

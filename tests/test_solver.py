@@ -3,10 +3,13 @@ conservation, positivity."""
 import numpy as np
 import pytest
 
-from msdiff import (Field, Grid1D, MixtureSpec, NO_REACTIONS, Reaction,
-                    ReactionNetwork, SimConfig, ThermoModel, face_fluxes,
-                    simulate, stable_dt, step)
+from msdiff import (Composition, Field, Grid1D, IDEAL, MixtureSpec, NO_REACTIONS,
+                    Reaction, ReactionNetwork, SimConfig, ThermoModel,
+                    chemical_potentials, diffusion_operator_spectrum,
+                    driving_force, face_fluxes, simulate,
+                    solve_fluxes_invariant, stable_dt, step)
 from msdiff.errors import (MaxStepsExceeded, NotConvex, PositivityViolation)
+from msdiff.solver import _Kernel
 
 BINARY = MixtureSpec(names=("A", "B"), dmat=[[0.0, 1.0], [1.0, 0.0]])
 
@@ -43,6 +46,39 @@ class TestGridAndField:
         g = Grid1D(ncells=2, length=1.0)
         with pytest.raises(ValueError):
             Field(c=[[1.1, -0.1], [0.5, 0.5]], grid=g)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_field_rejects_nonfinite(self, bad):
+        g = Grid1D(ncells=2, length=1.0)
+        with pytest.raises(ValueError, match="finite"):
+            Field(c=[[0.5, 0.5], [bad, 0.5]], grid=g)
+
+    def test_field_rejects_zero_total(self):
+        with pytest.raises(ValueError):
+            Field(c=np.zeros((2, 2)), grid=Grid1D(ncells=2, length=1.0))
+
+    @pytest.mark.parametrize("length", [np.nan, np.inf, 0.0])
+    def test_grid_rejects_bad_length(self, length):
+        with pytest.raises(ValueError):
+            Grid1D(ncells=4, length=length)
+
+
+class TestSimConfig:
+    @pytest.mark.parametrize("kwargs", [
+        {"t_end": np.nan}, {"t_end": np.inf}, {"t_end": 0.0},
+        {"dt_refresh_steps": 0}, {"dt_refresh_steps": -3},
+        {"checkpoint_interval": -0.01}, {"checkpoint_interval": 0.0},
+        {"checkpoint_interval": np.nan}, {"checkpoint_interval": np.inf},
+        {"floor_eps": 0.0}, {"floor_eps": -1e-12}, {"floor_eps": np.nan},
+        {"floor_eps": np.inf},
+    ], ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
+    def test_rejects_bad_value(self, kwargs):
+        with pytest.raises(ValueError):
+            SimConfig(**{"t_end": 0.1, **kwargs})
+
+    def test_default_checkpoint_interval(self):
+        assert SimConfig(t_end=0.1).cp_interval == pytest.approx(0.002)
+        assert SimConfig(t_end=0.1, checkpoint_interval=0.03).cp_interval == 0.03
 
 
 class TestFaceFluxes:
@@ -147,6 +183,11 @@ class TestStep:
 
 
 class TestReactions:
+    @pytest.mark.parametrize("k", [-1.0, np.nan, np.inf])
+    def test_rate_constant_must_be_finite_nonnegative(self, k):
+        with pytest.raises(ValueError):
+            Reaction(reactants=[1, 0], products=[0, 1], rate_constant=k)
+
     def test_mole_conservation_enforced(self):
         with pytest.raises(ValueError):
             Reaction(reactants=[2, 0], products=[0, 1], rate_constant=1.0)
@@ -199,6 +240,12 @@ class TestSimulate:
         v = np.array([cp.entropy for cp in traj.checkpoints])
         assert np.all(np.diff(v) < 1e-14)
 
+    def test_checkpoints_count_from_initial_time(self):
+        fld = _binary_step_field(ncells=10)
+        later = Field(c=fld.c, grid=fld.grid, time=0.05)
+        traj = simulate(later, BINARY, config=SimConfig(t_end=0.1, checkpoint_interval=0.02))
+        np.testing.assert_allclose(traj.times, [0.05, 0.07, 0.09, 0.1], atol=1e-12)
+
     def test_max_steps_guard(self):
         fld = _binary_step_field(ncells=40)
         cfg = SimConfig(t_end=1.0, max_steps=3)
@@ -217,3 +264,62 @@ class TestSimulate:
 
     def test_no_reactions_constant_is_default(self):
         assert NO_REACTIONS.reactions == ()
+
+    @pytest.mark.parametrize("model", [IDEAL, ThermoModel.margules([[0, 1.5], [1.5, 0]])],
+                             ids=["ideal", "margules"])
+    def test_exact_zeros_run_to_t_end(self, model):
+        # two adjacent pure cells: the face between them sits on the floor
+        grid = Grid1D(ncells=6, length=1.0)
+        c = [[1.0, 0.0], [1.0, 0.0], [0.5, 0.5], [0.5, 0.5], [0.2, 0.8], [0.0, 1.0]]
+        traj = simulate(Field(c=c, grid=grid), BINARY, model,
+                        config=SimConfig(t_end=0.01))
+        assert traj.final().time == pytest.approx(0.01, rel=1e-12)
+        assert traj.final().min_concentration >= 0.0
+        np.testing.assert_allclose(traj.final().masses, traj.checkpoints[0].masses,
+                                   rtol=1e-12)
+
+
+def _random_state(rng, n, ncells=12):
+    spec = _random_mixture(rng, n)
+    grid = Grid1D(ncells=ncells, length=1.0)
+    x = 0.8 * rng.dirichlet(np.ones(n), size=ncells) + 0.2 / n
+    return spec, Field(c=1.7 * x, grid=grid)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("thermo", ["ideal", "margules"])
+def test_kernel_matches_per_face_public_route(n, thermo):
+    """Fluxes, W and the dt bound of the step kernel against the
+    single-composition public API, face by face."""
+    rng = np.random.default_rng(1000 + 10 * n + (thermo == "margules"))
+    spec, fld = _random_state(rng, n)
+    model = IDEAL
+    if thermo == "margules":
+        a = np.triu(rng.uniform(-1.0, 1.0, size=(n, n)), 1)
+        model = ThermoModel.margules(a + a.T)
+    st = _Kernel(spec, model, fld.grid, 1e-12)(fld.c)
+
+    c = fld.c
+    x = c / c.sum(axis=1, keepdims=True)
+    h = fld.grid.h
+    mu = np.array([chemical_potentials(model, xi) for xi in x])
+    ref_j, ref_w, lam_max = [], 0.0, 0.0
+    for f in range(fld.grid.ncells - 1):
+        xf = 0.5 * (x[f] + x[f + 1])
+        comp = Composition(x=xf / xf.sum(), c_tot=0.5 * (c[f].sum() + c[f + 1].sum()))
+        d = driving_force(model, comp, (x[f + 1] - x[f]) / h)
+        j = solve_fluxes_invariant(comp, spec.dmat, d).J
+        ref_j.append(j)
+        ref_w -= float(j @ (mu[f + 1] - mu[f]))
+        lam_max = max(lam_max, float(np.max(np.real(
+            diffusion_operator_spectrum(comp, spec.dmat, model)))))
+    ref_j = np.array(ref_j)
+
+    jf = face_fluxes(fld, spec, model)
+    assert np.array_equal(jf[1:-1], st.jf[1:-1])
+    assert not jf[0].any() and not jf[-1].any()
+    np.testing.assert_allclose(jf[1:-1], ref_j, rtol=0,
+                               atol=1e-12 * np.max(np.abs(ref_j)))
+    assert st.w == pytest.approx(ref_w, rel=1e-12)
+    assert stable_dt(fld, spec, model, cfl_safety=0.3) == pytest.approx(
+        0.3 * h * h / (2.0 * lam_max), rel=1e-12)
