@@ -2,8 +2,9 @@
 kernel/solver/verify layers, and emit machine-readable results.
 
 Subcommands: ``spectrum``, ``fluxes``, ``simulate``, ``verify``.
-Exit codes: 0 ok, 2 config error, 3 positivity violation,
-4 convexity failure, 5 step limit.
+Exit codes: 0 ok, 1 a ``verify`` check failed, 2 bad input (config error
+or degenerate composition), 3 positivity violation, 4 convexity failure,
+5 step limit, 6 numerical failure (any other ``MsDiffError``).
 """
 from __future__ import annotations
 
@@ -17,17 +18,32 @@ from pathlib import Path
 import numpy as np
 
 from . import mskernel, thermo, verify
-from .errors import (ConfigError, MaxStepsExceeded, MsDiffError, NotConvex,
-                     PositivityViolation)
+from .errors import (ConfigError, DegenerateComposition, MaxStepsExceeded,
+                     MsDiffError, NegativeConcentration, NonPositiveTotal,
+                     NotConvex, PositivityViolation)
 from .mixture import Composition, MixtureSpec, validate_spec
 from .solver import (Field, Grid1D, Reaction, ReactionNetwork, SimConfig,
                      simulate)
 
 EXIT_OK = 0
+EXIT_VERIFY_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_POSITIVITY = 3
 EXIT_CONVEXITY = 4
 EXIT_STEP_LIMIT = 5
+EXIT_NUMERICAL = 6
+
+#: Exit code and stderr label per error class; main uses the nearest listed base.
+ERROR_EXITS: dict[type[MsDiffError], tuple[int, str]] = {
+    ConfigError: (EXIT_CONFIG, "config error"),
+    DegenerateComposition: (EXIT_CONFIG, "degenerate composition"),
+    NonPositiveTotal: (EXIT_CONFIG, "non-positive total"),
+    NegativeConcentration: (EXIT_CONFIG, "negative concentration"),
+    PositivityViolation: (EXIT_POSITIVITY, "positivity violation"),
+    NotConvex: (EXIT_CONVEXITY, "convexity failure"),
+    MaxStepsExceeded: (EXIT_STEP_LIMIT, "step limit"),
+    MsDiffError: (EXIT_NUMERICAL, "numerical failure"),
+}
 
 
 def _fmt(v: float) -> str:
@@ -39,6 +55,14 @@ def _require(d: dict, key: str, ctx: str):
     if key not in d:
         raise ConfigError(f"{ctx}: missing required key '{key}'")
     return d[key]
+
+
+def _floats(value, ctx: str) -> np.ndarray:
+    """``value`` as a float array; anything non-numeric is a ConfigError."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{ctx}: {exc}") from exc
 
 
 def _check_keys(d, allowed: set[str], ctx: str) -> None:
@@ -66,8 +90,11 @@ class RunConfig:
 
 def _parse_mixture(obj) -> MixtureSpec:
     _check_keys(obj, {"names", "dmat"}, "mixture")
-    spec = MixtureSpec(names=_require(obj, "names", "mixture"),
-                       dmat=_require(obj, "dmat", "mixture"))
+    try:
+        spec = MixtureSpec(names=_require(obj, "names", "mixture"),
+                           dmat=_require(obj, "dmat", "mixture"))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"mixture: {exc}") from exc
     issues = validate_spec(spec)
     if issues:
         raise ConfigError("mixture: " + "; ".join(
@@ -81,13 +108,14 @@ def _parse_thermo(obj, n: int) -> thermo.ThermoModel:
     _check_keys(obj, {"model", "amat"}, "thermo")
     kind = _require(obj, "model", "thermo")
     if kind == "ideal":
-        if "amat" in obj:
-            raise ConfigError("thermo: 'amat' is only valid for model 'margules'")
+        _check_keys(obj, {"model"}, "thermo (ideal)")
         return thermo.IDEAL
     if kind == "margules":
         try:
-            return thermo.ThermoModel.margules(_require(obj, "amat", "thermo"))
-        except ValueError as exc:
+            model = thermo.ThermoModel.margules(_require(obj, "amat", "thermo"))
+            model.interactions(n)  # size check against the mixture
+            return model
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"thermo: {exc}") from exc
     raise ConfigError(f"thermo: unknown model '{kind}'")
 
@@ -97,7 +125,7 @@ def _parse_composition(obj, n: int) -> Composition:
     try:
         comp = Composition(x=_require(obj, "x", "composition"),
                            c_tot=obj.get("c_tot", 1.0))
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"composition: {exc}") from exc
     if comp.n != n:
         raise ConfigError(f"composition: {comp.n} fractions for {n} species")
@@ -109,7 +137,7 @@ def _parse_grid(obj) -> Grid1D:
     try:
         return Grid1D(ncells=int(_require(obj, "ncells", "grid")),
                       length=float(_require(obj, "length", "grid")))
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"grid: {exc}") from exc
 
 
@@ -118,11 +146,11 @@ def _profile_x(obj, grid: Grid1D, n: int) -> np.ndarray:
     s = (np.arange(grid.ncells) + 0.5) / grid.ncells
     if kind == "uniform":
         _check_keys(obj, {"kind", "c_tot", "x"}, "initial")
-        x = np.tile(np.asarray(_require(obj, "x", "initial"), float), (grid.ncells, 1))
+        x = np.tile(_floats(_require(obj, "x", "initial"), "initial.x"), (grid.ncells, 1))
     elif kind in ("step", "ramp"):
         _check_keys(obj, {"kind", "c_tot", "x_left", "x_right"}, "initial")
-        xl = np.asarray(_require(obj, "x_left", "initial"), float)
-        xr = np.asarray(_require(obj, "x_right", "initial"), float)
+        xl = _floats(_require(obj, "x_left", "initial"), "initial.x_left")
+        xr = _floats(_require(obj, "x_right", "initial"), "initial.x_right")
         if kind == "step":
             w = (s >= 0.5).astype(float)[:, None]
         else:
@@ -130,7 +158,7 @@ def _profile_x(obj, grid: Grid1D, n: int) -> np.ndarray:
         x = (1.0 - w) * xl + w * xr
     elif kind == "cells":
         _check_keys(obj, {"kind", "c_tot", "x"}, "initial")
-        x = np.asarray(_require(obj, "x", "initial"), float)
+        x = _floats(_require(obj, "x", "initial"), "initial.x")
         if x.shape != (grid.ncells, n):
             raise ConfigError(f"initial: per-cell x shape {x.shape} must be "
                               f"({grid.ncells}, {n})")
@@ -163,9 +191,8 @@ def _parse_reactions(items, names: tuple[str, ...]) -> ReactionNetwork:
 
         def stoich(side: str) -> np.ndarray:
             v = np.zeros(len(names))
-            for name, coeff in _require(obj, side, ctx).items():
-                if name not in index:
-                    raise ConfigError(f"{ctx}: unknown species '{name}'")
+            _check_keys(_require(obj, side, ctx), set(names), f"{ctx}.{side}")
+            for name, coeff in obj[side].items():
                 v[index[name]] = float(coeff)
             return v
 
@@ -173,14 +200,14 @@ def _parse_reactions(items, names: tuple[str, ...]) -> ReactionNetwork:
             out.append(Reaction(reactants=stoich("reactants"),
                                 products=stoich("products"),
                                 rate_constant=float(_require(obj, "rate_constant", ctx))))
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"{ctx}: {exc}") from exc
     return ReactionNetwork(reactions=tuple(out))
 
 
 def _parse_sim(obj) -> SimConfig:
     _check_keys(obj, {"t_end", "cfl_safety", "checkpoint_interval",
-                      "max_steps", "floor_eps", "dt_refresh_steps"}, "sim")
+                      "max_steps"}, "sim")
     interval = obj.get("checkpoint_interval")
     try:
         return SimConfig(
@@ -188,8 +215,6 @@ def _parse_sim(obj) -> SimConfig:
             cfl_safety=float(obj.get("cfl_safety", 0.4)),
             checkpoint_interval=None if interval is None else float(interval),
             max_steps=int(obj.get("max_steps", 10_000_000)),
-            floor_eps=float(obj.get("floor_eps", 1e-12)),
-            dt_refresh_steps=int(obj.get("dt_refresh_steps", 10)),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"sim: {exc}") from exc
@@ -214,7 +239,7 @@ def load_config(path: str | Path) -> RunConfig:
     comp = _parse_composition(raw["composition"], spec.n) if "composition" in raw else None
     grads = None
     if "gradients" in raw:
-        grads = np.asarray(raw["gradients"], dtype=float)
+        grads = _floats(raw["gradients"], "gradients")
         if grads.shape != (spec.n,):
             raise ConfigError(f"gradients: expected {spec.n} entries")
         if abs(grads.sum()) > 1e-10 * max(np.max(np.abs(grads)), 1e-300):
@@ -384,7 +409,7 @@ def cmd_verify(cfg: RunConfig, out, samples: int = 200) -> int:
     for name, status, detail in rows:
         out.write(f"{status:5s} {name}: {detail}\n")
         hard_fail |= status == "FAIL"
-    return 1 if hard_fail else EXIT_OK
+    return EXIT_VERIFY_FAIL if hard_fail else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -417,18 +442,11 @@ def main(argv=None, out=sys.stdout) -> int:
         if args.command == "simulate":
             return cmd_simulate(cfg, out, Path(args.out))
         return cmd_verify(cfg, out)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except PositivityViolation as exc:
-        print(f"positivity violation: {exc}", file=sys.stderr)
-        return EXIT_POSITIVITY
-    except NotConvex as exc:
-        print(f"convexity failure: {exc}", file=sys.stderr)
-        return EXIT_CONVEXITY
-    except MaxStepsExceeded as exc:
-        print(f"step limit: {exc}", file=sys.stderr)
-        return EXIT_STEP_LIMIT
+    except MsDiffError as exc:
+        code, label = next(ERROR_EXITS[c] for c in type(exc).__mro__
+                           if c in ERROR_EXITS)
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

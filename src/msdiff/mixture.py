@@ -2,14 +2,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from functools import lru_cache
 
 import numpy as np
+import scipy.linalg
 
 from .errors import NegativeConcentration, NonPositiveTotal
-
-if TYPE_CHECKING:
-    from .thermo import ThermoModel
 
 #: Tolerance on |sum(x) - 1| for a valid composition.
 SUM_TOL = 1e-12
@@ -35,15 +33,14 @@ class SpecIssue:
 
 @dataclass(frozen=True)
 class MixtureSpec:
-    """Species labels, the symmetric matrix of pairwise diffusivities
-    (length^2/time), and an optional thermodynamic model.
+    """Species labels and the symmetric matrix of pairwise diffusivities
+    (length^2/time).
 
     The diagonal of ``dmat`` is unused and stored as 0.  Construction is
     lenient; use :func:`validate_spec` to collect invariant violations.
     """
     names: tuple[str, ...]
     dmat: np.ndarray
-    thermo: "ThermoModel | None" = None
 
     def __post_init__(self):
         object.__setattr__(self, "names", tuple(str(s) for s in self.names))
@@ -76,6 +73,8 @@ def validate_spec(spec: MixtureSpec) -> list[SpecIssue]:
     off = ~np.eye(n, dtype=bool)
     if np.any(d[off] <= 0):
         issues.append(SpecIssue("NonPositiveD", "off-diagonal diffusivities must be > 0"))
+    if not np.all(np.isfinite(d[off])):
+        issues.append(SpecIssue("NonFiniteD", "off-diagonal diffusivities must be finite"))
     if np.any(np.diag(d) != 0):
         issues.append(SpecIssue("NonZeroDiagonal", "diagonal entries are unused; store 0"))
     return issues
@@ -94,12 +93,12 @@ class Composition:
         object.__setattr__(self, "c_tot", float(self.c_tot))
         if x.ndim != 1 or x.size < 2:
             raise ValueError(f"x must be a vector of >= 2 fractions, got shape {x.shape}")
-        if np.any(x < 0):
-            raise ValueError(f"mole fractions must be nonnegative: {x}")
+        if not np.all((x >= 0) & (x < np.inf)):
+            raise ValueError(f"mole fractions must be finite and nonnegative: {x}")
         if abs(x.sum() - 1.0) > SUM_TOL:
             raise ValueError(f"mole fractions must sum to 1, got {x.sum()!r}")
-        if self.c_tot <= 0:
-            raise ValueError(f"c_tot must be positive, got {self.c_tot!r}")
+        if not 0 < self.c_tot < np.inf:
+            raise ValueError(f"c_tot must be positive and finite, got {self.c_tot!r}")
 
     @property
     def n(self) -> int:
@@ -127,6 +126,15 @@ def mole_fractions(c) -> Composition:
     c = np.clip(c, 0.0, None)
     total = float(c.sum())
     return Composition(x=c / total, c_tot=total)
+
+
+@lru_cache(maxsize=32)
+def simplex_basis(n: int) -> np.ndarray:
+    """Orthonormal basis of the zero-sum subspace {v in R^n : sum(v) = 0}:
+    the n x (n-1) matrix P with P.T @ P = I and ones(n) @ P = 0."""
+    P = scipy.linalg.null_space(np.ones((1, n)))
+    P.setflags(write=False)
+    return P
 
 
 def _check_zero_sum(v: np.ndarray, what: str) -> None:

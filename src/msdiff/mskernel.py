@@ -23,15 +23,9 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DegenerateComposition, EigSolverFailure, NotConvex, SingularSystem
-from .linalg import project_zero_sum, simplex_basis
-from .mixture import Composition, DrivingForce, FluxSet
-from .thermo import X_FLOOR, ThermoModel, _as_x, convexity_check, gamma_matrix
-
-
-def floor_composition(x, floor: float = X_FLOOR) -> np.ndarray:
-    """Raise entries below ``floor`` to ``floor`` and renormalize."""
-    x = np.maximum(_as_x(x), floor)
-    return x / x.sum(axis=-1, keepdims=True)
+from .mixture import Composition, DrivingForce, FluxSet, simplex_basis
+from .thermo import (ThermoModel, _as_x, convexity_check, floor_composition,
+                     gamma_matrix)
 
 
 def _inverse_diffusivities(dmat) -> np.ndarray:
@@ -46,7 +40,7 @@ def _inverse_diffusivities(dmat) -> np.ndarray:
 def assemble_A(x, dmat) -> np.ndarray:
     """Flux-force matrix A(x): off-diagonal x_i / D_ij, diagonal -s_i.
 
-    The composition is floored and renormalized first.
+    The composition is floored first (:func:`msdiff.thermo.floor_composition`).
     """
     return _assemble_A(floor_composition(x), _inverse_diffusivities(dmat))
 
@@ -161,15 +155,14 @@ def solve_fluxes_invariant(comp: Composition, dmat, d) -> FluxSet:
 
     Verifies the residual of the singular system before returning.
     """
-    x = floor_composition(comp)
     dv = _as_d(d)
-    a = assemble_A(x, dmat)
+    a = assemble_A(comp, dmat)
     j, _ = _fluxes_projected(dv, a, comp.c_tot)
     resid = np.linalg.norm(a @ j - comp.c_tot * dv)
     scale = np.linalg.norm(a) * np.linalg.norm(j) + comp.c_tot * np.linalg.norm(dv)
     if not (scale == 0 or resid <= 1e-10 * scale):  # NaN fails too
         raise SingularSystem(f"projected solve residual {resid!r} (scale {scale!r})")
-    return FluxSet(J=project_zero_sum(j))
+    return FluxSet(J=j - j.mean())
 
 
 def solve_fluxes_reduced(comp: Composition, dmat, d) -> FluxSet:
@@ -208,10 +201,10 @@ def _diffusion_matrix_reduced(x, dmat, model: ThermoModel) -> np.ndarray:
 
     The operator maps a concentration-gradient direction v in E to
     -J(v), where J solves A J = Gamma v (the c_tot factors cancel).
-    Batched over leading axes of ``x``.
+    Batched over leading axes of a floored ``x``.
     """
-    k = _reduce(assemble_A(x, dmat))
-    return _operator_reduced(k, gamma_matrix(model, floor_composition(x)))
+    k = _reduce(_assemble_A(x, _inverse_diffusivities(dmat)))
+    return _operator_reduced(k, gamma_matrix(model, x))
 
 
 def _operator_reduced(k: np.ndarray, g: np.ndarray) -> np.ndarray:

@@ -5,12 +5,14 @@ The species equations dc/dt + div J = r are discretized on a uniform
 grid; fluxes at interior faces come from the flux-force inversion in
 :mod:`msdiff.mskernel` evaluated at arithmetic-mean face compositions,
 and time stepping is explicit Euler with an adaptive step bounded by the
-spectral radius of the effective diffusion operator.
+spectral radius of the effective diffusion operator, recomputed every
+DT_REFRESH_STEPS steps.
 
 Inputs are validated on construction (``Grid1D``, ``Field``, ``Reaction``,
-``SimConfig``), i.e. at :func:`simulate`/:func:`step` entry; the step loop
-then makes one kernel pass per step over plain arrays and builds a
-``Field`` only at checkpoints.
+``SimConfig``) and by the kernel set-up (species count) at every entry
+point; the step loop then makes one kernel pass per step over plain
+arrays and builds a ``Field`` only at checkpoints.  Exact zeros go
+through ``thermo.floor_composition``.
 """
 from __future__ import annotations
 
@@ -22,9 +24,9 @@ import numpy as np
 from .errors import MaxStepsExceeded, NotConvex, PositivityViolation
 from .mixture import MixtureSpec
 from .mskernel import (_assemble_A, _fluxes_projected, _inverse_diffusivities,
-                       _operator_reduced, floor_composition)
-from .thermo import (IDEAL, ThermoModel, _margules_gamma, gibbs_density,
-                     ln_activity_coeffs)
+                       _operator_reduced)
+from .thermo import (IDEAL, ThermoModel, _ln_gamma_x, _margules_gamma,
+                     floor_composition, gibbs_density)
 
 #: Relative tolerance on per-cell total-concentration uniformity.
 ISOBARIC_TOL = 1e-8
@@ -32,6 +34,9 @@ ISOBARIC_TOL = 1e-8
 #: Negatives beyond -POSITIVITY_REL * c_tot are violations; smaller ones
 #: are clamped to zero as arithmetic noise.
 POSITIVITY_REL = 1e-10
+
+#: The dt bound is recomputed every this many steps.
+DT_REFRESH_STEPS = 10
 
 
 @dataclass(frozen=True)
@@ -137,13 +142,12 @@ NO_REACTIONS = ReactionNetwork(reactions=())
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Time-stepping and checkpointing controls."""
+    """Time-stepping and checkpointing controls.  The composition floor
+    (``thermo.X_FLOOR``) and the dt refresh cadence are fixed."""
     t_end: float
     cfl_safety: float = 0.4
     checkpoint_interval: float | None = None  # default t_end / 50
     max_steps: int = 10_000_000
-    floor_eps: float = 1e-12
-    dt_refresh_steps: int = 10  # dt bound recomputed every this many steps
 
     def __post_init__(self):
         if not 0 < self.t_end < np.inf:
@@ -152,12 +156,8 @@ class SimConfig:
             raise ValueError("cfl_safety must be in (0, 1]")
         if not self.max_steps > 0:
             raise ValueError("max_steps must be positive")
-        if self.dt_refresh_steps < 1:
-            raise ValueError("dt_refresh_steps must be at least 1")
         if not 0 < self.cp_interval < np.inf:
             raise ValueError("checkpoint_interval must be positive and finite")
-        if not 0 < self.floor_eps < np.inf:
-            raise ValueError("floor_eps must be positive and finite")
 
     @property
     def cp_interval(self) -> float:
@@ -188,13 +188,14 @@ class _Kernel:
     """The step kernel: set up once per run, then one call per step computes
     face states, fluxes, W and, with ``bound``, the dt spectrum, each once."""
 
-    def __init__(self, spec: MixtureSpec, model: ThermoModel | None, grid: Grid1D,
-                 floor: float):
-        model = model or spec.thermo or IDEAL
-        self.model, self.h, self.floor = model, grid.h, floor
+    def __init__(self, spec: MixtureSpec, model: ThermoModel | None, field: Field):
+        if field.nspecies != spec.n:
+            raise ValueError(
+                f"field has {field.nspecies} species, mixture has {spec.n} species")
+        self.model, self.h = model or IDEAL, field.grid.h
         self.inv = _inverse_diffusivities(spec.dmat)
         # None on the ideal path, where Gamma = I is skipped
-        self.amat = None if model.is_ideal else model.interactions(spec.n)
+        self.amat = None if self.model.is_ideal else self.model.interactions(spec.n)
 
     def __call__(self, c: np.ndarray, bound: bool = False) -> _State:
         """Face compositions are floored arithmetic means, shared by the flux
@@ -203,15 +204,13 @@ class _Kernel:
         c_tot = _uniform_total(totals)
         x = c / totals
         xf = 0.5 * (x[:-1] + x[1:])
-        xf = floor_composition(xf / xf.sum(axis=1, keepdims=True), self.floor)
+        xf = floor_composition(xf / xf.sum(axis=1, keepdims=True))
         d = (x[1:] - x[:-1]) / self.h
-        xm = np.maximum(x, self.floor)
-        mu = np.log(xm)
+        mu = _ln_gamma_x(self.model, floor_composition(x))
         g = None
         if self.amat is not None:
             g = _margules_gamma(xf, self.amat)
             d = np.einsum("fij,fj->fi", g, d)
-            mu += ln_activity_coeffs(self.model, xm)
         d -= d.mean(axis=1, keepdims=True)
         ctf = 0.5 * (totals[:-1, 0] + totals[1:, 0])
         j, k = _fluxes_projected(d, _assemble_A(xf, self.inv), ctf)
@@ -244,16 +243,16 @@ class _Kernel:
         return dt
 
 
-def face_fluxes(field: Field, spec: MixtureSpec, model: ThermoModel | None = None,
-                floor: float = 1e-12) -> np.ndarray:
+def face_fluxes(field: Field, spec: MixtureSpec,
+                model: ThermoModel | None = None) -> np.ndarray:
     """Fluxes at all ncells+1 faces; the two boundary faces carry zero
     flux (Neumann walls)."""
-    return _Kernel(spec, model, field.grid, floor)(field.c).jf
+    return _Kernel(spec, model, field)(field.c).jf
 
 
 def stable_dt(field: Field, spec: MixtureSpec, model: ThermoModel | None = None,
               reactions: ReactionNetwork = NO_REACTIONS,
-              cfl_safety: float = 0.4, floor: float = 1e-12) -> float:
+              cfl_safety: float = 0.4) -> float:
     """Explicit-Euler step bound: cfl * h^2 / (2 lambda_max) with
     lambda_max the largest diffusion-operator eigenvalue over all faces,
     further capped so reactions change no concentration by more than 10%
@@ -261,13 +260,12 @@ def stable_dt(field: Field, spec: MixtureSpec, model: ThermoModel | None = None,
 
     Raises ``NotConvex`` if the operator loses positivity at any face.
     """
-    kernel = _Kernel(spec, model, field.grid, floor)
+    kernel = _Kernel(spec, model, field)
     return kernel.dt_bound(kernel(field.c, bound=True), reactions, cfl_safety)
 
 
 def step(field: Field, spec: MixtureSpec, model: ThermoModel | None = None,
-         reactions: ReactionNetwork = NO_REACTIONS, dt: float = 0.0,
-         floor: float = 1e-12) -> Field:
+         reactions: ReactionNetwork = NO_REACTIONS, dt: float = 0.0) -> Field:
     """One explicit Euler update c += dt (div-free flux balance + r(c)).
 
     Per-cell totals are preserved exactly up to roundoff because fluxes
@@ -275,7 +273,7 @@ def step(field: Field, spec: MixtureSpec, model: ThermoModel | None = None,
     beyond the noise threshold raise ``PositivityViolation``; tiny ones
     are clamped to zero.
     """
-    kernel = _Kernel(spec, model, field.grid, floor)
+    kernel = _Kernel(spec, model, field)
     cn = _advance(kernel(field.c), reactions, dt, field.time, kernel.h)
     return Field(c=cn, grid=field.grid, time=field.time + dt)
 
@@ -345,15 +343,16 @@ def simulate(initial: Field, spec: MixtureSpec, model: ThermoModel | None = None
     """Run the explicit finite-volume scheme to ``config.t_end``.
 
     Validation happens at entry (``initial`` and ``config`` check
-    themselves); the loop steps plain arrays and builds a ``Field`` only
-    at checkpoints.  Exact zeros are handled through the composition
-    floor.  Raises ``MaxStepsExceeded``, ``PositivityViolation``, or ``NotConvex``.
+    themselves; the species counts of ``spec`` and ``initial`` must
+    agree); the loop steps plain arrays and builds a ``Field`` only at
+    checkpoints.  Raises ``MaxStepsExceeded``, ``PositivityViolation``,
+    or ``NotConvex``.
     """
     if config is None:
         raise ValueError("a SimConfig is required")
     grid = initial.grid
-    kernel = _Kernel(spec, model, grid, config.floor_eps)
-    model, refresh = kernel.model, config.dt_refresh_steps
+    kernel = _Kernel(spec, model, initial)
+    model = kernel.model
     st = kernel(initial.c, bound=True)
     w, cum_w = st.w, 0.0
     traj = Trajectory(grid=grid, names=spec.names, c_tot0=initial.c_tot)
@@ -365,13 +364,13 @@ def simulate(initial: Field, spec: MixtureSpec, model: ThermoModel | None = None
     tiny = 1e-12 * config.t_end
     steps = 0
     while t < config.t_end - tiny:
-        if steps % refresh == 0:
+        if steps % DT_REFRESH_STEPS == 0:
             dt_bound = kernel.dt_bound(st, reactions, config.cfl_safety)
         dt = min(dt_bound, config.t_end - t, next_cp - t)
         c = _advance(st, reactions, dt, t, kernel.h)
         t += dt
         steps += 1
-        st = kernel(c, bound=steps % refresh == 0)
+        st = kernel(c, bound=steps % DT_REFRESH_STEPS == 0)
         cum_w += 0.5 * (w + st.w) * dt
         w = st.w
         if steps > config.max_steps:

@@ -20,12 +20,12 @@ import numpy as np
 from scipy.special import xlogy
 
 from .errors import DegenerateComposition
-from .linalg import simplex_basis
-from .mixture import Composition, DrivingForce
+from .mixture import Composition, DrivingForce, simplex_basis
 
-#: Compositions with any fraction below this floor are degenerate for
-#: quantities involving ln(x) or 1/x; :mod:`msdiff.mskernel` floors at it
-#: (then renormalizes) to keep A irreducible at simplex boundaries.
+#: Compositions with any fraction below this floor (or a NaN) are
+#: degenerate for quantities involving ln(x) or 1/x.  floor_composition
+#: raises entries to it, without renormalizing, to keep A irreducible at
+#: simplex boundaries; its output passes the domain check.
 X_FLOOR = 1e-12
 
 
@@ -51,10 +51,6 @@ class ThermoModel:
             object.__setattr__(self, "amat", a)
 
     @classmethod
-    def ideal(cls) -> "ThermoModel":
-        return cls()
-
-    @classmethod
     def margules(cls, amat) -> "ThermoModel":
         return cls(amat=amat)
 
@@ -63,9 +59,7 @@ class ThermoModel:
         return self.amat is None
 
     def interactions(self, n: int) -> np.ndarray:
-        """Interaction matrix, materialized as zeros for the ideal case."""
-        if self.amat is None:
-            return np.zeros((n, n))
+        """The Margules interaction matrix, checked against ``n`` species."""
         if self.amat.shape[0] != n:
             raise ValueError(
                 f"interaction matrix is {self.amat.shape[0]}x{self.amat.shape[0]}, "
@@ -73,13 +67,28 @@ class ThermoModel:
         return self.amat
 
 
-IDEAL = ThermoModel.ideal()
+IDEAL = ThermoModel()
 
 
 def _as_x(x) -> np.ndarray:
     if isinstance(x, Composition):
         return x.x
     return np.asarray(x, dtype=float)
+
+
+def floor_composition(x) -> np.ndarray:
+    """Raise entries below X_FLOOR to X_FLOOR; NaN stays NaN."""
+    return np.maximum(_as_x(x), X_FLOOR)
+
+
+def _interior(x, what: str) -> np.ndarray:
+    """``x`` as an array if every entry is at least X_FLOOR, else
+    ``DegenerateComposition`` (NaN included)."""
+    x = _as_x(x)
+    if not np.all(x >= X_FLOOR):
+        raise DegenerateComposition(
+            f"{what} needs an interior composition (every x_i >= {X_FLOOR:g})")
+    return x
 
 
 def ln_activity_coeffs(model: ThermoModel, x) -> np.ndarray:
@@ -100,11 +109,8 @@ def gamma_matrix(model: ThermoModel, x) -> np.ndarray:
     partials of the Margules family, treating x_1..x_n as independent
     coordinates.  Column sums equal 1 (Gibbs-Duhem).
     """
-    x = _as_x(x)
+    x = _interior(x, "gamma_matrix")
     n = x.shape[-1]
-    if np.any(x < X_FLOOR):
-        raise DegenerateComposition(
-            f"gamma_matrix needs an interior composition (floor {X_FLOOR:g})")
     if model.is_ideal:
         return np.broadcast_to(np.eye(n), x.shape + (n,)).copy()
     return _margules_gamma(x, model.interactions(n))
@@ -149,10 +155,15 @@ def gibbs_density(model: ThermoModel, c) -> float:
 
 def chemical_potentials(model: ThermoModel, x) -> np.ndarray:
     """mu_i in RT units: ln(gamma_i x_i).  Requires interior x."""
-    x = _as_x(x)
-    if np.any(x < X_FLOOR):
-        raise DegenerateComposition("chemical potential diverges at the boundary")
-    return ln_activity_coeffs(model, x) + np.log(x)
+    return _ln_gamma_x(model, _interior(x, "chemical_potentials"))
+
+
+def _ln_gamma_x(model: ThermoModel, x: np.ndarray) -> np.ndarray:
+    """ln(gamma_i x_i), batched; no domain check."""
+    mu = np.log(x)
+    if not model.is_ideal:
+        mu += ln_activity_coeffs(model, x)
+    return mu
 
 
 def convexity_check(model: ThermoModel, x) -> float:
@@ -162,9 +173,7 @@ def convexity_check(model: ThermoModel, x) -> float:
     A positive return certifies strong convexity of the Gibbs energy at
     this composition; a negative value signals the phase-splitting regime.
     """
-    x = _as_x(x)
-    if np.any(x < X_FLOOR):
-        raise DegenerateComposition("convexity check needs an interior composition")
+    x = _interior(x, "convexity_check")
     n = x.shape[-1]
     m = gamma_matrix(model, x) / x[..., :, None]
     sym = 0.5 * (m + np.swapaxes(m, -1, -2))

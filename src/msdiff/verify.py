@@ -19,6 +19,9 @@ W_TOL_REL = 1e-10
 #: Lyapunov-balance slack, relative to |V(0)| (explicit-stepping error).
 LYAP_TOL_REL = 1e-6
 
+#: detect_uphill: fluxes and gradients below this fraction of their maximum are 0.
+UPHILL_REL_TOL = 1e-10
+
 
 @dataclass
 class EntropyLedger:
@@ -71,13 +74,6 @@ def entropy_ledger(trajectory: Trajectory, model: ThermoModel | None = None) -> 
                          ok=not violations, violations=violations)
 
 
-def _binary_margules_a(model: ThermoModel | None) -> float:
-    if model is None or model.is_ideal:
-        return 0.0
-    a = model.interactions(2)
-    return float(a[0, 1])
-
-
 def filtration_oracle(c0, model: ThermoModel | None, d12: float, grid: Grid1D,
                       t_end: float, c_tot: float | None = None,
                       cfl_safety: float = 0.3) -> np.ndarray:
@@ -92,7 +88,7 @@ def filtration_oracle(c0, model: ThermoModel | None, d12: float, grid: Grid1D,
     c = np.array(c0, dtype=float)
     if c.ndim != 1 or c.size != grid.ncells:
         raise ValueError(f"profile shape {c.shape} does not match grid {grid.ncells}")
-    a = _binary_margules_a(model)
+    a = 0.0 if model is None or model.is_ideal else float(model.interactions(2)[0, 1])
     if a != 0.0 and c_tot is None:
         raise ValueError("c_tot is required for the nonideal binary flux")
     ct = float(c_tot) if c_tot is not None else 1.0
@@ -139,8 +135,8 @@ class CrossDiffusionEvent:
     grad_c: float
 
 
-def detect_uphill(obj, spec: MixtureSpec, model: ThermoModel | None = None,
-                  rel_tol: float = 1e-10) -> list[CrossDiffusionEvent]:
+def detect_uphill(obj, spec: MixtureSpec,
+                  model: ThermoModel | None = None) -> list[CrossDiffusionEvent]:
     """Scan a field or trajectory for uphill diffusion (flux with a
     positive component along the species' own gradient) and osmotic
     diffusion (flux where the gradient vanishes).
@@ -156,19 +152,18 @@ def detect_uphill(obj, spec: MixtureSpec, model: ThermoModel | None = None,
     for fld in fields:
         jf = face_fluxes(fld, spec, model)[1:-1]
         grad = (fld.c[1:] - fld.c[:-1]) / fld.grid.h
-        fscale = float(np.max(np.abs(jf))) if jf.size else 0.0
-        gscale = float(np.max(np.abs(grad))) if grad.size else 0.0
+        fscale = float(np.max(np.abs(jf)))
+        gscale = float(np.max(np.abs(grad)))
         if fscale == 0.0:
             continue
-        for face in range(jf.shape[0]):
-            for sp in range(jf.shape[1]):
-                j, g = float(jf[face, sp]), float(grad[face, sp])
-                if abs(g) <= rel_tol * gscale and abs(j) > rel_tol * fscale:
-                    events.append(CrossDiffusionEvent(
-                        "osmotic", fld.time, face, sp, j, g))
-                elif j * g > rel_tol * fscale * gscale:
-                    events.append(CrossDiffusionEvent(
-                        "uphill", fld.time, face, sp, j, g))
+        # masks over faces x species; row-major nonzero keeps scan order
+        osmotic = ((np.abs(grad) <= UPHILL_REL_TOL * gscale)
+                   & (np.abs(jf) > UPHILL_REL_TOL * fscale))
+        uphill = ~osmotic & (jf * grad > UPHILL_REL_TOL * fscale * gscale)
+        for face, sp in zip(*np.nonzero(osmotic | uphill)):
+            events.append(CrossDiffusionEvent(
+                "osmotic" if osmotic[face, sp] else "uphill", fld.time,
+                int(face), int(sp), float(jf[face, sp]), float(grad[face, sp])))
     return events
 
 

@@ -15,7 +15,8 @@ from msdiff import (IDEAL, Composition, Field, Grid1D, MixtureSpec, Reaction,
                     solve_fluxes_reduced, spectral_gap_delta, stable_dt, step,
                     ternary_closed_forms)
 from msdiff.cli import load_config
-from msdiff.mskernel import assemble_A, floor_composition
+from msdiff.mskernel import assemble_A
+from msdiff.thermo import floor_composition
 
 CONFIGS = Path(__file__).parents[1] / "configs"
 

@@ -7,9 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from msdiff.cli import (EXIT_CONFIG, EXIT_CONVEXITY, EXIT_OK, EXIT_STEP_LIMIT,
-                        load_config, main)
-from msdiff.errors import ConfigError
+import msdiff.cli
+from msdiff import errors
+from msdiff.cli import (EXIT_CONFIG, EXIT_CONVEXITY, EXIT_NUMERICAL, EXIT_OK,
+                        EXIT_POSITIVITY, EXIT_STEP_LIMIT, load_config, main)
+from msdiff.errors import ConfigError, MsDiffError
 
 CONFIGS = Path(__file__).parents[1] / "configs"
 
@@ -64,6 +66,81 @@ class TestLoadConfig:
         p.write_text("{not json")
         with pytest.raises(ConfigError):
             load_config(p)
+
+
+#: Documented exit code of every MsDiffError class.
+EXIT_OF = {
+    errors.ConfigError: EXIT_CONFIG,
+    errors.DegenerateComposition: EXIT_CONFIG,
+    errors.NonPositiveTotal: EXIT_CONFIG,
+    errors.NegativeConcentration: EXIT_CONFIG,
+    errors.PositivityViolation: EXIT_POSITIVITY,
+    errors.NotConvex: EXIT_CONVEXITY,
+    errors.MaxStepsExceeded: EXIT_STEP_LIMIT,
+    errors.SingularSystem: EXIT_NUMERICAL,
+    errors.EigSolverFailure: EXIT_NUMERICAL,
+    errors.NonMonotoneFlux: EXIT_NUMERICAL,
+    MsDiffError: EXIT_NUMERICAL,
+}
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+class TestErrorMap:
+    def test_every_error_class_has_a_documented_code(self):
+        assert set(_subclasses(MsDiffError)) == set(EXIT_OF) - {MsDiffError}
+
+    @pytest.mark.parametrize("cls", list(EXIT_OF), ids=lambda c: c.__name__)
+    def test_one_line_and_exit_code(self, cls, tmp_path, monkeypatch, capsys):
+        def fail(path):
+            raise cls("boom at x = [1, 0]")
+        monkeypatch.setattr(msdiff.cli, "load_config", fail)
+        code, out = _run(["spectrum", "--config", _write(tmp_path, BASE)])
+        err = capsys.readouterr().err
+        assert code == EXIT_OF[cls]
+        assert out == ""
+        assert err.count("\n") == 1 and "boom at x = [1, 0]" in err
+        assert "Traceback" not in err
+
+    def test_fluxes_at_pure_corner_exits_2(self, tmp_path, capsys):
+        cfg = dict(BASE, composition={"x": [1.0, 0.0], "c_tot": 1.0})
+        code, _ = _run(["fluxes", "--config", _write(tmp_path, cfg)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.count("\n") == 1
+
+    @pytest.mark.parametrize("section,value", [
+        ("initial", {"kind": "uniform", "x": ["a", 0.5]}),
+        ("initial", {"kind": "uniform", "x": {"A": 0.5}}),
+        ("initial", {"kind": "step", "x_left": ["a", 0.5], "x_right": [0.5, 0.5]}),
+        ("initial", {"kind": "ramp", "x_left": [0.5, 0.5], "x_right": [0.5, None]}),
+        ("initial", {"kind": "cells", "x": [["a", 0.5]] * 16}),
+        ("initial", {"kind": "cells", "x": [[0.5, 0.5], [1.0]] * 8}),
+        ("gradients", ["a", 0.1]),
+        ("gradients", [[0.1], -0.1]),
+        ("composition", {"x": {"A": 0.5}}),
+        ("composition", {"x": [0.5, 0.5], "c_tot": [1.0]}),
+        ("grid", {"ncells": [16], "length": 1.0}),
+        ("mixture", {"names": 3, "dmat": [[0.0, 1.0], [1.0, 0.0]]}),
+        ("mixture", {"names": ["A", "B"], "dmat": [[0.0, "a"], ["a", 0.0]]}),
+        ("mixture", {"names": ["A", "B"], "dmat": [[0.0, 1.0], [1.0]]}),
+        ("reactions", [{"reactants": ["A"], "products": {"B": 1}, "rate_constant": 1.0}]),
+        ("reactions", [{"reactants": {"A": 1}, "products": {"B": 1}, "rate_constant": [1]}]),
+        ("thermo", {"model": "margules", "amat": [[0, 1, 1], [1, 0, 1], [1, 1, 0]]}),
+        ("thermo", {"model": "ideal", "amat": [[0, 1], [1, 0]]}),
+        ("thermo", {"model": "margules", "amat": {"A": 1}}),
+    ])
+    def test_malformed_entries_exit_2(self, tmp_path, capsys, section, value):
+        cfg = json.loads(json.dumps(SIM))
+        cfg["composition"] = BASE["composition"]
+        cfg[section] = value
+        code, _ = _run(["simulate", "--config", _write(tmp_path, cfg),
+                        "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: ")
 
 
 class TestSpectrumCommand:

@@ -70,6 +70,14 @@ class TestCompositionInvariants:
         with pytest.raises(ValueError):
             Composition(x=[0.5, 0.5], c_tot=0.0)
 
+    @pytest.mark.parametrize("x,c_tot", [
+        ([np.nan, np.nan], 1.0), ([np.nan, 1.0], 1.0), ([np.inf, 0.5], 1.0),
+        ([0.5, 0.5], np.nan), ([0.5, 0.5], np.inf),
+    ])
+    def test_non_finite_rejected(self, x, c_tot):
+        with pytest.raises(ValueError):
+            Composition(x=x, c_tot=c_tot)
+
 
 class TestValidateSpec:
     def test_ok(self):
@@ -85,6 +93,12 @@ class TestValidateSpec:
         spec = MixtureSpec(names=("A", "B"), dmat=[[0, -1], [-1, 0]])
         codes = [i.code for i in validate_spec(spec)]
         assert "NonPositiveD" in codes
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite(self, value):
+        spec = MixtureSpec(names=("A", "B"), dmat=[[0, value], [value, 0]])
+        codes = [i.code for i in validate_spec(spec)]
+        assert "NonFiniteD" in codes
 
     def test_bad_dimension(self):
         spec = MixtureSpec(names=("A", "B", "C"), dmat=[[0, 1], [1, 0]])

@@ -7,9 +7,9 @@ from msdiff import (IDEAL, Composition, FluxSet, ThermoModel, assemble_A,
                     fick_limit_D, mole_fractions, solve_fluxes_invariant,
                     solve_fluxes_reduced, spectral_gap_delta, spectrum)
 from msdiff.errors import DegenerateComposition, NotConvex
-from msdiff.linalg import simplex_basis
-from msdiff.mskernel import (_diffusion_matrix_reduced, _solve_reduced,
-                             floor_composition)
+from msdiff.mixture import simplex_basis
+from msdiff.mskernel import _diffusion_matrix_reduced, _solve_reduced
+from msdiff.thermo import floor_composition
 
 
 def solve_fluxes_bordered(comp, dmat, d, mu=None):

@@ -73,7 +73,10 @@ class TestSimConfig:
         {"floor_eps": np.inf},
     ], ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
     def test_rejects_bad_value(self, kwargs):
-        with pytest.raises(ValueError):
+        # floor_eps and dt_refresh_steps are no longer fields: the floor is
+        # thermo.X_FLOOR and the dt refresh cadence a solver constant
+        removed = {"floor_eps", "dt_refresh_steps"} & kwargs.keys()
+        with pytest.raises(TypeError if removed else ValueError):
             SimConfig(**{"t_end": 0.1, **kwargs})
 
     def test_default_checkpoint_interval(self):
@@ -262,6 +265,17 @@ class TestSimulate:
         traj = simulate(fld, spec, config=SimConfig(t_end=0.05))
         assert traj.final().min_concentration >= 0.0
 
+    @pytest.mark.parametrize("entry", [
+        lambda fld, spec: simulate(fld, spec, config=SimConfig(t_end=0.01)),
+        lambda fld, spec: face_fluxes(fld, spec),
+        lambda fld, spec: stable_dt(fld, spec),
+        lambda fld, spec: step(fld, spec, dt=1e-5),
+    ], ids=["simulate", "face_fluxes", "stable_dt", "step"])
+    def test_species_count_mismatch_rejected_at_entry(self, entry):
+        spec = _random_mixture(np.random.default_rng(5), 3)
+        with pytest.raises(ValueError, match="3 species"):
+            entry(_binary_step_field(ncells=8), spec)
+
     def test_no_reactions_constant_is_default(self):
         assert NO_REACTIONS.reactions == ()
 
@@ -297,7 +311,7 @@ def test_kernel_matches_per_face_public_route(n, thermo):
     if thermo == "margules":
         a = np.triu(rng.uniform(-1.0, 1.0, size=(n, n)), 1)
         model = ThermoModel.margules(a + a.T)
-    st = _Kernel(spec, model, fld.grid, 1e-12)(fld.c)
+    st = _Kernel(spec, model, fld)(fld.c)
 
     c = fld.c
     x = c / c.sum(axis=1, keepdims=True)

@@ -3,10 +3,11 @@ import numpy as np
 import pytest
 
 from msdiff import (IDEAL, ThermoModel, chemical_potentials, convexity_check,
-                    driving_force, gamma_matrix, gibbs_density,
-                    ln_activity_coeffs)
+                    diffusion_operator_spectrum, driving_force, gamma_matrix,
+                    gibbs_density, ln_activity_coeffs)
 from msdiff.errors import DegenerateComposition
-from msdiff.linalg import simplex_basis
+from msdiff.mixture import simplex_basis
+from msdiff.thermo import X_FLOOR, floor_composition
 
 
 def _random_interior_x(rng, n, xmin=1e-3):
@@ -180,3 +181,38 @@ class TestModelValidation:
         model = ThermoModel.margules([[0, 1], [1, 0]])
         with pytest.raises(ValueError):
             model.interactions(3)
+
+
+def _vertices_and_edge_midpoints(n):
+    eye = np.eye(n)
+    yield from eye
+    for i in range(n):
+        for j in range(i + 1, n):
+            yield 0.5 * (eye[i] + eye[j])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_floor_output_is_accepted_at_simplex_boundary(n):
+    """Every vertex and edge midpoint, once floored, is inside the domain
+    of the checked functions; a NaN entry never is."""
+    rng = np.random.default_rng(200 + n)
+    d = rng.uniform(0.5, 5.0, size=(n, n))
+    dmat = 0.5 * (d + d.T)
+    np.fill_diagonal(dmat, 0.0)
+    checks = (lambda x: gamma_matrix(IDEAL, x),
+              lambda x: chemical_potentials(IDEAL, x),
+              lambda x: convexity_check(IDEAL, x),
+              lambda x: diffusion_operator_spectrum(x, dmat, IDEAL))
+    states = list(_vertices_and_edge_midpoints(n))
+    assert len(states) == n + n * (n - 1) // 2
+    for x in states:
+        xf = floor_composition(x)
+        assert xf.min() >= X_FLOOR
+        for check in checks[:3]:
+            check(xf)
+        assert np.all(np.real(diffusion_operator_spectrum(x, dmat, IDEAL)) > 0)
+        bad = x.copy()
+        bad[0] = np.nan
+        for check in checks:
+            with pytest.raises(DegenerateComposition):
+                check(bad)

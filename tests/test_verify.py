@@ -138,6 +138,27 @@ class TestDetectUphill:
         events = detect_uphill(traj, self.TERNARY)
         assert any(e.time == 0.0 for e in events)
 
+    def test_trajectory_event_list_is_exact(self):
+        # the flat middle species moves osmotically at t = 0, then uphill
+        # from both walls inwards; kind, face and species in scan order
+        grid = Grid1D(ncells=16, length=1.0)
+        t = grid.cell_centers / grid.length
+        x = np.stack([0.2 + 0.2 * t, np.full(16, 0.4), 0.4 - 0.2 * t], axis=1)
+        traj = simulate(Field(c=x, grid=grid), self.TERNARY,
+                        config=SimConfig(t_end=1e-4, checkpoint_interval=2.5e-5))
+        faces_by_checkpoint = [
+            ("osmotic", range(15)),
+            ("uphill", [0, 1, 2, 12, 13, 14]),
+            ("uphill", [0, 1, 2, 3, 4, 10, 11, 12, 13, 14]),
+            ("uphill", [0, 1, 2, 3, 4, 5, 9, 10, 11, 12, 13, 14]),
+            ("uphill", [0, 1, 2, 3, 4, 5, 9, 10, 11, 12, 13, 14]),
+        ]
+        expected = [(cp.time, kind, face, 1)
+                    for cp, (kind, faces) in zip(traj.checkpoints, faces_by_checkpoint)
+                    for face in faces]
+        events = detect_uphill(traj, self.TERNARY)
+        assert [(e.time, e.kind, e.face, e.species) for e in events] == expected
+
 
 class TestTernaryClosedForms:
     def test_symmetric_unit_case(self):
