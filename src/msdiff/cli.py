@@ -65,6 +65,16 @@ def _floats(value, ctx: str) -> np.ndarray:
         raise ConfigError(f"{ctx}: {exc}") from exc
 
 
+def _integer(value, ctx: str) -> int:
+    """``value`` as an int: a JSON integer, or a number with an integral
+    value.  Booleans, strings, fractions and non-finite values are
+    ConfigErrors, never truncated."""
+    if isinstance(value, bool) or not (
+            isinstance(value, int) or isinstance(value, float) and value.is_integer()):
+        raise ConfigError(f"{ctx}: expected an integer, got {value!r}")
+    return int(value)
+
+
 def _check_keys(d, allowed: set[str], ctx: str) -> None:
     if not isinstance(d, dict):
         raise ConfigError(f"{ctx}: expected an object, got {type(d).__name__}")
@@ -135,7 +145,7 @@ def _parse_composition(obj, n: int) -> Composition:
 def _parse_grid(obj) -> Grid1D:
     _check_keys(obj, {"ncells", "length"}, "grid")
     try:
-        return Grid1D(ncells=int(_require(obj, "ncells", "grid")),
+        return Grid1D(ncells=_integer(_require(obj, "ncells", "grid"), "grid.ncells"),
                       length=float(_require(obj, "length", "grid")))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"grid: {exc}") from exc
@@ -214,7 +224,7 @@ def _parse_sim(obj) -> SimConfig:
             t_end=float(_require(obj, "t_end", "sim")),
             cfl_safety=float(obj.get("cfl_safety", 0.4)),
             checkpoint_interval=None if interval is None else float(interval),
-            max_steps=int(obj.get("max_steps", 10_000_000)),
+            max_steps=_integer(obj.get("max_steps", 10_000_000), "sim.max_steps"),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"sim: {exc}") from exc
@@ -253,7 +263,7 @@ def load_config(path: str | Path) -> RunConfig:
     reactions = _parse_reactions(raw.get("reactions", []), spec.names)
     sim = _parse_sim(raw["sim"]) if "sim" in raw else None
     seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0:
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise ConfigError("seed: must be a nonnegative integer")
     return RunConfig(spec=spec, model=model, composition=comp, gradients=grads,
                      grid=grid, initial=initial, reactions=reactions,
@@ -323,87 +333,85 @@ def cmd_simulate(cfg: RunConfig, out, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def _random_interior_x(rng, n: int) -> np.ndarray:
-    while True:
-        x = rng.dirichlet(np.ones(n))
-        if x.min() >= 1e-3:
-            return x
+#: Random states drawn per ``verify`` check.
+VERIFY_SAMPLES = 200
 
 
-def cmd_verify(cfg: RunConfig, out, samples: int = 200) -> int:
+def _interior_samples(rng, n: int, k: int) -> np.ndarray:
+    """``k`` Dirichlet(1) compositions with every x_i >= 1e-3, shaped
+    (k, n).  Each round draws exactly the shortfall, so the stream is
+    consumed as by k sequential single draws with rejection."""
+    x = np.empty((0, n))
+    while len(x) < k:
+        draw = rng.dirichlet(np.ones(n), size=k - len(x))
+        x = np.concatenate([x, draw[draw.min(axis=1) >= 1e-3]])
+    return x
+
+
+def _paired_samples(rng, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """VERIFY_SAMPLES compositions, each followed in the stream by a
+    standard-normal vector made zero-sum; both shaped (VERIFY_SAMPLES, n)."""
+    xs, vs = [], []
+    for _ in range(VERIFY_SAMPLES):
+        xs.append(_interior_samples(rng, n, 1)[0])
+        vs.append(rng.standard_normal(n))
+    v = np.array(vs)
+    return np.array(xs), v - v.mean(axis=1, keepdims=True)
+
+
+def _row(name: str, fails: int) -> tuple[str, str, str]:
+    return (name, "PASS" if fails == 0 else "FAIL",
+            f"{VERIFY_SAMPLES - fails}/{VERIFY_SAMPLES}")
+
+
+def cmd_verify(cfg: RunConfig, out) -> int:
     """Property sweep for the configured mixture; prints one pass/fail
-    row per check."""
+    row per check.  Each check draws its VERIFY_SAMPLES states and makes
+    one batched call per kernel function, with a verdict per state."""
     rng = np.random.default_rng(cfg.seed)
     n = cfg.spec.n
     dmat = cfg.spec.dmat
     out.write(f"seed: {cfg.seed}\n")
     rows: list[tuple[str, str, str]] = []
 
-    gap_fail = 0
-    for _ in range(samples):
-        if not mskernel.spectrum(_random_interior_x(rng, n), dmat).gap_ok:
-            gap_fail += 1
-    rows.append(("spectral-gap", "PASS" if gap_fail == 0 else "FAIL",
-                 f"{samples - gap_fail}/{samples}"))
+    rep = mskernel.spectrum(_interior_samples(rng, n, VERIFY_SAMPLES), dmat)
+    rows.append(_row("spectral-gap", VERIFY_SAMPLES - np.count_nonzero(rep.gap_ok)))
 
-    route_fail = 0
-    for _ in range(samples):
-        comp = Composition(x=_random_interior_x(rng, n), c_tot=1.0)
-        d = rng.standard_normal(n)
-        d -= d.mean()
-        ji = mskernel.solve_fluxes_invariant(comp, dmat, d).J
-        jr = mskernel.solve_fluxes_reduced(comp, dmat, d).J
-        if np.max(np.abs(ji - jr)) > 1e-10 * max(np.max(np.abs(ji)), 1e-300):
-            route_fail += 1
-    rows.append(("flux-route-agreement", "PASS" if route_fail == 0 else "FAIL",
-                 f"{samples - route_fail}/{samples}"))
+    x, d = _paired_samples(rng, n)
+    comp = Composition(x=x, c_tot=1.0)
+    ji = mskernel.solve_fluxes_invariant(comp, dmat, d).J
+    jr = mskernel.solve_fluxes_reduced(comp, dmat, d).J
+    scale = np.maximum(np.max(np.abs(ji), axis=1), 1e-300)
+    rows.append(_row("flux-route-agreement", np.count_nonzero(
+        np.max(np.abs(ji - jr), axis=1) > 1e-10 * scale)))
 
     if n == 3:
-        tern_fail = 0
-        for _ in range(samples):
-            rep = verify.ternary_closed_forms(_random_interior_x(rng, 3), dmat)
-            if not (rep.matches_assembly and rep.sector_ok):
-                tern_fail += 1
-        rows.append(("ternary-closed-forms", "PASS" if tern_fail == 0 else "FAIL",
-                     f"{samples - tern_fail}/{samples}"))
+        tern = verify.ternary_closed_forms(_interior_samples(rng, 3, VERIFY_SAMPLES), dmat)
+        rows.append(_row("ternary-closed-forms", np.count_nonzero(
+            ~(tern.matches_assembly & tern.sector_ok))))
 
-    convex_fail = 0
-    not_convex = 0
-    for _ in range(samples):
-        x = _random_interior_x(rng, n)
-        try:
-            w = mskernel.diffusion_operator_spectrum(x, dmat, cfg.model)
-        except NotConvex:
-            not_convex += 1
-            continue
-        if np.min(np.real(w)) <= 0:
-            convex_fail += 1
+    x = _interior_samples(rng, n, VERIFY_SAMPLES)
+    convex = thermo.convexity_check(cfg.model, x) > 0
+    w = mskernel.diffusion_operator_spectrum(x[convex], dmat, cfg.model,
+                                             require_convex=False)
+    not_convex = VERIFY_SAMPLES - np.count_nonzero(convex)
     if not_convex:
         rows.append(("normal-ellipticity", "XFAIL",
-                     f"NotConvex at {not_convex}/{samples} states "
+                     f"NotConvex at {not_convex}/{VERIFY_SAMPLES} states "
                      "(phase-splitting thermo)"))
     else:
-        rows.append(("normal-ellipticity", "PASS" if convex_fail == 0 else "FAIL",
-                     f"{samples - convex_fail}/{samples}"))
+        rows.append(_row("normal-ellipticity",
+                         np.count_nonzero(np.min(np.real(w), axis=-1) <= 0)))
 
-    entropy_fail = 0
-    for _ in range(samples):
-        comp = Composition(x=_random_interior_x(rng, n), c_tot=1.0)
-        try:
-            lam = thermo.convexity_check(cfg.model, comp)
-        except MsDiffError:
-            continue
-        if lam <= 0:
-            continue
-        g = rng.standard_normal(n)
-        g -= g.mean()
-        d = thermo.driving_force(cfg.model, comp, g)
-        j = mskernel.solve_fluxes_invariant(comp, dmat, d).J
-        mu_grad = d.d / comp.x
-        if -float(j @ mu_grad) < -1e-12 * max(np.max(np.abs(j * mu_grad)), 1e-300):
-            entropy_fail += 1
-    rows.append(("pointwise-entropy", "PASS" if entropy_fail == 0 else "FAIL",
-                 f"{samples - entropy_fail}/{samples}"))
+    # every state draws its gradient; only strongly convex states are checked
+    x, g = _paired_samples(rng, n)
+    convex = thermo.convexity_check(cfg.model, x) > 0
+    comp = Composition(x=x[convex], c_tot=1.0)
+    d = thermo.driving_force(cfg.model, comp, g[convex])
+    j = mskernel.solve_fluxes_invariant(comp, dmat, d).J
+    jmu = j * (d.d / comp.x)
+    rows.append(_row("pointwise-entropy", np.count_nonzero(
+        -jmu.sum(axis=1) < -1e-12 * np.maximum(np.max(np.abs(jmu), axis=1), 1e-300))))
 
     hard_fail = False
     for name, status, detail in rows:

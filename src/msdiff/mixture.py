@@ -82,32 +82,47 @@ def validate_spec(spec: MixtureSpec) -> list[SpecIssue]:
 
 @dataclass(frozen=True)
 class Composition:
-    """Mole-fraction vector on the simplex plus the total molar
-    concentration (mol/length^3)."""
+    """Mole-fraction vectors on the simplex plus the total molar
+    concentration (mol/length^3).
+
+    ``x`` is shaped (..., n): one composition, or a batch along leading
+    axes.  ``c_tot`` is one value or an array that broadcasts against the
+    batch shape; it is stored as a float for one composition and as an
+    array of the batch shape otherwise.  Every row is checked.
+    """
     x: np.ndarray
-    c_tot: float
+    c_tot: float | np.ndarray
 
     def __post_init__(self):
         x = _frozen_array(self.x)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "c_tot", float(self.c_tot))
-        if x.ndim != 1 or x.size < 2:
+        if x.ndim < 1 or x.shape[-1] < 2:
             raise ValueError(f"x must be a vector of >= 2 fractions, got shape {x.shape}")
-        if not np.all((x >= 0) & (x < np.inf)):
-            raise ValueError(f"mole fractions must be finite and nonnegative: {x}")
-        if abs(x.sum() - 1.0) > SUM_TOL:
-            raise ValueError(f"mole fractions must sum to 1, got {x.sum()!r}")
-        if not 0 < self.c_tot < np.inf:
-            raise ValueError(f"c_tot must be positive and finite, got {self.c_tot!r}")
+        c_tot = _frozen_array(np.broadcast_to(np.asarray(self.c_tot, dtype=float),
+                                              x.shape[:-1]))
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "c_tot", _unbatch(c_tot))
+        bad = ~np.all((x >= 0) & (x < np.inf), axis=-1)
+        if np.any(bad):
+            raise ValueError(
+                f"mole fractions must be finite and nonnegative: {x[_first_true(bad)]}")
+        total = x.sum(axis=-1)
+        bad = np.abs(total - 1.0) > SUM_TOL
+        if np.any(bad):
+            raise ValueError(
+                f"mole fractions must sum to 1, got {total[_first_true(bad)]!r}")
+        bad = ~((0 < c_tot) & (c_tot < np.inf))
+        if np.any(bad):
+            raise ValueError(f"c_tot must be positive and finite, got "
+                             f"{c_tot[_first_true(bad)].item()!r}")
 
     @property
     def n(self) -> int:
-        return self.x.size
+        return self.x.shape[-1]
 
     @property
     def c(self) -> np.ndarray:
         """Species concentrations c_i = x_i * c_tot."""
-        return self.x * self.c_tot
+        return self.x * np.asarray(self.c_tot)[..., None]
 
 
 def mole_fractions(c) -> Composition:
@@ -137,16 +152,31 @@ def simplex_basis(n: int) -> np.ndarray:
     return P
 
 
+def _first_true(mask) -> tuple:
+    """Index of the first True entry of ``mask`` in row-major order;
+    () for a 0-d mask."""
+    return np.unravel_index(np.argmax(mask), np.shape(mask))
+
+
+def _unbatch(a):
+    """A 0-d result as a Python scalar; a batched one as it is."""
+    return a.item() if np.ndim(a) == 0 else a
+
+
 def _check_zero_sum(v: np.ndarray, what: str) -> None:
-    scale = np.max(np.abs(v)) if v.size else 0.0
-    if scale and abs(v.sum()) > 1e-12 * scale:
-        raise ValueError(f"{what} must sum to zero: sum={v.sum()!r}, max={scale!r}")
+    """Every row of ``v`` must sum to zero relative to its largest entry."""
+    scale = np.max(np.abs(v), axis=-1, initial=0.0)
+    total = v.sum(axis=-1)
+    bad = np.abs(total) > 1e-12 * scale
+    if np.any(bad):
+        k = _first_true(bad)
+        raise ValueError(f"{what} must sum to zero: sum={total[k]!r}, max={scale[k]!r}")
 
 
 @dataclass(frozen=True)
 class DrivingForce:
-    """Thermodynamic driving forces (1/length); sums to zero by
-    Gibbs-Duhem."""
+    """Thermodynamic driving forces (1/length), shaped (..., n); each
+    row sums to zero by Gibbs-Duhem."""
     d: np.ndarray
 
     def __post_init__(self):
@@ -157,7 +187,8 @@ class DrivingForce:
 
 @dataclass(frozen=True)
 class FluxSet:
-    """Molar diffusive fluxes (mol/(length^2 time)); sums to zero."""
+    """Molar diffusive fluxes (mol/(length^2 time)), shaped (..., n);
+    each row sums to zero."""
     J: np.ndarray
 
     def __post_init__(self):

@@ -12,8 +12,12 @@ Two independent solve routes are provided: orthonormal projection onto
 E (primary) and the reduced (n-1)x(n-1) system via the B matrix; the
 tests add a third, the bordered matrix A - mu (x (x) e).
 
-Array arguments may be batched along leading axes; the public wrappers
-take the domain types from :mod:`msdiff.mixture`.
+Compositions and forces are shaped (..., n) and every public per-state
+function is batched over the leading axes, with the domain types of
+:mod:`msdiff.mixture` batched the same way.  One state is the batch of
+shape (), computed by the same code.  Every check runs per row (its own
+norm, residual or pivot); a verdict comes back per row, and a row that
+fails a hard check raises for the whole call, as its scalar call would.
 """
 from __future__ import annotations
 
@@ -23,7 +27,8 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DegenerateComposition, EigSolverFailure, NotConvex, SingularSystem
-from .mixture import Composition, DrivingForce, FluxSet, simplex_basis
+from .mixture import (Composition, DrivingForce, FluxSet, _first_true, _unbatch,
+                      simplex_basis)
 from .thermo import (ThermoModel, _as_x, convexity_check, floor_composition,
                      gamma_matrix)
 
@@ -88,11 +93,12 @@ def assemble_B(x, dmat) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    """Eigenvalues of A (descending), the gap bound delta, and whether
-    the spectral inclusion sigma(A) in (-inf, -delta] u {0} holds."""
+    """Eigenvalues of A (descending, shaped (..., n)), the gap bound
+    delta, and whether the spectral inclusion
+    sigma(A) in (-inf, -delta] u {0} holds: a bool, or one per row."""
     eigenvalues: np.ndarray
     delta: float
-    gap_ok: bool
+    gap_ok: bool | np.ndarray
 
 
 def spectral_gap_delta(dmat) -> float:
@@ -103,19 +109,20 @@ def spectral_gap_delta(dmat) -> float:
 
 
 def spectrum(x, dmat) -> SpectrumReport:
-    """Eigenvalues of A via the symmetric similar matrix A_S."""
+    """Eigenvalues of A via the symmetric similar matrix A_S; each row's
+    zero eigenvalue is tested against its own ||A_S||."""
     a_sym = assemble_A_sym(x, dmat)
     try:
         w = np.linalg.eigvalsh(a_sym)
     except np.linalg.LinAlgError as exc:
         raise EigSolverFailure(str(exc)) from exc
-    w = w[::-1]  # descending
+    w = w[..., ::-1]  # descending
     delta = spectral_gap_delta(dmat)
-    norm = float(np.linalg.norm(a_sym))
-    gap_ok = bool(
-        abs(w[0]) <= 1e-10 * norm and w[1] <= -delta * (1.0 - 1e-10))
+    norm = np.linalg.norm(a_sym, axis=(-2, -1))
+    gap_ok = ((np.abs(w[..., 0]) <= 1e-10 * norm)
+              & (w[..., 1] <= -delta * (1.0 - 1e-10)))
     w.setflags(write=False)
-    return SpectrumReport(eigenvalues=w, delta=delta, gap_ok=gap_ok)
+    return SpectrumReport(eigenvalues=w, delta=delta, gap_ok=_unbatch(gap_ok))
 
 
 def _reduce(m: np.ndarray) -> np.ndarray:
@@ -153,21 +160,25 @@ def _as_d(d) -> np.ndarray:
 def solve_fluxes_invariant(comp: Composition, dmat, d) -> FluxSet:
     """Fluxes from A J = c_tot d, solved on the zero-sum subspace.
 
-    Verifies the residual of the singular system before returning.
+    Verifies each row's residual of the singular system before returning.
     """
     dv = _as_d(d)
     a = assemble_A(comp, dmat)
-    j, _ = _fluxes_projected(dv, a, comp.c_tot)
-    resid = np.linalg.norm(a @ j - comp.c_tot * dv)
-    scale = np.linalg.norm(a) * np.linalg.norm(j) + comp.c_tot * np.linalg.norm(dv)
-    if not (scale == 0 or resid <= 1e-10 * scale):  # NaN fails too
-        raise SingularSystem(f"projected solve residual {resid!r} (scale {scale!r})")
-    return FluxSet(J=j - j.mean())
+    c_tot = np.asarray(comp.c_tot)
+    j, _ = _fluxes_projected(dv, a, c_tot)
+    resid = np.linalg.norm((a @ j[..., None])[..., 0] - c_tot[..., None] * dv, axis=-1)
+    scale = (np.linalg.norm(a, axis=(-2, -1)) * np.linalg.norm(j, axis=-1)
+             + c_tot * np.linalg.norm(dv, axis=-1))
+    bad = ~((scale == 0) | (resid <= 1e-10 * scale))  # NaN fails too
+    if np.any(bad):
+        k = _first_true(bad)
+        raise SingularSystem(f"projected solve residual {resid[k]!r} (scale {scale[k]!r})")
+    return FluxSet(J=j - j.mean(axis=-1, keepdims=True))
 
 
 def solve_fluxes_reduced(comp: Composition, dmat, d) -> FluxSet:
     """Fluxes from the reduced system B J' = -c_tot d' by dense LU with
-    partial pivoting; the last flux closes the zero sum."""
+    partial pivoting, one LU per row; the last flux closes the zero sum."""
     x = _as_x(comp)
     dv = _as_d(d)
     b = assemble_B(x, dmat)
@@ -175,24 +186,27 @@ def solve_fluxes_reduced(comp: Composition, dmat, d) -> FluxSet:
         lu, piv = scipy.linalg.lu_factor(b)
     except scipy.linalg.LinAlgError as exc:
         raise SingularSystem(str(exc)) from exc
-    if np.min(np.abs(np.diag(lu))) < 1e-14 * np.linalg.norm(b):
+    pivot = np.min(np.abs(np.diagonal(lu, axis1=-2, axis2=-1)), axis=-1)
+    if np.any(pivot < 1e-14 * np.linalg.norm(b, axis=(-2, -1))):
         raise SingularSystem("vanishing pivot in reduced-system LU")
-    jr = scipy.linalg.lu_solve((lu, piv), -comp.c_tot * dv[:-1])
-    return FluxSet(J=np.append(jr, -jr.sum()))
+    rhs = -np.asarray(comp.c_tot)[..., None] * dv[..., :-1]
+    jr = scipy.linalg.lu_solve((lu, piv), rhs[..., None])[..., 0]
+    return FluxSet(J=np.concatenate([jr, -jr.sum(axis=-1, keepdims=True)], axis=-1))
 
 
-def fick_limit_D(x, dmat, i: int) -> float:
-    """Effective Fickian diffusivity D_i = 1 / sum_{j != i} x_j / D_ij.
+def fick_limit_D(x, dmat, i: int) -> float | np.ndarray:
+    """Effective Fickian diffusivity D_i = 1 / sum_{j != i} x_j / D_ij,
+    per row of ``x``.
 
     This is the coefficient of -grad c_i in the flux split
     J_i = -D_i grad c_i + c_i F_i; cross-effects vanish as x_i -> 0.
     """
     x = _as_x(x)
     inv = _inverse_diffusivities(dmat)
-    s = float(inv[i] @ x)
-    if s == 0.0:
+    s = x @ inv[i]
+    if np.any(s == 0.0):
         raise DegenerateComposition(f"x[{i}] = 1: no partner species for diffusion")
-    return 1.0 / s
+    return _unbatch(1.0 / s)
 
 
 def _diffusion_matrix_reduced(x, dmat, model: ThermoModel) -> np.ndarray:
@@ -215,20 +229,23 @@ def _operator_reduced(k: np.ndarray, g: np.ndarray) -> np.ndarray:
 def diffusion_operator_spectrum(x, dmat, model: ThermoModel,
                                 require_convex: bool = True) -> np.ndarray:
     """Eigenvalues (descending by real part) of the effective diffusion
-    operator restricted to the zero-sum subspace.
+    operator restricted to the zero-sum subspace, shaped (..., n-1).
 
     Positive eigenvalues certify normal ellipticity, i.e. parabolicity
-    of the species equations at this state.  With ``require_convex`` the
-    strong-convexity certificate is checked first and ``NotConvex`` is
-    raised when it fails.
+    of the species equations at this state.  A row whose imaginary parts
+    are at roundoff level comes back real; the array is complex only if
+    some row is not.  With ``require_convex`` the strong-convexity
+    certificate is checked first, per row, and ``NotConvex`` is raised
+    when it fails on any row.
     """
     x = floor_composition(x)
-    lam = convexity_check(model, x)
-    if require_convex and lam <= 0:
-        raise NotConvex(f"Gibbs energy not strongly convex: lambda_min = {lam!r}")
-    m = _diffusion_matrix_reduced(x, dmat, model)
-    w = np.linalg.eigvals(m)
-    w = w[np.argsort(-w.real)]
-    if np.max(np.abs(w.imag)) <= 1e-10 * max(np.max(np.abs(w.real)), 1e-300):
-        w = w.real
-    return w
+    if require_convex:
+        lam = np.asarray(convexity_check(model, x))
+        if np.any(lam <= 0):
+            raise NotConvex("Gibbs energy not strongly convex: lambda_min = "
+                            f"{lam[_first_true(lam <= 0)].item()!r}")
+    w = np.linalg.eigvals(_diffusion_matrix_reduced(x, dmat, model))
+    w = np.take_along_axis(w, np.argsort(-w.real, axis=-1), axis=-1)
+    real = (np.max(np.abs(w.imag), axis=-1)
+            <= 1e-10 * np.maximum(np.max(np.abs(w.real), axis=-1), 1e-300))
+    return w.real if np.all(real) else np.where(real[..., None], w.real, w)

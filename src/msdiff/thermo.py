@@ -9,8 +9,15 @@ The nonideal family is the multicomponent two-suffix Margules model,
     ln gamma_i = sum_j A_ij x_j - g_excess,
 
 which reduces to the classical binary closed form ln gamma_1 = A x_2^2.
+
 Functions accept either a :class:`~msdiff.mixture.Composition` or a plain
-mole-fraction array; arrays may be batched along leading axes.
+mole-fraction array shaped (..., n).  The per-state functions
+(``ln_activity_coeffs``, ``gamma_matrix``, ``chemical_potentials``,
+``driving_force``, ``convexity_check``) are batched over the leading
+axes: one composition is the batch of shape (), every check runs per
+row, and a row that fails a check raises for the whole call, as its
+scalar call would.  ``gibbs_density`` is the one total: it sums over
+every row.
 """
 from __future__ import annotations
 
@@ -20,7 +27,8 @@ import numpy as np
 from scipy.special import xlogy
 
 from .errors import DegenerateComposition
-from .mixture import Composition, DrivingForce, simplex_basis
+from .mixture import (Composition, DrivingForce, _first_true, _unbatch,
+                      simplex_basis)
 
 #: Compositions with any fraction below this floor (or a NaN) are
 #: degenerate for quantities involving ln(x) or 1/x.  floor_composition
@@ -123,16 +131,20 @@ def _margules_gamma(x: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 
 def driving_force(model: ThermoModel, x, grad_x) -> DrivingForce:
-    """Driving forces d = Gamma . grad_x for a single composition.
+    """Driving forces d = Gamma . grad_x, per row of ``x`` and ``grad_x``
+    (both shaped (..., n); their batch shapes broadcast).
 
-    ``grad_x`` must sum to zero (gradients of fractions summing to 1).
+    Every row of ``grad_x`` must sum to zero (gradients of fractions
+    summing to 1); the first row that does not raises ``ValueError``.
     """
     g = np.asarray(grad_x, dtype=float)
-    scale = np.max(np.abs(g)) if g.size else 0.0
-    if scale and abs(g.sum()) > 1e-10 * scale:
-        raise ValueError(f"grad_x must sum to zero, got {g.sum()!r}")
-    d = gamma_matrix(model, x) @ g
-    d -= d.mean()  # exact zero sum; correction is at roundoff level
+    scale = np.max(np.abs(g), axis=-1, initial=0.0)
+    total = g.sum(axis=-1)
+    bad = np.abs(total) > 1e-10 * scale
+    if np.any(bad):
+        raise ValueError(f"grad_x must sum to zero, got {total[_first_true(bad)]!r}")
+    d = (gamma_matrix(model, x) @ g[..., None])[..., 0]
+    d -= d.mean(axis=-1, keepdims=True)  # exact zero sum; roundoff-level correction
     return DrivingForce(d=d)
 
 
@@ -166,18 +178,17 @@ def _ln_gamma_x(model: ThermoModel, x: np.ndarray) -> np.ndarray:
     return mu
 
 
-def convexity_check(model: ThermoModel, x) -> float:
+def convexity_check(model: ThermoModel, x) -> float | np.ndarray:
     """Smallest eigenvalue of the symmetrized X^{-1} Gamma form on the
-    zero-sum subspace.
+    zero-sum subspace, per row: a float for one composition, an array of
+    the batch shape for a stack.
 
-    A positive return certifies strong convexity of the Gibbs energy at
-    this composition; a negative value signals the phase-splitting regime.
+    A positive value certifies strong convexity of the Gibbs energy at
+    that composition; a negative value signals the phase-splitting regime.
     """
     x = _interior(x, "convexity_check")
     n = x.shape[-1]
     m = gamma_matrix(model, x) / x[..., :, None]
     sym = 0.5 * (m + np.swapaxes(m, -1, -2))
     p = simplex_basis(n)
-    reduced = p.T @ sym @ p
-    return float(np.linalg.eigvalsh(reduced)[..., 0].min()) if reduced.ndim > 2 \
-        else float(np.linalg.eigvalsh(reduced)[0])
+    return _unbatch(np.linalg.eigvalsh(p.T @ sym @ p)[..., 0])

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import NonMonotoneFlux
-from .mixture import MixtureSpec
+from .mixture import MixtureSpec, _unbatch
 from .mskernel import assemble_B
 from .solver import Field, Grid1D, Trajectory, face_fluxes
 from .thermo import ThermoModel
@@ -170,11 +170,12 @@ def detect_uphill(obj, spec: MixtureSpec,
 @dataclass(frozen=True)
 class TernaryReport:
     """Closed-form det/trace of the reduced ternary matrix and the
-    sector certificate for its inverse's spectrum."""
-    det_b: float
-    tr_b: float
-    matches_assembly: bool
-    sector_ok: bool
+    sector certificate for its inverse's spectrum: scalars for one
+    composition, arrays of the batch shape for a stack."""
+    det_b: float | np.ndarray
+    tr_b: float | np.ndarray
+    matches_assembly: bool | np.ndarray
+    sector_ok: bool | np.ndarray
 
 
 def ternary_closed_forms(x, dmat) -> TernaryReport:
@@ -185,23 +186,26 @@ def ternary_closed_forms(x, dmat) -> TernaryReport:
 
     compared against the assembled B to 1e-12 relative; sector_ok
     requires (tr B)^2 >= 3 det B and the eigenvalues of B^{-1} within
-    angle pi/6 of the positive real axis.
+    angle pi/6 of the positive real axis.  Evaluated per row of ``x``
+    shaped (..., 3).
     """
     x = np.asarray(getattr(x, "x", x), dtype=float)
     d = np.asarray(dmat, dtype=float)
-    if x.size != 3 or d.shape != (3, 3):
+    if x.shape[-1:] != (3,) or d.shape != (3, 3):
         raise ValueError("ternary closed forms require exactly 3 species")
     d12, d13, d23 = d[0, 1], d[0, 2], d[1, 2]
-    det_cf = x[0] / (d12 * d13) + x[1] / (d12 * d23) + x[2] / (d13 * d23)
-    tr_cf = (x[0] + x[1]) / d12 + (x[0] + x[2]) / d13 + (x[1] + x[2]) / d23
+    x1, x2, x3 = x[..., 0], x[..., 1], x[..., 2]
+    det_cf = x1 / (d12 * d13) + x2 / (d12 * d23) + x3 / (d13 * d23)
+    tr_cf = (x1 + x2) / d12 + (x1 + x3) / d13 + (x2 + x3) / d23
     b = assemble_B(x, d)
-    det_as = float(np.linalg.det(b))
-    tr_as = float(np.trace(b))
-    matches = (abs(det_as - det_cf) <= 1e-12 * abs(det_cf)
-               and abs(tr_as - tr_cf) <= 1e-12 * abs(tr_cf))
+    det_as = np.linalg.det(b)
+    tr_as = np.trace(b, axis1=-2, axis2=-1)
+    matches = ((np.abs(det_as - det_cf) <= 1e-12 * np.abs(det_cf))
+               & (np.abs(tr_as - tr_cf) <= 1e-12 * np.abs(tr_cf)))
     # eigenvalues of B^{-1} have the same argument magnitudes as those of B
     eig = np.linalg.eigvals(b)
-    sector = (tr_cf**2 >= 3.0 * det_cf * (1.0 - 1e-12)
-              and bool(np.all(np.abs(np.angle(eig)) < np.pi / 6)))
-    return TernaryReport(det_b=det_cf, tr_b=tr_cf,
-                         matches_assembly=matches, sector_ok=sector)
+    sector = ((tr_cf**2 >= 3.0 * det_cf * (1.0 - 1e-12))
+              & np.all(np.abs(np.angle(eig)) < np.pi / 6, axis=-1))
+    return TernaryReport(det_b=_unbatch(det_cf), tr_b=_unbatch(tr_cf),
+                         matches_assembly=_unbatch(matches),
+                         sector_ok=_unbatch(sector))

@@ -10,7 +10,8 @@ import pytest
 import msdiff.cli
 from msdiff import errors
 from msdiff.cli import (EXIT_CONFIG, EXIT_CONVEXITY, EXIT_NUMERICAL, EXIT_OK,
-                        EXIT_POSITIVITY, EXIT_STEP_LIMIT, load_config, main)
+                        EXIT_POSITIVITY, EXIT_STEP_LIMIT, VERIFY_SAMPLES,
+                        _interior_samples, _paired_samples, load_config, main)
 from msdiff.errors import ConfigError, MsDiffError
 
 CONFIGS = Path(__file__).parents[1] / "configs"
@@ -238,6 +239,30 @@ class TestSimulateCommand:
         code, _ = _run(["simulate", "--config", _write(tmp_path, cfg)])
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("grid", "ncells", 16.7), ("grid", "ncells", True),
+        ("grid", "ncells", "16"), ("grid", "ncells", float("inf")),
+        ("sim", "max_steps", 2.9), ("sim", "max_steps", True),
+        ("sim", "max_steps", 1e400),
+    ])
+    def test_non_integer_count_is_config_error(self, tmp_path, section, key, value):
+        # int() used to truncate 16.7 to 16 cells and True to 1 step
+        cfg = json.loads(json.dumps(SIM))
+        cfg[section][key] = value
+        code, _ = _run(["simulate", "--config", _write(tmp_path, cfg),
+                        "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert not (tmp_path / "trajectory.csv").exists()
+
+    def test_integral_float_count_is_accepted(self, tmp_path):
+        cfg = json.loads(json.dumps(SIM))
+        cfg["grid"]["ncells"] = 16.0
+        code, _ = _run(["simulate", "--config", _write(tmp_path, cfg),
+                        "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        with (tmp_path / "trajectory.csv").open() as fh:
+            assert len(list(csv.reader(fh))) == 1 + 3 * 16 * 2
+
     @pytest.mark.parametrize("initial", [
         {"kind": "uniform", "x": [0.5, 0.5], "c_tot": float("inf")},
         {"kind": "uniform", "x": [float("nan"), 0.5], "c_tot": 1.0},
@@ -266,6 +291,76 @@ class TestSimulateCommand:
         assert code == EXIT_OK
 
 
+#: ``msdiff verify --seed S`` on each shipped config: (exit code, stdout),
+#: as printed before the checks were batched.
+PINNED_VERIFY = {
+    ('binary_ideal.json', 0): (0, (
+        'seed: 0\n'
+        'PASS  spectral-gap: 200/200\n'
+        'PASS  flux-route-agreement: 200/200\n'
+        'PASS  normal-ellipticity: 200/200\n'
+        'PASS  pointwise-entropy: 200/200\n')),
+    ('margules_spinodal.json', 0): (0, (
+        'seed: 0\n'
+        'PASS  spectral-gap: 200/200\n'
+        'PASS  flux-route-agreement: 200/200\n'
+        'XFAIL normal-ellipticity: NotConvex at 138/200 states (phase-splitting thermo)\n'
+        'PASS  pointwise-entropy: 200/200\n')),
+    ('reaction_ab.json', 0): (0, (
+        'seed: 0\n'
+        'PASS  spectral-gap: 200/200\n'
+        'PASS  flux-route-agreement: 200/200\n'
+        'PASS  normal-ellipticity: 200/200\n'
+        'PASS  pointwise-entropy: 200/200\n')),
+    ('ternary_equal_d.json', 0): (0, (
+        'seed: 0\n'
+        'PASS  spectral-gap: 200/200\n'
+        'PASS  flux-route-agreement: 200/200\n'
+        'PASS  ternary-closed-forms: 200/200\n'
+        'PASS  normal-ellipticity: 200/200\n'
+        'PASS  pointwise-entropy: 200/200\n')),
+    ('ternary_osmotic.json', 0): (0, (
+        'seed: 0\n'
+        'PASS  spectral-gap: 200/200\n'
+        'PASS  flux-route-agreement: 200/200\n'
+        'PASS  ternary-closed-forms: 200/200\n'
+        'PASS  normal-ellipticity: 200/200\n'
+        'PASS  pointwise-entropy: 200/200\n')),
+    ('binary_ideal.json', 7): (0, (
+        'seed: 7\n'
+        'PASS  spectral-gap: 200/200\n'
+        'PASS  flux-route-agreement: 200/200\n'
+        'PASS  normal-ellipticity: 200/200\n'
+        'PASS  pointwise-entropy: 200/200\n')),
+    ('margules_spinodal.json', 7): (0, (
+        'seed: 7\n'
+        'PASS  spectral-gap: 200/200\n'
+        'PASS  flux-route-agreement: 200/200\n'
+        'XFAIL normal-ellipticity: NotConvex at 140/200 states (phase-splitting thermo)\n'
+        'PASS  pointwise-entropy: 200/200\n')),
+    ('reaction_ab.json', 7): (0, (
+        'seed: 7\n'
+        'PASS  spectral-gap: 200/200\n'
+        'PASS  flux-route-agreement: 200/200\n'
+        'PASS  normal-ellipticity: 200/200\n'
+        'PASS  pointwise-entropy: 200/200\n')),
+    ('ternary_equal_d.json', 7): (0, (
+        'seed: 7\n'
+        'PASS  spectral-gap: 200/200\n'
+        'PASS  flux-route-agreement: 200/200\n'
+        'PASS  ternary-closed-forms: 200/200\n'
+        'PASS  normal-ellipticity: 200/200\n'
+        'PASS  pointwise-entropy: 200/200\n')),
+    ('ternary_osmotic.json', 7): (0, (
+        'seed: 7\n'
+        'PASS  spectral-gap: 200/200\n'
+        'PASS  flux-route-agreement: 200/200\n'
+        'PASS  ternary-closed-forms: 200/200\n'
+        'PASS  normal-ellipticity: 200/200\n'
+        'PASS  pointwise-entropy: 200/200\n')),
+}
+
+
 class TestVerifyCommand:
     def test_binary_ideal_all_pass(self, tmp_path):
         code, out = _run(["verify", "--config", _write(tmp_path, BASE)])
@@ -286,6 +381,44 @@ class TestVerifyCommand:
                           str(CONFIGS / "margules_spinodal.json")])
         assert code == EXIT_OK
         assert "XFAIL normal-ellipticity" in out
+
+    @pytest.mark.parametrize("seed", [True, 7.0, -1, "7"])
+    def test_non_integer_seed_is_config_error(self, tmp_path, seed):
+        code, _ = _run(["verify", "--config", _write(tmp_path, {**BASE, "seed": seed})])
+        assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("name,seed", sorted(PINNED_VERIFY))
+    def test_shipped_config_output_is_pinned(self, name, seed):
+        assert _run(["verify", "--config", str(CONFIGS / name),
+                     "--seed", str(seed)]) == PINNED_VERIFY[name, seed]
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_interior_samples_match_sequential_draws(self, n):
+        def sequential(rng):  # the per-sample rejection loop verify used to run
+            while True:
+                x = rng.dirichlet(np.ones(n))
+                if x.min() >= 1e-3:
+                    return x
+
+        for seed in range(20):
+            ref = np.random.default_rng(seed)
+            expect = np.array([sequential(ref) for _ in range(200)])
+            rng = np.random.default_rng(seed)
+            assert np.array_equal(_interior_samples(rng, n, 200), expect)
+            # and the stream continues where the sequential loop left it
+            assert rng.standard_normal() == ref.standard_normal()
+
+    def test_paired_samples_match_sequential_draws(self):
+        rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+        x, v = _paired_samples(rng, 4)
+        for k in range(VERIFY_SAMPLES):
+            while True:
+                xk = ref.dirichlet(np.ones(4))
+                if xk.min() >= 1e-3:
+                    break
+            vk = ref.standard_normal(4)
+            assert np.array_equal(x[k], xk)
+            assert np.array_equal(v[k], vk - vk.mean())
 
     def test_seed_override_changes_banner(self, tmp_path):
         cfgp = _write(tmp_path, BASE)
