@@ -21,7 +21,7 @@ from . import mskernel, thermo, verify
 from .errors import (ConfigError, DegenerateComposition, MaxStepsExceeded,
                      MsDiffError, NegativeConcentration, NonPositiveTotal,
                      NotConvex, PositivityViolation)
-from .mixture import Composition, MixtureSpec, validate_spec
+from .mixture import Composition, MixtureSpec, _check_zero_sum, validate_spec
 from .solver import (Field, Grid1D, Reaction, ReactionNetwork, SimConfig,
                      simulate)
 
@@ -252,8 +252,10 @@ def load_config(path: str | Path) -> RunConfig:
         grads = _floats(raw["gradients"], "gradients")
         if grads.shape != (spec.n,):
             raise ConfigError(f"gradients: expected {spec.n} entries")
-        if abs(grads.sum()) > 1e-10 * max(np.max(np.abs(grads)), 1e-300):
-            raise ConfigError("gradients: must sum to zero")
+        try:
+            _check_zero_sum(grads, "gradients", rtol=1e-10)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     grid = _parse_grid(raw["grid"]) if "grid" in raw else None
     initial = None
     if "initial" in raw:
@@ -421,34 +423,40 @@ def cmd_verify(cfg: RunConfig, out) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser; each subcommand takes only the flags it reads."""
     ap = argparse.ArgumentParser(
         prog="msdiff",
         description="Multicomponent diffusion: spectra, fluxes, simulation, checks.")
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, help_ in [("spectrum", "print the flux-force spectrum report"),
-                        ("fluxes", "solve the fluxes by both routes"),
-                        ("simulate", "run the 1-D simulator, write CSVs"),
-                        ("verify", "run the property suite for the mixture")]:
-        p = sub.add_parser(name, help=help_)
+    cmds = {name: sub.add_parser(name, help=help_) for name, help_ in [
+        ("spectrum", "print the flux-force spectrum report"),
+        ("fluxes", "solve the fluxes by both routes"),
+        ("simulate", "run the 1-D simulator, write CSVs"),
+        ("verify", "run the property suite for the mixture")]}
+    for p in cmds.values():
         p.add_argument("--config", required=True, help="path to a JSON run config")
-        p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the config's random seed")
+    cmds["simulate"].add_argument("--out", default=".", help="output directory")
+    cmds["verify"].add_argument("--seed", type=int, default=None,
+                                help="override the config's random seed")
     return ap
 
 
+#: Built once: ``main`` runs many times per process in tests and sweeps.
+_PARSER = build_parser()
+
+
 def main(argv=None, out=sys.stdout) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg.seed = args.seed
         if args.command == "spectrum":
             return cmd_spectrum(cfg, out)
         if args.command == "fluxes":
             return cmd_fluxes(cfg, out)
         if args.command == "simulate":
             return cmd_simulate(cfg, out, Path(args.out))
+        if args.seed is not None:
+            cfg.seed = args.seed
         return cmd_verify(cfg, out)
     except MsDiffError as exc:
         code, label = next(ERROR_EXITS[c] for c in type(exc).__mro__

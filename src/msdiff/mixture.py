@@ -5,7 +5,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NegativeConcentration, NonPositiveTotal
 
@@ -146,8 +145,9 @@ def mole_fractions(c) -> Composition:
 @lru_cache(maxsize=32)
 def simplex_basis(n: int) -> np.ndarray:
     """Orthonormal basis of the zero-sum subspace {v in R^n : sum(v) = 0}:
-    the n x (n-1) matrix P with P.T @ P = I and ones(n) @ P = 0."""
-    P = scipy.linalg.null_space(np.ones((1, n)))
+    the n x (n-1) matrix P with P.T @ P = I and ones(n) @ P = 0: the
+    right singular vectors of ones((1, n)) past the first, C-ordered."""
+    P = np.ascontiguousarray(np.linalg.svd(np.ones((1, n)))[2][1:].T)
     P.setflags(write=False)
     return P
 
@@ -163,14 +163,18 @@ def _unbatch(a):
     return a.item() if np.ndim(a) == 0 else a
 
 
-def _check_zero_sum(v: np.ndarray, what: str) -> None:
-    """Every row of ``v`` must sum to zero relative to its largest entry."""
+def _check_zero_sum(v: np.ndarray, what: str, rtol: float = 1e-12) -> None:
+    """Every row of ``v`` must be finite and sum to zero within ``rtol``
+    of its largest entry; the first row that is not raises ``ValueError``
+    (a NaN or an infinite entry fails)."""
     scale = np.max(np.abs(v), axis=-1, initial=0.0)
-    total = v.sum(axis=-1)
-    bad = np.abs(total) > 1e-12 * scale
+    with np.errstate(invalid="ignore"):  # inf - inf: the row fails below
+        total = v.sum(axis=-1)
+    bad = ~((np.abs(total) <= rtol * scale) & (scale < np.inf))
     if np.any(bad):
         k = _first_true(bad)
-        raise ValueError(f"{what} must sum to zero: sum={total[k]!r}, max={scale[k]!r}")
+        raise ValueError(f"{what} must be finite and sum to zero: "
+                         f"sum={total[k]!r}, max={scale[k]!r}")
 
 
 @dataclass(frozen=True)

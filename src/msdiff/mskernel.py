@@ -9,7 +9,8 @@ by X^{-1/2} A X^{1/2}) a real spectrum contained in (-inf, -delta] u {0}
 with delta = min_{i != j} 1 / D_ij.
 
 Two independent solve routes are provided: orthonormal projection onto
-E (primary) and the reduced (n-1)x(n-1) system via the B matrix; the
+E (primary) and the reduced (n-1)x(n-1) system via the B matrix, solved
+by Gaussian elimination with partial pivoting; the
 tests add a third, the bordered matrix A - mu (x (x) e).
 
 Compositions and forces are shaped (..., n) and every public per-state
@@ -24,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DegenerateComposition, EigSolverFailure, NotConvex, SingularSystem
 from .mixture import (Composition, DrivingForce, FluxSet, _first_true, _unbatch,
@@ -177,21 +177,47 @@ def solve_fluxes_invariant(comp: Composition, dmat, d) -> FluxSet:
 
 
 def solve_fluxes_reduced(comp: Composition, dmat, d) -> FluxSet:
-    """Fluxes from the reduced system B J' = -c_tot d' by dense LU with
-    partial pivoting, one LU per row; the last flux closes the zero sum."""
+    """Fluxes from the reduced system B J' = -c_tot d' by Gaussian
+    elimination with partial pivoting, per row; the last flux closes the
+    zero sum.  A non-finite system raises ``ValueError``; a pivot below
+    1e-14 ||B|| in any row raises ``SingularSystem``."""
     x = _as_x(comp)
     dv = _as_d(d)
     b = assemble_B(x, dmat)
-    try:
-        lu, piv = scipy.linalg.lu_factor(b)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularSystem(str(exc)) from exc
-    pivot = np.min(np.abs(np.diagonal(lu, axis1=-2, axis2=-1)), axis=-1)
-    if np.any(pivot < 1e-14 * np.linalg.norm(b, axis=(-2, -1))):
-        raise SingularSystem("vanishing pivot in reduced-system LU")
     rhs = -np.asarray(comp.c_tot)[..., None] * dv[..., :-1]
-    jr = scipy.linalg.lu_solve((lu, piv), rhs[..., None])[..., 0]
+    if not (np.all(np.isfinite(b)) and np.all(np.isfinite(rhs))):
+        raise ValueError("reduced system must be finite (NaN or inf in B or the forces)")
+    jr, pivot = _gauss_solve(b, rhs)
+    if np.any(pivot < 1e-14 * np.linalg.norm(b, axis=(-2, -1))):
+        raise SingularSystem("vanishing pivot in the reduced-system elimination")
     return FluxSet(J=np.concatenate([jr, -jr.sum(axis=-1, keepdims=True)], axis=-1))
+
+
+def _gauss_solve(b: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve b y = rhs by Gaussian elimination with partial pivoting, for
+    b shaped (..., m, m) and rhs (..., m) with broadcasting batch shapes.
+    Returns y and each system's smallest |pivot|.  As in LAPACK's getf2,
+    the multipliers are scaled by the reciprocal pivot and the back
+    substitution divides; a zero pivot leaves inf or NaN in its row, for
+    the caller's pivot check to reject."""
+    batch = np.broadcast_shapes(b.shape[:-2], rhs.shape[:-1])
+    m = b.shape[-1]
+    a = np.broadcast_to(b, batch + (m, m)).reshape(-1, m, m).copy()
+    y = np.broadcast_to(rhs, batch + (m,)).reshape(-1, m).copy()
+    r = np.arange(len(a))
+    with np.errstate(all="ignore"):
+        for k in range(m):
+            p = k + np.argmax(np.abs(a[:, k:, k]), axis=-1)
+            a[r, k], a[r, p] = a[r, p], a[r, k]  # fancy indexing copies
+            y[r, k], y[r, p] = y[r, p], y[r, k]
+            l = a[:, k + 1:, k] * (1.0 / a[:, k, k])[:, None]
+            a[:, k + 1:, k + 1:] -= l[:, :, None] * a[:, k, None, k + 1:]
+            y[:, k + 1:] -= l * y[:, k, None]
+        for k in range(m - 1, -1, -1):
+            y[:, k] /= a[:, k, k]
+            y[:, :k] -= a[:, :k, k] * y[:, k, None]
+    pivot = np.min(np.abs(np.diagonal(a, axis1=-2, axis2=-1)), axis=-1)
+    return y.reshape(batch + (m,)), pivot.reshape(batch)
 
 
 def fick_limit_D(x, dmat, i: int) -> float | np.ndarray:

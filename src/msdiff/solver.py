@@ -81,11 +81,6 @@ class Field:
     def nspecies(self) -> int:
         return self.c.shape[1]
 
-    @property
-    def c_tot(self) -> float:
-        """Per-cell total concentration (uniform by construction)."""
-        return float(self.c.sum(axis=1).mean())
-
 
 @dataclass(frozen=True)
 class Reaction:
@@ -313,7 +308,6 @@ class Trajectory:
     """Checkpointed simulation history."""
     grid: Grid1D
     names: tuple[str, ...]
-    c_tot0: float
     checkpoints: list[Checkpoint] = dc_field(default_factory=list)
 
     @property
@@ -355,7 +349,7 @@ def simulate(initial: Field, spec: MixtureSpec, model: ThermoModel | None = None
     model = kernel.model
     st = kernel(initial.c, bound=True)
     w, cum_w = st.w, 0.0
-    traj = Trajectory(grid=grid, names=spec.names, c_tot0=initial.c_tot)
+    traj = Trajectory(grid=grid, names=spec.names)
     traj.checkpoints.append(_checkpoint(initial, model, w, cum_w))
 
     t = initial.time

@@ -24,10 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
 from .errors import DegenerateComposition
-from .mixture import (Composition, DrivingForce, _first_true, _unbatch,
+from .mixture import (Composition, DrivingForce, _check_zero_sum, _unbatch,
                       simplex_basis)
 
 #: Compositions with any fraction below this floor (or a NaN) are
@@ -134,15 +133,12 @@ def driving_force(model: ThermoModel, x, grad_x) -> DrivingForce:
     """Driving forces d = Gamma . grad_x, per row of ``x`` and ``grad_x``
     (both shaped (..., n); their batch shapes broadcast).
 
-    Every row of ``grad_x`` must sum to zero (gradients of fractions
-    summing to 1); the first row that does not raises ``ValueError``.
+    Every row of ``grad_x`` must be finite and sum to zero (gradients of
+    fractions summing to 1); the first row that does not raises
+    ``ValueError``.
     """
     g = np.asarray(grad_x, dtype=float)
-    scale = np.max(np.abs(g), axis=-1, initial=0.0)
-    total = g.sum(axis=-1)
-    bad = np.abs(total) > 1e-10 * scale
-    if np.any(bad):
-        raise ValueError(f"grad_x must sum to zero, got {total[_first_true(bad)]!r}")
+    _check_zero_sum(g, "grad_x", rtol=1e-10)
     d = (gamma_matrix(model, x) @ g[..., None])[..., 0]
     d -= d.mean(axis=-1, keepdims=True)  # exact zero sum; roundoff-level correction
     return DrivingForce(d=d)
@@ -162,7 +158,8 @@ def gibbs_density(model: ThermoModel, c) -> float:
         raise DegenerateComposition("total concentration must be positive")
     x = c / total
     lng = ln_activity_coeffs(model, x)
-    return float(np.sum(c * lng) + np.sum(xlogy(c, x)))
+    # c ln x with the c ln c -> 0 limit at c = 0
+    return float(np.sum(c * lng) + np.sum(c * np.log(np.where(c > 0, x, 1.0))))
 
 
 def chemical_potentials(model: ThermoModel, x) -> np.ndarray:

@@ -2,6 +2,9 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -61,6 +64,14 @@ class TestLoadConfig:
         cfg = dict(BASE, gradients=[0.1, 0.0])
         with pytest.raises(ConfigError):
             load_config(_write(tmp_path, cfg))
+
+    @pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
+    @pytest.mark.parametrize("grads", [[np.nan, 0.1], [np.inf, -np.inf], [np.inf, 0.1]])
+    def test_non_finite_gradients_exit_2(self, tmp_path, capsys, grads):
+        code, out = _run(["fluxes", "--config", _write(tmp_path, dict(BASE, gradients=grads))])
+        err = capsys.readouterr().err
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err.count("\n") == 1 and err.startswith("config error: gradients must be finite")
 
     def test_malformed_json(self, tmp_path):
         p = tmp_path / "bad.json"
@@ -142,6 +153,41 @@ class TestErrorMap:
                         "--out", str(tmp_path / "out")])
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error: ")
+
+
+class TestParser:
+    @pytest.mark.parametrize("command,flag", [
+        ("spectrum", "--out"), ("spectrum", "--seed"), ("fluxes", "--out"),
+        ("fluxes", "--seed"), ("simulate", "--seed"), ("verify", "--out")])
+    def test_subcommand_rejects_flags_it_does_not_read(self, tmp_path, capsys,
+                                                       command, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", _write(tmp_path, BASE), flag, "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_main_does_not_rebuild_the_parser(self, tmp_path, monkeypatch):
+        def fail():
+            raise AssertionError("parser rebuilt")
+        monkeypatch.setattr(msdiff.cli, "build_parser", fail)
+        assert _run(["spectrum", "--config", _write(tmp_path, BASE)])[0] == EXIT_OK
+
+
+def test_import_loads_only_numpy_and_the_standard_library():
+    # numpy is the one runtime dependency: importing msdiff and its CLI
+    # after numpy adds no other third-party package to sys.modules
+    src = str(Path(msdiff.cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, numpy\n"
+         "top = lambda: {m.split('.')[0] for m in sys.modules}\n"
+         "before = top()\n"
+         "import msdiff, msdiff.cli\n"
+         "print(sorted(top() - before - set(sys.stdlib_module_names) - {'msdiff'}))"],
+        capture_output=True, text=True, env=env, timeout=60, check=True)
+    assert done.stdout == "[]\n"
 
 
 class TestSpectrumCommand:

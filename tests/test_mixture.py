@@ -2,8 +2,8 @@
 import numpy as np
 import pytest
 
-from msdiff import (Composition, DrivingForce, FluxSet, MixtureSpec,
-                    mole_fractions, validate_spec)
+from msdiff import (IDEAL, Composition, DrivingForce, FluxSet, MixtureSpec,
+                    driving_force, mole_fractions, validate_spec)
 from msdiff.errors import NegativeConcentration, NonPositiveTotal
 
 
@@ -126,3 +126,14 @@ class TestZeroSumVectors:
     def test_zero_vectors_allowed(self):
         DrivingForce(d=[0.0, 0.0])
         FluxSet(J=[0.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rows_rejected(self, bad):
+        # NaN or inf makes the sum test itself NaN or inf; the row must fail
+        v = np.array([[0.4, -0.1, -0.3], [bad, 0.1, -0.1]])
+        for make in (lambda a: DrivingForce(d=a), lambda a: FluxSet(J=a),
+                     lambda a: driving_force(IDEAL, [0.2, 0.3, 0.5], a)):
+            make(v[0])
+            for rows in (v, v[1]):  # batched and scalar
+                with pytest.raises(ValueError, match="finite"):
+                    make(rows)

@@ -6,9 +6,10 @@ from msdiff import (IDEAL, Composition, FluxSet, ThermoModel, assemble_A,
                     assemble_A_sym, assemble_B, diffusion_operator_spectrum,
                     fick_limit_D, mole_fractions, solve_fluxes_invariant,
                     solve_fluxes_reduced, spectral_gap_delta, spectrum)
-from msdiff.errors import DegenerateComposition, NotConvex
+from msdiff import mskernel
+from msdiff.errors import DegenerateComposition, NotConvex, SingularSystem
 from msdiff.mixture import simplex_basis
-from msdiff.mskernel import _diffusion_matrix_reduced, _solve_reduced
+from msdiff.mskernel import _diffusion_matrix_reduced, _gauss_solve, _solve_reduced
 from msdiff.thermo import floor_composition
 
 
@@ -21,6 +22,31 @@ def solve_fluxes_bordered(comp, dmat, d, mu=None):
     a_mu = assemble_A(x, dmat) - mu * np.outer(x, np.ones_like(x))
     j = np.linalg.solve(a_mu, comp.c_tot * np.asarray(d, dtype=float))
     return FluxSet(J=j - j.mean())
+
+
+def gauss_reference(b, rhs):
+    """Reference for the reduced route: partial-pivot elimination of one
+    system in scalar loops, with the arithmetic of ``_gauss_solve`` (the
+    multipliers scaled by the reciprocal pivot, division in the back
+    substitution).  Returns the solution and the smallest |pivot|."""
+    a = [list(map(float, row)) for row in b]
+    y = list(map(float, rhs))
+    m = len(y)
+    for k in range(m):
+        p = max(range(k, m), key=lambda i: abs(a[i][k]))  # first of equal maxima
+        a[k], a[p] = a[p], a[k]
+        y[k], y[p] = y[p], y[k]
+        inv = 1.0 / a[k][k]
+        for i in range(k + 1, m):
+            l = a[i][k] * inv
+            for j in range(k + 1, m):
+                a[i][j] -= l * a[k][j]
+            y[i] -= l * y[k]
+    for k in range(m - 1, -1, -1):
+        y[k] /= a[k][k]
+        for i in range(k):
+            y[i] -= a[i][k] * y[k]
+    return np.array(y), min(abs(a[k][k]) for k in range(m))
 
 
 def _random_instance(rng, nmin=2, nmax=6, xmin=1e-3):
@@ -288,6 +314,71 @@ class TestDiffusionOperator:
         comp = Composition(x=xs / xs.sum(), c_tot=1.0)
         j = solve_fluxes_invariant(comp, dmat, v).J
         np.testing.assert_allclose(-(p @ m @ (p.T @ v)), j, atol=1e-11)
+
+
+class TestReducedElimination:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_matches_reference_and_lapack(self, m):
+        rng = np.random.default_rng(100 + m)
+        # general matrices, so that rows are swapped, and the B of random mixtures
+        b = [rng.standard_normal((60, m, m))]
+        for _ in range(60):
+            x, dmat = _random_instance(rng, nmin=m + 1, nmax=m + 1)
+            b.append(assemble_B(x, dmat)[None])
+        b = np.concatenate(b)
+        rhs = rng.standard_normal((len(b), m))
+        y, pivot = _gauss_solve(b, rhs)
+        assert y.shape == rhs.shape and pivot.shape == (len(b),)
+        for k in range(len(b)):
+            y_ref, pivot_ref = gauss_reference(b[k], rhs[k])
+            assert np.array_equal(y[k], y_ref)
+            assert pivot[k] == pivot_ref
+        y_np = np.linalg.solve(b, rhs[..., None])[..., 0]
+        scale = np.linalg.cond(b) * np.max(np.abs(y_np), axis=-1)
+        assert np.all(np.max(np.abs(y - y_np), axis=-1) <= 1e-13 * scale)
+
+    def test_leading_axes_broadcast(self):
+        rng = np.random.default_rng(107)
+        b = rng.standard_normal((2, 3, 4, 4))
+        rhs = rng.standard_normal((3, 4))
+        y, pivot = _gauss_solve(b, rhs)
+        assert y.shape == (2, 3, 4) and pivot.shape == (2, 3)
+        for i in range(2):
+            for j in range(3):
+                y_ref, pivot_ref = gauss_reference(b[i, j], rhs[j])
+                assert np.array_equal(y[i, j], y_ref) and pivot[i, j] == pivot_ref
+
+    @pytest.mark.parametrize("singular", [[[1.0, 2.0], [2.0, 4.0]],
+                                          [[1.0, 1.0], [1.0, 1.0 + 1e-15]]])
+    def test_vanishing_pivot_raises(self, monkeypatch, singular):
+        # no valid composition makes B singular, so B is replaced: the
+        # scalar call gets the singular B, the batched call a regular and
+        # the singular one
+        x = np.array([[0.2, 0.3, 0.5], [0.4, 0.4, 0.2]])
+        d = [0.1, 0.2, -0.3]
+        dmat = [[0, 1, 2], [1, 0, 3], [2, 3, 0]]
+        regular = assemble_B(x[0], dmat)
+        monkeypatch.setattr(mskernel, "assemble_B", lambda x, dmat: np.array(
+            [regular, singular] if np.ndim(x) == 2 else singular))
+        for rows in (x, x[1]):
+            with pytest.raises(SingularSystem):
+                solve_fluxes_reduced(Composition(x=rows, c_tot=1.0), dmat, d)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_force_raises(self, bad):
+        x = np.array([[0.2, 0.3, 0.5], [0.4, 0.4, 0.2]])
+        d = np.array([[0.1, 0.2, -0.3], [bad, 0.2, -0.3]])
+        dmat = [[0, 1, 2], [1, 0, 3], [2, 3, 0]]
+        for rows in (slice(None), 1):  # batched and scalar
+            with pytest.raises(ValueError):
+                solve_fluxes_reduced(Composition(x=x[rows], c_tot=1.0), dmat, d[rows])
+
+    def test_non_finite_matrix_raises(self):
+        # D_12 = 0 (not validated here) makes B = [[inf]], which an
+        # elimination would turn into J = 0 without a word
+        with np.errstate(divide="ignore"), pytest.raises(ValueError):
+            solve_fluxes_reduced(Composition(x=[0.5, 0.5], c_tot=1.0),
+                                 [[0.0, 0.0], [0.0, 0.0]], [0.1, -0.1])
 
 
 def test_mole_fractions_integration():

@@ -2,6 +2,9 @@
 conservation, positivity."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from msdiff import (Composition, Field, Grid1D, IDEAL, MixtureSpec, NO_REACTIONS,
                     Reaction, ReactionNetwork, SimConfig, ThermoModel,
@@ -183,6 +186,58 @@ class TestStep:
         dt = 200 * stable_dt(fld, BINARY)
         with pytest.raises(PositivityViolation):
             step(fld, BINARY, dt=dt)
+
+
+def _sym(off, n):
+    m = np.zeros((n, n))
+    m[np.triu_indices(n, 1)] = off
+    return m + m.T
+
+
+@st.composite
+def step_problems(draw):
+    """(field, spec, model, reactions): n = 2..6 species on 2..12 cells
+    with random interior compositions and D; ideal or two-suffix
+    Margules thermo with |A_ij| < 1 / (n - 1), so that ||A|| < 1 and the
+    Gibbs energy is convex; none or up to three mole-conserving
+    mass-action reactions of one or two reactants."""
+    n = draw(st.integers(2, 6))
+    ncells = draw(st.integers(2, 12))
+    npair = n * (n - 1) // 2
+    w = draw(hnp.arrays(float, (ncells, n), elements=st.floats(0.2, 1.0)))
+    c_tot = draw(st.floats(0.5, 2.0))
+    dmat = _sym(draw(hnp.arrays(float, npair, elements=st.floats(0.1, 10.0))), n)
+    a_max = 0.99 / (n - 1)
+    model = draw(st.sampled_from([IDEAL, None]))
+    if model is None:
+        model = ThermoModel.margules(_sym(draw(hnp.arrays(
+            float, npair, elements=st.floats(-a_max, a_max))), n))
+    reactions = []
+    for _ in range(draw(st.integers(0, 3))):
+        order = draw(st.integers(1, 2))
+        species = st.lists(st.integers(0, n - 1), min_size=order, max_size=order)
+        reactions.append(Reaction(
+            reactants=np.bincount(draw(species), minlength=n),
+            products=np.bincount(draw(species), minlength=n),
+            rate_constant=draw(st.floats(0.1, 10.0))))
+    field = Field(c=c_tot * w / w.sum(axis=1, keepdims=True),
+                  grid=Grid1D(ncells=ncells, length=draw(st.floats(0.5, 2.0))))
+    spec = MixtureSpec(names=tuple(f"S{i}" for i in range(n)), dmat=dmat)
+    return field, spec, model, ReactionNetwork(reactions=tuple(reactions))
+
+
+@settings(max_examples=100, deadline=None)
+@given(problem=step_problems())
+def test_single_step_conserves_totals_and_masses(problem):
+    field, spec, model, reactions = problem
+    dt = 0.5 * stable_dt(field, spec, model, reactions)
+    new = step(field, spec, model, reactions, dt=dt)
+    cells0, cells1 = field.c.sum(axis=1), new.c.sum(axis=1)
+    assert np.all(np.abs(cells1 - cells0) <= 1e-12 * cells0)
+    assert abs(new.c.sum() - field.c.sum()) <= 1e-12 * field.c.sum()
+    if not reactions.reactions:
+        mass0, mass1 = field.c.sum(axis=0), new.c.sum(axis=0)
+        assert np.all(np.abs(mass1 - mass0) <= 1e-12 * mass0)
 
 
 class TestReactions:

@@ -40,7 +40,7 @@ class TestEntropyLedger:
 
     def test_reversed_time_is_flagged(self):
         traj = _binary_step_trajectory()
-        rev = Trajectory(grid=traj.grid, names=traj.names, c_tot0=traj.c_tot0,
+        rev = Trajectory(grid=traj.grid, names=traj.names,
                          checkpoints=list(reversed(traj.checkpoints)))
         led = entropy_ledger(rev)
         assert not led.ok
