@@ -8,9 +8,8 @@ from . import errors
 from .mixture import (Composition, DrivingForce, FluxSet, MixtureSpec,
                       SpecIssue, mole_fractions, validate_spec)
 from .mskernel import (SpectrumReport, assemble_A, assemble_A_sym, assemble_B,
-                       diffusion_operator_spectrum, fick_limit_D,
-                       solve_fluxes_invariant, solve_fluxes_reduced,
-                       spectral_gap_delta, spectrum)
+                       diffusion_operator_spectrum, solve_fluxes_invariant,
+                       solve_fluxes_reduced, spectral_gap_delta, spectrum)
 from .solver import (Checkpoint, Field, Grid1D, NO_REACTIONS, Reaction,
                      ReactionNetwork, SimConfig, Trajectory, face_fluxes,
                      simulate, stable_dt, step)

@@ -2,6 +2,11 @@
 kernel/solver/verify layers, and emit machine-readable results.
 
 Subcommands: ``spectrum``, ``fluxes``, ``simulate``, ``verify``.
+
+Config sections ``mixture``, ``composition``, ``grid`` and ``sim`` are
+built by :func:`_build` from their library constructors' fields, defaults
+and checks; ``thermo``, ``initial`` and ``reactions`` have small parsers.
+
 Exit codes: 0 ok, 1 a ``verify`` check failed, 2 bad input (config error
 or degenerate composition), 3 positivity violation, 4 convexity failure,
 5 step limit, 6 numerical failure (any other ``MsDiffError``).
@@ -10,9 +15,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
-from dataclasses import dataclass
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -51,40 +57,54 @@ def _fmt(v: float) -> str:
     return format(float(v), ".17g")
 
 
-def _require(d: dict, key: str, ctx: str):
-    if key not in d:
-        raise ConfigError(f"{ctx}: missing required key '{key}'")
-    return d[key]
-
-
-def _floats(value, ctx: str) -> np.ndarray:
-    """``value`` as a float array; anything non-numeric is a ConfigError."""
+@contextmanager
+def _config_errors(ctx: str):
+    """The one place a library ``TypeError``, ``ValueError`` or ``OverflowError``
+    becomes a ``ConfigError``, prefixed with ``ctx`` unless it starts with it."""
     try:
-        return np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{ctx}: {exc}") from exc
+        yield
+    except (TypeError, ValueError, OverflowError) as exc:
+        msg = str(exc)
+        raise ConfigError(msg if msg.startswith(ctx) else f"{ctx}: {msg}") from exc
 
 
-def _integer(value, ctx: str) -> int:
-    """``value`` as an int: a JSON integer, or a number with an integral
-    value.  Booleans, strings, fractions and non-finite values are
-    ConfigErrors, never truncated."""
-    if isinstance(value, bool) or not (
-            isinstance(value, int) or isinstance(value, float) and value.is_integer()):
-        raise ConfigError(f"{ctx}: expected an integer, got {value!r}")
-    return int(value)
-
-
-def _check_keys(d, allowed: set[str], ctx: str) -> None:
+def _check_keys(d, allowed, ctx: str, required=()) -> None:
     if not isinstance(d, dict):
         raise ConfigError(f"{ctx}: expected an object, got {type(d).__name__}")
-    unknown = set(d) - allowed
+    unknown = set(d) - set(allowed)
     if unknown:
         raise ConfigError(f"{ctx}: unknown keys {sorted(unknown)} "
                           f"(allowed: {sorted(allowed)})")
+    for key in required:
+        if key not in d:
+            raise ConfigError(f"{ctx}: missing required key '{key}'")
 
 
-@dataclass
+def _build(cls, obj, ctx: str):
+    """``cls(**obj)`` for the config section ``ctx``.  Its keys are the
+    fields of ``cls``, those without a default are required, and the
+    defaults, coercions and range checks are the constructor's."""
+    fields = dataclasses.fields(cls)
+    _check_keys(obj, [f.name for f in fields], ctx,
+                [f.name for f in fields if f.default is dataclasses.MISSING])
+    with _config_errors(ctx):
+        return cls(**obj)
+
+
+def _variant(obj, tag: str, variants: dict, ctx: str, optional=()) -> str:
+    """Key check of a section whose ``tag`` value picks one of
+    ``variants`` (name -> its required keys); ``optional`` keys are
+    allowed in every variant.  Returns the variant's name."""
+    every = {tag, *optional, *(k for keys in variants.values() for k in keys)}
+    _check_keys(obj, every, ctx, [tag])
+    kind = obj[tag]
+    if not (isinstance(kind, str) and kind in variants):
+        raise ConfigError(f"{ctx}: unknown {tag} '{kind}'")
+    _check_keys(obj, {tag, *optional, *variants[kind]}, ctx, variants[kind])
+    return kind
+
+
+@dataclasses.dataclass
 class RunConfig:
     """Fully parsed run configuration."""
     spec: MixtureSpec
@@ -98,136 +118,58 @@ class RunConfig:
     seed: int
 
 
-def _parse_mixture(obj) -> MixtureSpec:
-    _check_keys(obj, {"names", "dmat"}, "mixture")
-    try:
-        spec = MixtureSpec(names=_require(obj, "names", "mixture"),
-                           dmat=_require(obj, "dmat", "mixture"))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"mixture: {exc}") from exc
-    issues = validate_spec(spec)
-    if issues:
-        raise ConfigError("mixture: " + "; ".join(
-            f"{i.code}: {i.detail}" for i in issues))
-    return spec
-
-
 def _parse_thermo(obj, n: int) -> thermo.ThermoModel:
-    if obj is None:
+    if obj is None or _variant(obj, "model", {"ideal": (), "margules": ("amat",)},
+                               "thermo") == "ideal":
         return thermo.IDEAL
-    _check_keys(obj, {"model", "amat"}, "thermo")
-    kind = _require(obj, "model", "thermo")
-    if kind == "ideal":
-        _check_keys(obj, {"model"}, "thermo (ideal)")
-        return thermo.IDEAL
-    if kind == "margules":
-        try:
-            model = thermo.ThermoModel.margules(_require(obj, "amat", "thermo"))
-            model.interactions(n)  # size check against the mixture
-            return model
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"thermo: {exc}") from exc
-    raise ConfigError(f"thermo: unknown model '{kind}'")
+    with _config_errors("thermo"):
+        model = thermo.ThermoModel.margules(obj["amat"])
+        model.interactions(n)  # size check against the mixture
+    return model
 
 
-def _parse_composition(obj, n: int) -> Composition:
-    _check_keys(obj, {"x", "c_tot"}, "composition")
-    try:
-        comp = Composition(x=_require(obj, "x", "composition"),
-                           c_tot=obj.get("c_tot", 1.0))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"composition: {exc}") from exc
-    if comp.n != n:
-        raise ConfigError(f"composition: {comp.n} fractions for {n} species")
-    return comp
-
-
-def _parse_grid(obj) -> Grid1D:
-    _check_keys(obj, {"ncells", "length"}, "grid")
-    try:
-        return Grid1D(ncells=_integer(_require(obj, "ncells", "grid"), "grid.ncells"),
-                      length=float(_require(obj, "length", "grid")))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"grid: {exc}") from exc
-
-
-def _profile_x(obj, grid: Grid1D, n: int) -> np.ndarray:
-    kind = _require(obj, "kind", "initial")
-    s = (np.arange(grid.ncells) + 0.5) / grid.ncells
-    if kind == "uniform":
-        _check_keys(obj, {"kind", "c_tot", "x"}, "initial")
-        x = np.tile(_floats(_require(obj, "x", "initial"), "initial.x"), (grid.ncells, 1))
-    elif kind in ("step", "ramp"):
-        _check_keys(obj, {"kind", "c_tot", "x_left", "x_right"}, "initial")
-        xl = _floats(_require(obj, "x_left", "initial"), "initial.x_left")
-        xr = _floats(_require(obj, "x_right", "initial"), "initial.x_right")
-        if kind == "step":
-            w = (s >= 0.5).astype(float)[:, None]
-        else:
-            w = s[:, None]
-        x = (1.0 - w) * xl + w * xr
-    elif kind == "cells":
-        _check_keys(obj, {"kind", "c_tot", "x"}, "initial")
-        x = _floats(_require(obj, "x", "initial"), "initial.x")
-        if x.shape != (grid.ncells, n):
-            raise ConfigError(f"initial: per-cell x shape {x.shape} must be "
-                              f"({grid.ncells}, {n})")
-    else:
-        raise ConfigError(f"initial: unknown profile kind '{kind}'")
-    if x.shape[-1] != n:
-        raise ConfigError(f"initial: {x.shape[-1]} fractions for {n} species")
-    sums = x.sum(axis=1)
-    if np.max(np.abs(sums - 1.0)) > 1e-10:
-        raise ConfigError("initial: mole fractions must sum to 1 in every cell")
-    return x / sums[:, None]
+#: Mole-fraction keys of each ``initial`` profile kind.
+PROFILES = {"uniform": ("x",), "step": ("x_left", "x_right"),
+            "ramp": ("x_left", "x_right"), "cells": ("x",)}
 
 
 def _parse_initial(obj, grid: Grid1D, n: int) -> Field:
-    x = _profile_x(obj, grid, n)
-    try:
-        return Field(c=x * float(obj.get("c_tot", 1.0)), grid=grid)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"initial: {exc}") from exc
+    kind = _variant(obj, "kind", PROFILES, "initial", optional=("c_tot",))
+    with _config_errors("initial"):
+        s = (np.arange(grid.ncells) + 0.5) / grid.ncells
+        p = {k: np.asarray(obj[k], dtype=float) for k in PROFILES[kind]}
+        if kind == "uniform":
+            x = np.tile(p["x"], (grid.ncells, 1))
+        elif kind == "cells":
+            x = p["x"]
+        else:
+            w = (s >= 0.5).astype(float)[:, None] if kind == "step" else s[:, None]
+            x = (1.0 - w) * p["x_left"] + w * p["x_right"]
+        if x.shape != (grid.ncells, n):
+            raise ConfigError(f"initial: mole fractions shaped {x.shape}, expected "
+                              f"({grid.ncells}, {n}) for {n} species")
+        sums = x.sum(axis=1)
+        if np.max(np.abs(sums - 1.0)) > 1e-10:
+            raise ConfigError("initial: mole fractions must sum to 1 in every cell")
+        return Field(c=x / sums[:, None] * float(obj.get("c_tot", 1.0)), grid=grid)
 
 
 def _parse_reactions(items, names: tuple[str, ...]) -> ReactionNetwork:
-    if not items:
-        return ReactionNetwork(reactions=())
-    index = {s: i for i, s in enumerate(names)}
+    """A list of mass-action reactions with stoichiometry by species name."""
+    if not isinstance(items, list):
+        raise ConfigError(f"reactions: expected a list, got {type(items).__name__}")
+    keys = ("reactants", "products", "rate_constant")
     out = []
     for k, obj in enumerate(items):
         ctx = f"reactions[{k}]"
-        _check_keys(obj, {"reactants", "products", "rate_constant"}, ctx)
-
-        def stoich(side: str) -> np.ndarray:
-            v = np.zeros(len(names))
-            _check_keys(_require(obj, side, ctx), set(names), f"{ctx}.{side}")
-            for name, coeff in obj[side].items():
-                v[index[name]] = float(coeff)
-            return v
-
-        try:
-            out.append(Reaction(reactants=stoich("reactants"),
-                                products=stoich("products"),
-                                rate_constant=float(_require(obj, "rate_constant", ctx))))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{ctx}: {exc}") from exc
+        _check_keys(obj, keys, ctx, keys)
+        for side in keys[:2]:
+            _check_keys(obj[side], names, f"{ctx}.{side}")
+        with _config_errors(ctx):
+            out.append(Reaction(rate_constant=obj["rate_constant"], **{
+                side: [float(obj[side].get(s, 0.0)) for s in names]
+                for side in keys[:2]}))
     return ReactionNetwork(reactions=tuple(out))
-
-
-def _parse_sim(obj) -> SimConfig:
-    _check_keys(obj, {"t_end", "cfl_safety", "checkpoint_interval",
-                      "max_steps"}, "sim")
-    interval = obj.get("checkpoint_interval")
-    try:
-        return SimConfig(
-            t_end=float(_require(obj, "t_end", "sim")),
-            cfl_safety=float(obj.get("cfl_safety", 0.4)),
-            checkpoint_interval=None if interval is None else float(interval),
-            max_steps=_integer(obj.get("max_steps", 10_000_000), "sim.max_steps"),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"sim: {exc}") from exc
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -243,27 +185,31 @@ def load_config(path: str | Path) -> RunConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     _check_keys(raw, {"mixture", "thermo", "composition", "gradients", "grid",
-                      "initial", "reactions", "sim", "seed"}, "config")
-    spec = _parse_mixture(_require(raw, "mixture", "config"))
+                      "initial", "reactions", "sim", "seed"}, "config", ["mixture"])
+    spec = _build(MixtureSpec, raw["mixture"], "mixture")
+    if issues := validate_spec(spec):
+        raise ConfigError("mixture: " + "; ".join(f"{i.code}: {i.detail}" for i in issues))
     model = _parse_thermo(raw.get("thermo"), spec.n)
-    comp = _parse_composition(raw["composition"], spec.n) if "composition" in raw else None
+    comp = None
+    if "composition" in raw:
+        comp = _build(Composition, raw["composition"], "composition")
+        if comp.x.shape != (spec.n,):  # one composition of the mixture's species
+            raise ConfigError(f"composition: x shaped {comp.x.shape}, expected ({spec.n},)")
     grads = None
     if "gradients" in raw:
-        grads = _floats(raw["gradients"], "gradients")
-        if grads.shape != (spec.n,):
-            raise ConfigError(f"gradients: expected {spec.n} entries")
-        try:
+        with _config_errors("gradients"):
+            grads = np.asarray(raw["gradients"], dtype=float)
+            if grads.shape != (spec.n,):
+                raise ConfigError(f"gradients: expected {spec.n} entries")
             _check_zero_sum(grads, "gradients", rtol=1e-10)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    grid = _parse_grid(raw["grid"]) if "grid" in raw else None
+    grid = _build(Grid1D, raw["grid"], "grid") if "grid" in raw else None
     initial = None
     if "initial" in raw:
         if grid is None:
             raise ConfigError("initial: requires a grid section")
         initial = _parse_initial(raw["initial"], grid, spec.n)
     reactions = _parse_reactions(raw.get("reactions", []), spec.names)
-    sim = _parse_sim(raw["sim"]) if "sim" in raw else None
+    sim = _build(SimConfig, raw["sim"], "sim") if "sim" in raw else None
     seed = raw.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise ConfigError("seed: must be a nonnegative integer")

@@ -13,7 +13,7 @@ SUM_TOL = 1e-12
 
 #: Concentrations below -CLAMP_REL * total are treated as genuine model
 #: violations; anything in (-CLAMP_REL * total, 0) is numerical noise and
-#: gets clamped to zero.
+#: gets clamped to zero (``mole_fractions`` and every simulator step).
 CLAMP_REL = 1e-10
 
 
@@ -87,10 +87,10 @@ class Composition:
     ``x`` is shaped (..., n): one composition, or a batch along leading
     axes.  ``c_tot`` is one value or an array that broadcasts against the
     batch shape; it is stored as a float for one composition and as an
-    array of the batch shape otherwise.  Every row is checked.
+    array of the batch shape otherwise (default 1).  Every row is checked.
     """
     x: np.ndarray
-    c_tot: float | np.ndarray
+    c_tot: float | np.ndarray = 1.0
 
     def __post_init__(self):
         x = _frozen_array(self.x)

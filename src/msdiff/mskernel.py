@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateComposition, EigSolverFailure, NotConvex, SingularSystem
+from .errors import EigSolverFailure, NotConvex, SingularSystem
 from .mixture import (Composition, DrivingForce, FluxSet, _first_true, _unbatch,
                       simplex_basis)
 from .thermo import (ThermoModel, _as_x, convexity_check, floor_composition,
@@ -34,11 +34,16 @@ from .thermo import (ThermoModel, _as_x, convexity_check, floor_composition,
 
 
 def _inverse_diffusivities(dmat) -> np.ndarray:
-    """1 / D_ij off the diagonal, 0 on it."""
+    """1 / D_ij off the diagonal, 0 on it.  This is the one place 1/D is
+    formed, so it checks the raw ``dmat`` of every per-state function: an
+    off-diagonal D_ij that is not positive and finite raises ``ValueError``."""
     d = np.asarray(dmat, dtype=float)
     off = ~np.eye(d.shape[0], dtype=bool)
+    d_off = d[off]
+    if not (d_off.min() > 0 and d_off.max() < np.inf):  # NaN fails both
+        raise ValueError("off-diagonal diffusivities must be positive and finite")
     inv = np.zeros_like(d)
-    inv[off] = 1.0 / d[off]
+    inv[off] = 1.0 / d_off
     return inv
 
 
@@ -103,9 +108,8 @@ class SpectrumReport:
 
 def spectral_gap_delta(dmat) -> float:
     """delta = min_{i != j} 1 / D_ij."""
-    d = np.asarray(dmat, dtype=float)
-    off = ~np.eye(d.shape[0], dtype=bool)
-    return float(1.0 / d[off].max())
+    inv = _inverse_diffusivities(dmat)
+    return float(inv[~np.eye(len(inv), dtype=bool)].min())
 
 
 def spectrum(x, dmat) -> SpectrumReport:
@@ -218,21 +222,6 @@ def _gauss_solve(b: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray
             y[:, :k] -= a[:, :k, k] * y[:, k, None]
     pivot = np.min(np.abs(np.diagonal(a, axis1=-2, axis2=-1)), axis=-1)
     return y.reshape(batch + (m,)), pivot.reshape(batch)
-
-
-def fick_limit_D(x, dmat, i: int) -> float | np.ndarray:
-    """Effective Fickian diffusivity D_i = 1 / sum_{j != i} x_j / D_ij,
-    per row of ``x``.
-
-    This is the coefficient of -grad c_i in the flux split
-    J_i = -D_i grad c_i + c_i F_i; cross-effects vanish as x_i -> 0.
-    """
-    x = _as_x(x)
-    inv = _inverse_diffusivities(dmat)
-    s = x @ inv[i]
-    if np.any(s == 0.0):
-        raise DegenerateComposition(f"x[{i}] = 1: no partner species for diffusion")
-    return _unbatch(1.0 / s)
 
 
 def _diffusion_matrix_reduced(x, dmat, model: ThermoModel) -> np.ndarray:

@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import MaxStepsExceeded, NotConvex, PositivityViolation
-from .mixture import MixtureSpec
+from .mixture import CLAMP_REL, MixtureSpec
 from .mskernel import (_assemble_A, _fluxes_projected, _inverse_diffusivities,
                        _operator_reduced)
 from .thermo import (IDEAL, ThermoModel, _ln_gamma_x, _margules_gamma,
@@ -31,21 +31,30 @@ from .thermo import (IDEAL, ThermoModel, _ln_gamma_x, _margules_gamma,
 #: Relative tolerance on per-cell total-concentration uniformity.
 ISOBARIC_TOL = 1e-8
 
-#: Negatives beyond -POSITIVITY_REL * c_tot are violations; smaller ones
-#: are clamped to zero as arithmetic noise.
-POSITIVITY_REL = 1e-10
-
 #: The dt bound is recomputed every this many steps.
 DT_REFRESH_STEPS = 10
 
 
+def _count(value, what: str) -> int:
+    """``value`` as an int: a Python or numpy integer, or an integral float.
+    Anything else (a bool, a string, a fraction, inf) raises ``ValueError``."""
+    if isinstance(value, (bool, np.bool_)) or not (
+            isinstance(value, (int, np.integer))
+            or isinstance(value, (float, np.floating)) and value.is_integer()):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class Grid1D:
-    """Uniform 1-D grid with zero-flux boundary faces."""
+    """Uniform 1-D grid with zero-flux boundary faces; stores ``ncells``
+    as an int (see :func:`_count`) and ``length`` as a float."""
     ncells: int
     length: float
 
     def __post_init__(self):
+        object.__setattr__(self, "ncells", _count(self.ncells, "ncells"))
+        object.__setattr__(self, "length", float(self.length))
         if self.ncells < 2:
             raise ValueError(f"need >= 2 cells, got {self.ncells}")
         if not 0 < self.length < np.inf:
@@ -90,6 +99,7 @@ class Reaction:
     rate_constant: float
 
     def __post_init__(self):
+        object.__setattr__(self, "rate_constant", float(self.rate_constant))
         r = np.array(self.reactants, dtype=float)
         p = np.array(self.products, dtype=float)
         if r.shape != p.shape or r.ndim != 1:
@@ -138,13 +148,19 @@ NO_REACTIONS = ReactionNetwork(reactions=())
 @dataclass(frozen=True)
 class SimConfig:
     """Time-stepping and checkpointing controls.  The composition floor
-    (``thermo.X_FLOOR``) and the dt refresh cadence are fixed."""
+    (``thermo.X_FLOOR``) and the dt refresh cadence are fixed.  Stores
+    the times and ``cfl_safety`` as floats and ``max_steps`` as an int."""
     t_end: float
     cfl_safety: float = 0.4
     checkpoint_interval: float | None = None  # default t_end / 50
     max_steps: int = 10_000_000
 
     def __post_init__(self):
+        object.__setattr__(self, "t_end", float(self.t_end))
+        object.__setattr__(self, "cfl_safety", float(self.cfl_safety))
+        if self.checkpoint_interval is not None:
+            object.__setattr__(self, "checkpoint_interval", float(self.checkpoint_interval))
+        object.__setattr__(self, "max_steps", _count(self.max_steps, "max_steps"))
         if not 0 < self.t_end < np.inf:
             raise ValueError("t_end must be positive and finite")
         if not 0 < self.cfl_safety <= 1:
@@ -281,7 +297,7 @@ def _advance(st: _State, reactions: ReactionNetwork, dt: float, t: float,
     if reactions.reactions:
         rhs = rhs + reactions.rates(st.c)
     cn = st.c + dt * rhs
-    if np.any(cn < -POSITIVITY_REL * st.c_tot):
+    if np.any(cn < -CLAMP_REL * st.c_tot):
         cell, sp = np.unravel_index(np.argmin(cn), cn.shape)
         raise PositivityViolation(
             f"c[{cell},{sp}] = {cn[cell, sp]!r} at t = {t + dt!r} "

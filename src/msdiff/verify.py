@@ -11,7 +11,7 @@ from .errors import NonMonotoneFlux
 from .mixture import MixtureSpec, _unbatch
 from .mskernel import assemble_B
 from .solver import Field, Grid1D, Trajectory, face_fluxes
-from .thermo import ThermoModel
+from .thermo import ThermoModel, _as_x
 
 #: Pointwise dissipation tolerance, relative to |V(0)|.
 W_TOL_REL = 1e-10
@@ -189,7 +189,7 @@ def ternary_closed_forms(x, dmat) -> TernaryReport:
     angle pi/6 of the positive real axis.  Evaluated per row of ``x``
     shaped (..., 3).
     """
-    x = np.asarray(getattr(x, "x", x), dtype=float)
+    x = _as_x(x)
     d = np.asarray(dmat, dtype=float)
     if x.shape[-1:] != (3,) or d.shape != (3, 3):
         raise ValueError("ternary closed forms require exactly 3 species")

@@ -10,10 +10,11 @@ from hypothesis.extra import numpy as hnp
 
 from msdiff import (Composition, DrivingForce, FluxSet, ThermoModel,
                     chemical_potentials, convexity_check,
-                    diffusion_operator_spectrum, driving_force, fick_limit_D,
-                    gamma_matrix, solve_fluxes_invariant, solve_fluxes_reduced,
-                    spectrum, ternary_closed_forms)
+                    diffusion_operator_spectrum, driving_force, gamma_matrix,
+                    solve_fluxes_invariant, solve_fluxes_reduced, spectrum,
+                    ternary_closed_forms)
 from msdiff.mixture import simplex_basis
+from test_mskernel import fick_limit_D  # a test-only reference, kept with its tests
 
 SETTINGS = settings(max_examples=40, deadline=None)
 

@@ -1,8 +1,10 @@
 """Command-line front door: config parsing, outputs, exit codes."""
 import csv
+import dataclasses
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +18,8 @@ from msdiff.cli import (EXIT_CONFIG, EXIT_CONVEXITY, EXIT_NUMERICAL, EXIT_OK,
                         EXIT_POSITIVITY, EXIT_STEP_LIMIT, VERIFY_SAMPLES,
                         _interior_samples, _paired_samples, load_config, main)
 from msdiff.errors import ConfigError, MsDiffError
+from msdiff.mixture import Composition, MixtureSpec
+from msdiff.solver import Grid1D, SimConfig
 
 CONFIGS = Path(__file__).parents[1] / "configs"
 
@@ -37,6 +41,9 @@ BASE = {
     "composition": {"x": [0.5, 0.5], "c_tot": 2.0},
     "gradients": [0.15, -0.15],
 }
+
+#: A JSON integer literal beyond float range (401 digits).
+BIG = 10 ** 400
 
 
 class TestLoadConfig:
@@ -144,6 +151,12 @@ class TestErrorMap:
         ("thermo", {"model": "margules", "amat": [[0, 1, 1], [1, 0, 1], [1, 1, 0]]}),
         ("thermo", {"model": "ideal", "amat": [[0, 1], [1, 0]]}),
         ("thermo", {"model": "margules", "amat": {"A": 1}}),
+        ("initial", 5),
+        ("initial", {"kind": "step", "x_left": [0.5, 0.5], "x_right": [0.2, 0.3, 0.5]}),
+        ("grid", {"ncells": BIG, "length": 1.0}),
+        ("reactions", 5),
+        ("reactions", {}),
+        ("composition", {"x": [[0.5, 0.5], [0.3, 0.7]]}),
     ])
     def test_malformed_entries_exit_2(self, tmp_path, capsys, section, value):
         cfg = json.loads(json.dumps(SIM))
@@ -153,6 +166,119 @@ class TestErrorMap:
                         "--out", str(tmp_path / "out")])
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error: ")
+
+
+def _full_config(initial=None):
+    """A valid config with every section."""
+    cfg = dict(SIM, composition=BASE["composition"], gradients=BASE["gradients"],
+               thermo={"model": "margules", "amat": [[0.0, 0.5], [0.5, 0.0]]},
+               reactions=[{"reactants": {"A": 1}, "products": {"B": 1},
+                           "rate_constant": 1.0}])
+    if initial is not None:
+        cfg["initial"] = initial
+    return json.loads(json.dumps(cfg))  # a deep copy
+
+
+def _section(cfg, path):
+    for key in path:
+        cfg = cfg[key]
+    return cfg
+
+
+def _config_error(tmp_path, capsys, cfg) -> str:
+    """stderr of ``msdiff spectrum`` on ``cfg``, which must exit 2 with
+    one line and no output."""
+    code, out = _run(["spectrum", "--config", _write(tmp_path, cfg)])
+    err = capsys.readouterr().err
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    return err
+
+
+_STEP = {"kind": "step", "x_left": [0.7, 0.3], "x_right": [0.3, 0.7]}
+
+#: case -> (the initial section, the path to the section, its name in
+#: messages, its required keys)
+SECTIONS = {
+    "config": (None, (), "config", ["mixture"]),
+    "mixture": (None, ("mixture",), "mixture", ["names", "dmat"]),
+    "thermo": (None, ("thermo",), "thermo", ["model", "amat"]),
+    "composition": (None, ("composition",), "composition", ["x"]),
+    "grid": (None, ("grid",), "grid", ["ncells", "length"]),
+    "initial-uniform": ({"kind": "uniform", "x": [0.5, 0.5]}, ("initial",), "initial",
+                        ["kind", "x"]),
+    "initial-step": (_STEP, ("initial",), "initial", ["kind", "x_left", "x_right"]),
+    "initial-ramp": (dict(_STEP, kind="ramp"), ("initial",), "initial",
+                     ["kind", "x_left", "x_right"]),
+    "initial-cells": ({"kind": "cells", "x": [[0.5, 0.5]] * 16}, ("initial",), "initial",
+                      ["kind", "x"]),
+    "reactions": (None, ("reactions", 0), "reactions[0]",
+                  ["reactants", "products", "rate_constant"]),
+    "reactants": (None, ("reactions", 0, "reactants"), "reactions[0].reactants", []),
+    "products": (None, ("reactions", 0, "products"), "reactions[0].products", []),
+    "sim": (None, ("sim",), "sim", ["t_end"]),
+}
+
+
+class TestSchema:
+    def test_full_config_is_valid(self, tmp_path):
+        for initial, *_ in SECTIONS.values():
+            load_config(_write(tmp_path, _full_config(initial)))
+
+    @pytest.mark.parametrize("case", sorted(SECTIONS))
+    def test_unknown_key_names_the_section(self, tmp_path, capsys, case):
+        initial, path, ctx, _ = SECTIONS[case]
+        cfg = _full_config(initial)
+        _section(cfg, path)["bogus"] = 1
+        err = _config_error(tmp_path, capsys, cfg)
+        assert err.startswith(f"config error: {ctx}: unknown keys ['bogus']")
+
+    @pytest.mark.parametrize("case,key", [(case, key) for case in sorted(SECTIONS)
+                                          for key in SECTIONS[case][3]])
+    def test_missing_required_key_is_named(self, tmp_path, capsys, case, key):
+        initial, path, ctx, _ = SECTIONS[case]
+        cfg = _full_config(initial)
+        del _section(cfg, path)[key]
+        err = _config_error(tmp_path, capsys, cfg)
+        assert err == f"config error: {ctx}: missing required key '{key}'\n"
+
+    def test_defaults_are_the_constructors(self, tmp_path):
+        cfg = load_config(_write(tmp_path, dict(_full_config(), sim={"t_end": 0.5},
+                                                composition={"x": [0.5, 0.5]})))
+        assert cfg.sim == SimConfig(t_end=0.5)
+        assert cfg.composition.c_tot == Composition(x=[0.5, 0.5]).c_tot
+
+    def test_readme_table_lists_the_constructor_fields(self):
+        rows = {}
+        for line in (CONFIGS.parent / "README.md").read_text().splitlines():
+            cells = [c.strip() for c in line.strip().strip("|").split("|")]
+            if line.startswith("| `") and len(cells) == 4:
+                rows[cells[0].strip("`")] = cells[1:]
+        for section, cls in [("mixture", MixtureSpec), ("composition", Composition),
+                             ("grid", Grid1D), ("sim", SimConfig)]:
+            required, optional, built_by = rows[section]
+            fields = dataclasses.fields(cls)
+            assert re.findall(r"`(\w+)`", required) == [
+                f.name for f in fields if f.default is dataclasses.MISSING]
+            assert re.findall(r"`(\w+)`", optional) == [
+                f.name for f in fields if f.default is not dataclasses.MISSING]
+            for f in fields:
+                if f.default not in (dataclasses.MISSING, None):
+                    assert f"`{f.name}` ({f.default:,})" in optional
+            assert built_by.startswith(f"`{cls.__name__}`")
+
+    @pytest.mark.parametrize("path", [
+        ("sim", "t_end"), ("grid", "length"), ("initial", "c_tot"), ("gradients", 0),
+        ("composition", "c_tot"), ("sim", "cfl_safety"), ("sim", "checkpoint_interval"),
+        ("reactions", 0, "rate_constant"), ("reactions", 0, "reactants", "A"),
+        ("thermo", "amat", 0, 1), ("mixture", "dmat", 0, 1), ("initial", "x_left", 0),
+        ("composition", "x", 0),
+    ], ids=lambda path: ".".join(map(str, path)))
+    def test_integer_beyond_float_range_exits_2(self, tmp_path, capsys, path):
+        # float() of such a literal raises OverflowError, once a traceback
+        cfg = _full_config()
+        _section(cfg, path[:-1])[path[-1]] = BIG
+        assert _config_error(tmp_path, capsys, cfg).startswith("config error: ")
 
 
 class TestParser:

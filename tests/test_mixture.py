@@ -58,6 +58,10 @@ class TestCompositionInvariants:
     def test_valid(self):
         Composition(x=[0.25, 0.75], c_tot=2.0)
 
+    def test_default_total_is_one(self):
+        # the CLI's composition section takes this default
+        assert Composition(x=[0.25, 0.75]).c_tot == 1.0
+
     def test_sum_off_one(self):
         with pytest.raises(ValueError):
             Composition(x=[0.3, 0.6], c_tot=1.0)

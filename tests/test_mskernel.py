@@ -4,13 +4,14 @@ import pytest
 
 from msdiff import (IDEAL, Composition, FluxSet, ThermoModel, assemble_A,
                     assemble_A_sym, assemble_B, diffusion_operator_spectrum,
-                    fick_limit_D, mole_fractions, solve_fluxes_invariant,
+                    mole_fractions, solve_fluxes_invariant,
                     solve_fluxes_reduced, spectral_gap_delta, spectrum)
 from msdiff import mskernel
 from msdiff.errors import DegenerateComposition, NotConvex, SingularSystem
-from msdiff.mixture import simplex_basis
-from msdiff.mskernel import _diffusion_matrix_reduced, _gauss_solve, _solve_reduced
-from msdiff.thermo import floor_composition
+from msdiff.mixture import _unbatch, simplex_basis
+from msdiff.mskernel import (_diffusion_matrix_reduced, _gauss_solve,
+                             _inverse_diffusivities, _solve_reduced)
+from msdiff.thermo import _as_x, floor_composition
 
 
 def solve_fluxes_bordered(comp, dmat, d, mu=None):
@@ -22,6 +23,21 @@ def solve_fluxes_bordered(comp, dmat, d, mu=None):
     a_mu = assemble_A(x, dmat) - mu * np.outer(x, np.ones_like(x))
     j = np.linalg.solve(a_mu, comp.c_tot * np.asarray(d, dtype=float))
     return FluxSet(J=j - j.mean())
+
+
+def fick_limit_D(x, dmat, i: int) -> float | np.ndarray:
+    """Effective Fickian diffusivity D_i = 1 / sum_{j != i} x_j / D_ij,
+    per row of ``x``.
+
+    This is the coefficient of -grad c_i in the flux split
+    J_i = -D_i grad c_i + c_i F_i; cross-effects vanish as x_i -> 0.
+    """
+    x = _as_x(x)
+    inv = _inverse_diffusivities(dmat)
+    s = x @ inv[i]
+    if np.any(s == 0.0):
+        raise DegenerateComposition(f"x[{i}] = 1: no partner species for diffusion")
+    return _unbatch(1.0 / s)
 
 
 def gauss_reference(b, rhs):
@@ -109,6 +125,32 @@ class TestAssembly:
             lhs_full = (a @ v)[:-1]
             np.testing.assert_allclose(-b @ v[:-1], lhs_full,
                                        atol=1e-12 * max(1.0, np.abs(lhs_full).max()))
+
+
+#: Every public function that takes a raw dmat, called on a ternary
+#: state with dmat ``d``.
+RAW_DMAT_CALLS = {
+    "spectrum": spectrum,
+    "spectral_gap_delta": lambda x, d: spectral_gap_delta(d),
+    "diffusion_operator_spectrum": lambda x, d: diffusion_operator_spectrum(x, d, IDEAL),
+    "solve_fluxes_invariant": lambda x, d: solve_fluxes_invariant(
+        Composition(x=x, c_tot=1.0), d, [0.1, 0.0, -0.1]),
+    "solve_fluxes_reduced": lambda x, d: solve_fluxes_reduced(
+        Composition(x=x, c_tot=1.0), d, [0.1, 0.0, -0.1]),
+    "assemble_A": assemble_A,
+    "assemble_A_sym": assemble_A_sym,
+    "assemble_B": assemble_B,
+}
+
+
+@pytest.mark.filterwarnings("error")  # no divide-by-zero warning on the way
+@pytest.mark.parametrize("value", [0.0, -1.0, np.inf, np.nan])
+@pytest.mark.parametrize("call", sorted(RAW_DMAT_CALLS))
+def test_raw_dmat_must_be_positive_and_finite(call, value):
+    # D = 0 used to give NaN eigenvalues from spectrum, with warnings
+    d = np.array([[0.0, value, 1.0], [value, 0.0, 2.0], [1.0, 2.0, 0.0]])
+    with pytest.raises(ValueError, match="diffusivities must be positive and finite"):
+        RAW_DMAT_CALLS[call]([0.2, 0.3, 0.5], d)
 
 
 class TestSpectrum:

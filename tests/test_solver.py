@@ -65,6 +65,24 @@ class TestGridAndField:
         with pytest.raises(ValueError):
             Grid1D(ncells=4, length=length)
 
+    @pytest.mark.parametrize("ncells", [16.7, True, np.bool_(True), "16", np.inf,
+                                        np.nan, None, [16]])
+    def test_grid_rejects_non_integer_ncells(self, ncells):
+        # 16.7 used to give 17 cell centres with h = 1/16.7
+        with pytest.raises(ValueError, match="ncells must be an integer"):
+            Grid1D(ncells=ncells, length=1.0)
+
+    @pytest.mark.parametrize("ncells", [16, np.int64(16), np.int32(16), 16.0,
+                                        np.float64(16.0)])
+    def test_grid_stores_an_int_and_a_float(self, ncells):
+        g = Grid1D(ncells=ncells, length=1)
+        assert (type(g.ncells), type(g.length)) == (int, float)
+        assert (g.ncells, g.h, len(g.cell_centers)) == (16, 1 / 16, 16)
+
+    def test_grid_length_beyond_float_range_fails_at_construction(self):
+        with pytest.raises(OverflowError):
+            Grid1D(ncells=4, length=10 ** 400)
+
 
 class TestSimConfig:
     @pytest.mark.parametrize("kwargs", [
@@ -81,6 +99,24 @@ class TestSimConfig:
         removed = {"floor_eps", "dt_refresh_steps"} & kwargs.keys()
         with pytest.raises(TypeError if removed else ValueError):
             SimConfig(**{"t_end": 0.1, **kwargs})
+
+    @pytest.mark.parametrize("max_steps", [2.9, True, np.bool_(False), "3", np.inf,
+                                           np.nan, [3]])
+    def test_rejects_non_integer_max_steps(self, max_steps):
+        with pytest.raises(ValueError, match="max_steps must be an integer"):
+            SimConfig(t_end=1, max_steps=max_steps)
+
+    def test_stores_floats_and_an_int(self):
+        cfg = SimConfig(t_end=1, cfl_safety=np.float32(0.5),
+                        checkpoint_interval=np.int64(1), max_steps=np.int64(7))
+        assert ([type(v) for v in (cfg.t_end, cfg.cfl_safety, cfg.checkpoint_interval,
+                                   cfg.max_steps)] == [float, float, float, int])
+        assert SimConfig(t_end=1, max_steps=5.0).max_steps == 5
+
+    @pytest.mark.parametrize("key", ["t_end", "cfl_safety", "checkpoint_interval"])
+    def test_value_beyond_float_range_fails_at_construction(self, key):
+        with pytest.raises(OverflowError):
+            SimConfig(**{"t_end": 1.0, key: 10 ** 400})
 
     def test_default_checkpoint_interval(self):
         assert SimConfig(t_end=0.1).cp_interval == pytest.approx(0.002)
@@ -245,6 +281,11 @@ class TestReactions:
     def test_rate_constant_must_be_finite_nonnegative(self, k):
         with pytest.raises(ValueError):
             Reaction(reactants=[1, 0], products=[0, 1], rate_constant=k)
+
+    def test_rate_constant_is_stored_as_a_float(self):
+        assert type(Reaction([1, 0], [0, 1], rate_constant=2).rate_constant) is float
+        with pytest.raises(OverflowError):
+            Reaction(reactants=[1, 0], products=[0, 1], rate_constant=10 ** 400)
 
     def test_mole_conservation_enforced(self):
         with pytest.raises(ValueError):
