@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import json
 import sys
 from contextlib import contextmanager
@@ -104,6 +105,36 @@ def _variant(obj, tag: str, variants: dict, ctx: str, optional=()) -> str:
     return kind
 
 
+#: Where a config holds text; every other value is a number, a list, an
+#: object or null.
+TEXT_VALUES = {("mixture", "names"), ("thermo", "model"), ("initial", "kind")}
+
+
+def _check_numbers(obj, path=()) -> None:
+    """Reject a JSON string or boolean wherever the config reads a number:
+    ``float()`` and numpy would take ``"1"`` and ``true`` as numbers."""
+    if path in TEXT_VALUES:
+        return
+    if isinstance(obj, (str, bool)):
+        where = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)
+        raise ConfigError(f"{where.lstrip('.')}: expected a number, got {json.dumps(obj)}")
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        return
+    for key, value in items:
+        _check_numbers(value, (*path, key))
+
+
+def _seed(value, ctx: str) -> int:
+    """The seed rule of the config's ``seed`` and of ``verify --seed``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ConfigError(f"{ctx}: must be a nonnegative integer")
+    return value
+
+
 @dataclasses.dataclass
 class RunConfig:
     """Fully parsed run configuration."""
@@ -176,7 +207,8 @@ def load_config(path: str | Path) -> RunConfig:
     """Parse and validate a JSON run configuration.
 
     Unknown keys anywhere are hard errors: silent key typos corrupt
-    numerical studies.
+    numerical studies.  So is a string or boolean where a number is read
+    (:func:`_check_numbers`).
     """
     try:
         raw = json.loads(Path(path).read_text())
@@ -210,9 +242,8 @@ def load_config(path: str | Path) -> RunConfig:
         initial = _parse_initial(raw["initial"], grid, spec.n)
     reactions = _parse_reactions(raw.get("reactions", []), spec.names)
     sim = _build(SimConfig, raw["sim"], "sim") if "sim" in raw else None
-    seed = raw.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise ConfigError("seed: must be a nonnegative integer")
+    seed = _seed(raw.get("seed", 0), "seed")
+    _check_numbers(raw)  # last, so a misspelt key is named as unknown first
     return RunConfig(spec=spec, model=model, composition=comp, gradients=grads,
                      grid=grid, initial=initial, reactions=reactions,
                      sim=sim, seed=seed)
@@ -243,17 +274,29 @@ def cmd_fluxes(cfg: RunConfig, out) -> int:
     return EXIT_OK
 
 
+def _csv_line(fields) -> str:
+    """``fields`` as ``csv.writer`` writes one row, ``\\r\\n`` included."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow(fields)
+    return buf.getvalue()
+
+
 def _write_trajectory_csv(path: Path, traj, names) -> None:
-    centers = traj.grid.cell_centers
+    """The bytes ``csv.writer`` would write for one ``time, cell_index,
+    cell_center, species_name, concentration`` row per checkpoint, cell
+    and species, in that order.  The three middle fields are built once
+    per run through ``csv`` (names keep its quoting); the time is
+    formatted once per checkpoint, and each checkpoint is one write."""
+    # "cell,center,name," with its line ending cut off
+    heads = [_csv_line([cell, _fmt(x), name, ""])[:-2]
+             for cell, x in enumerate(traj.grid.cell_centers) for name in names]
     with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["time", "cell_index", "cell_center", "species_name",
-                    "concentration"])
+        fh.write(_csv_line(["time", "cell_index", "cell_center", "species_name",
+                            "concentration"]))
         for cp in traj.checkpoints:
-            for cell in range(traj.grid.ncells):
-                for sp, name in enumerate(names):
-                    w.writerow([_fmt(cp.time), cell, _fmt(centers[cell]),
-                                name, _fmt(cp.c[cell, sp])])
+            t = _fmt(cp.time) + ","
+            fh.write("".join([f"{t}{head}{v:.17g}\r\n" for head, v
+                              in zip(heads, cp.c.ravel().tolist(), strict=True)]))
 
 
 def _write_ledger_csv(path: Path, traj, names) -> None:
@@ -402,7 +445,7 @@ def main(argv=None, out=sys.stdout) -> int:
         if args.command == "simulate":
             return cmd_simulate(cfg, out, Path(args.out))
         if args.seed is not None:
-            cfg.seed = args.seed
+            cfg.seed = _seed(args.seed, "--seed")
         return cmd_verify(cfg, out)
     except MsDiffError as exc:
         code, label = next(ERROR_EXITS[c] for c in type(exc).__mro__

@@ -16,10 +16,11 @@ import msdiff.cli
 from msdiff import errors
 from msdiff.cli import (EXIT_CONFIG, EXIT_CONVEXITY, EXIT_NUMERICAL, EXIT_OK,
                         EXIT_POSITIVITY, EXIT_STEP_LIMIT, VERIFY_SAMPLES,
-                        _interior_samples, _paired_samples, load_config, main)
+                        _interior_samples, _paired_samples,
+                        _write_trajectory_csv, load_config, main)
 from msdiff.errors import ConfigError, MsDiffError
 from msdiff.mixture import Composition, MixtureSpec
-from msdiff.solver import Grid1D, SimConfig
+from msdiff.solver import Checkpoint, Grid1D, SimConfig, Trajectory, simulate
 
 CONFIGS = Path(__file__).parents[1] / "configs"
 
@@ -170,7 +171,8 @@ class TestErrorMap:
 
 def _full_config(initial=None):
     """A valid config with every section."""
-    cfg = dict(SIM, composition=BASE["composition"], gradients=BASE["gradients"],
+    cfg = dict(SIM, sim=dict(SIM["sim"], cfl_safety=0.4),
+               composition=BASE["composition"], gradients=BASE["gradients"],
                thermo={"model": "margules", "amat": [[0.0, 0.5], [0.5, 0.0]]},
                reactions=[{"reactants": {"A": 1}, "products": {"B": 1},
                            "rate_constant": 1.0}])
@@ -220,6 +222,26 @@ SECTIONS = {
 }
 
 
+#: Paths of values the config reads as numbers, one per kind of place.
+NUMBER_PATHS = [
+    ("sim", "t_end"), ("grid", "length"), ("initial", "c_tot"), ("gradients", 0),
+    ("composition", "c_tot"), ("sim", "cfl_safety"), ("sim", "checkpoint_interval"),
+    ("reactions", 0, "rate_constant"), ("reactions", 0, "reactants", "A"),
+    ("thermo", "amat", 0, 1), ("mixture", "dmat", 0, 1), ("initial", "x_left", 0),
+    ("composition", "x", 0),
+]
+
+
+def _path_id(path) -> str:
+    return ".".join(map(str, path))
+
+
+def _dotted(path) -> str:
+    """``path`` as config errors name it, e.g. ``mixture.dmat[0][1]``."""
+    return path[0] + "".join(f"[{k}]" if isinstance(k, int) else f".{k}"
+                             for k in path[1:])
+
+
 class TestSchema:
     def test_full_config_is_valid(self, tmp_path):
         for initial, *_ in SECTIONS.values():
@@ -267,18 +289,29 @@ class TestSchema:
                     assert f"`{f.name}` ({f.default:,})" in optional
             assert built_by.startswith(f"`{cls.__name__}`")
 
-    @pytest.mark.parametrize("path", [
-        ("sim", "t_end"), ("grid", "length"), ("initial", "c_tot"), ("gradients", 0),
-        ("composition", "c_tot"), ("sim", "cfl_safety"), ("sim", "checkpoint_interval"),
-        ("reactions", 0, "rate_constant"), ("reactions", 0, "reactants", "A"),
-        ("thermo", "amat", 0, 1), ("mixture", "dmat", 0, 1), ("initial", "x_left", 0),
-        ("composition", "x", 0),
-    ], ids=lambda path: ".".join(map(str, path)))
+    @pytest.mark.parametrize("path", NUMBER_PATHS, ids=_path_id)
     def test_integer_beyond_float_range_exits_2(self, tmp_path, capsys, path):
         # float() of such a literal raises OverflowError, once a traceback
         cfg = _full_config()
         _section(cfg, path[:-1])[path[-1]] = BIG
         assert _config_error(tmp_path, capsys, cfg).startswith("config error: ")
+
+    @pytest.mark.parametrize("path", NUMBER_PATHS, ids=_path_id)
+    def test_string_number_exits_2_naming_its_place(self, tmp_path, capsys, path):
+        # the string of a valid value: float() and numpy used to parse it
+        cfg = _full_config()
+        section = _section(cfg, path[:-1])
+        section[path[-1]] = text = str(section[path[-1]])
+        err = _config_error(tmp_path, capsys, cfg)
+        assert err == f'config error: {_dotted(path)}: expected a number, got "{text}"\n'
+
+    @pytest.mark.parametrize("path", [("reactions", 0, "reactants", "A"),
+                                      ("reactions", 0, "rate_constant")], ids=_path_id)
+    def test_boolean_number_exits_2(self, tmp_path, capsys, path):
+        cfg = _full_config()
+        _section(cfg, path[:-1])[path[-1]] = True  # float(True) is the valid 1.0
+        err = _config_error(tmp_path, capsys, cfg)
+        assert err == f"config error: {_dotted(path)}: expected a number, got true\n"
 
 
 class TestParser:
@@ -463,6 +496,49 @@ class TestSimulateCommand:
         assert code == EXIT_OK
 
 
+def _reference_trajectory_csv(path: Path, traj, names) -> None:
+    """The per-row ``csv.writer`` loop whose bytes the trajectory writer keeps."""
+    def fmt(v):
+        return format(float(v), ".17g")
+
+    centers = traj.grid.cell_centers
+    with path.open("w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["time", "cell_index", "cell_center", "species_name",
+                    "concentration"])
+        for cp in traj.checkpoints:
+            for cell in range(traj.grid.ncells):
+                for sp, name in enumerate(names):
+                    w.writerow([fmt(cp.time), cell, fmt(centers[cell]),
+                                name, fmt(cp.c[cell, sp])])
+
+
+class TestTrajectoryWriter:
+    @staticmethod
+    def _assert_reference_bytes(tmp_path, traj, names):
+        _write_trajectory_csv(tmp_path / "new.csv", traj, names)
+        _reference_trajectory_csv(tmp_path / "ref.csv", traj, names)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("name", ["binary_ideal", "reaction_ab", "ternary_osmotic"])
+    def test_shipped_config_trajectory(self, tmp_path, name):
+        cfg = load_config(CONFIGS / f"{name}.json")
+        traj = simulate(cfg.initial, cfg.spec, cfg.model, cfg.reactions, cfg.sim)
+        self._assert_reference_bytes(tmp_path, traj, cfg.spec.names)
+
+    def test_quoted_names_and_edge_values(self, tmp_path):
+        # names csv must quote, and values whose repr differs from .17g
+        names = ("a,b", 'q"uote', "new\nline", "\u00e9")
+        values = [-0.0, 5e-324, 1e300, 0.1, 1.0]
+        grid = Grid1D(ncells=5, length=1.0)
+        traj = Trajectory(grid=grid, names=names, checkpoints=[
+            Checkpoint(time=t, c=np.roll(np.resize(values, 20), k).reshape(5, 4),
+                       masses=np.zeros(4), entropy=0.0, dissipation=0.0,
+                       cumulative_dissipation=0.0, min_concentration=0.0)
+            for k, t in enumerate(values)])
+        self._assert_reference_bytes(tmp_path, traj, names)
+
+
 #: ``msdiff verify --seed S`` on each shipped config: (exit code, stdout),
 #: as printed before the checks were batched.
 PINNED_VERIFY = {
@@ -591,6 +667,18 @@ class TestVerifyCommand:
             vk = ref.standard_normal(4)
             assert np.array_equal(x[k], xk)
             assert np.array_equal(v[k], vk - vk.mean())
+
+    @pytest.mark.parametrize("seed", ["-1", "-7"])
+    def test_negative_seed_flag_exits_2(self, tmp_path, capsys, seed):
+        # the flag used to bypass the config's seed rule into a numpy traceback
+        code, out = _run(["verify", "--config", _write(tmp_path, BASE), "--seed", seed])
+        err = capsys.readouterr().err
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == "config error: --seed: must be a nonnegative integer\n"
+
+    def test_zero_seed_flag_runs(self, tmp_path):
+        code, out = _run(["verify", "--config", _write(tmp_path, BASE), "--seed", "0"])
+        assert code == EXIT_OK and out.startswith("seed: 0\n")
 
     def test_seed_override_changes_banner(self, tmp_path):
         cfgp = _write(tmp_path, BASE)
