@@ -6,7 +6,7 @@ reaction-diffusion simulator with entropy and positivity diagnostics.
 """
 from . import errors
 from .mixture import (Composition, DrivingForce, FluxSet, MixtureSpec,
-                      SpecIssue, mole_fractions, validate_spec)
+                      mole_fractions)
 from .mskernel import (SpectrumReport, assemble_A, assemble_A_sym, assemble_B,
                        diffusion_operator_spectrum, solve_fluxes_invariant,
                        solve_fluxes_reduced, spectral_gap_delta, spectrum)

@@ -7,9 +7,10 @@ Config sections ``mixture``, ``composition``, ``grid`` and ``sim`` are
 built by :func:`_build` from their library constructors' fields, defaults
 and checks; ``thermo``, ``initial`` and ``reactions`` have small parsers.
 
-Exit codes: 0 ok, 1 a ``verify`` check failed, 2 bad input (config error
-or degenerate composition), 3 positivity violation, 4 convexity failure,
-5 step limit, 6 numerical failure (any other ``MsDiffError``).
+Exit codes: 0 ok, 1 a ``verify`` check failed, 2 bad input (config error,
+degenerate composition, or an ``--out`` that cannot be made or written),
+3 positivity violation, 4 convexity failure, 5 step limit, 6 numerical
+failure (any other ``MsDiffError``).
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ from . import mskernel, thermo, verify
 from .errors import (ConfigError, DegenerateComposition, MaxStepsExceeded,
                      MsDiffError, NegativeConcentration, NonPositiveTotal,
                      NotConvex, PositivityViolation)
-from .mixture import Composition, MixtureSpec, _check_zero_sum, validate_spec
+from .mixture import Composition, MixtureSpec, _check_zero_sum
 from .solver import (Field, Grid1D, Reaction, ReactionNetwork, SimConfig,
                      simulate)
 
@@ -67,6 +68,15 @@ def _config_errors(ctx: str):
     except (TypeError, ValueError, OverflowError) as exc:
         msg = str(exc)
         raise ConfigError(msg if msg.startswith(ctx) else f"{ctx}: {msg}") from exc
+
+
+@contextmanager
+def _out_errors():
+    """An ``OSError`` making or writing ``--out`` is bad input: a ``ConfigError``."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"--out: {exc}") from exc
 
 
 def _check_keys(d, allowed, ctx: str, required=()) -> None:
@@ -219,8 +229,6 @@ def load_config(path: str | Path) -> RunConfig:
     _check_keys(raw, {"mixture", "thermo", "composition", "gradients", "grid",
                       "initial", "reactions", "sim", "seed"}, "config", ["mixture"])
     spec = _build(MixtureSpec, raw["mixture"], "mixture")
-    if issues := validate_spec(spec):
-        raise ConfigError("mixture: " + "; ".join(f"{i.code}: {i.detail}" for i in issues))
     model = _parse_thermo(raw.get("thermo"), spec.n)
     comp = None
     if "composition" in raw:
@@ -314,12 +322,14 @@ def _write_ledger_csv(path: Path, traj, names) -> None:
 def cmd_simulate(cfg: RunConfig, out, out_dir: Path) -> int:
     if cfg.initial is None or cfg.sim is None:
         raise ConfigError("simulate: config needs 'grid', 'initial' and 'sim'")
+    with _out_errors():  # before the run, so a bad --out costs none of it
+        out_dir.mkdir(parents=True, exist_ok=True)
     traj = simulate(cfg.initial, cfg.spec, cfg.model, cfg.reactions, cfg.sim)
-    out_dir.mkdir(parents=True, exist_ok=True)
     tpath = out_dir / "trajectory.csv"
     lpath = out_dir / "ledger.csv"
-    _write_trajectory_csv(tpath, traj, cfg.spec.names)
-    _write_ledger_csv(lpath, traj, cfg.spec.names)
+    with _out_errors():
+        _write_trajectory_csv(tpath, traj, cfg.spec.names)
+        _write_ledger_csv(lpath, traj, cfg.spec.names)
     out.write(f"wrote {tpath}\nwrote {lpath}\n")
     return EXIT_OK
 

@@ -23,11 +23,33 @@ def _frozen_array(a, dtype=float) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class SpecIssue:
-    """One violated mixture-spec invariant."""
-    code: str
-    detail: str
+def _pair_matrix(a, what: str) -> np.ndarray:
+    """``a`` as a float array, if it is square (n >= 2) and symmetric; else
+    ``ValueError`` naming ``what`` and the first asymmetric pair.  NaN
+    equals NaN here, so a symmetric NaN is left to the caller's rules."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or len(a) < 2:
+        raise ValueError(f"{what} must be square, at least 2x2, got shape {a.shape}")
+    if not np.array_equal(a, a.T, equal_nan=True):
+        i, j = np.argwhere((a != a.T) & ~(np.isnan(a) & np.isnan(a.T)))[0]
+        raise ValueError(f"{what} must be symmetric: {what}[{i},{j}]={a[i, j].item()!r}"
+                         f" != {what}[{j},{i}]={a[j, i].item()!r}")
+    return a
+
+
+def _inverse_diffusivities(dmat) -> np.ndarray:
+    """1 / D_ij off the diagonal, 0 on it.  This is the one D rule and the
+    one place 1/D is formed: ``dmat`` must be square and symmetric with
+    positive, finite off-diagonal entries, else ``ValueError``.  The
+    diagonal is not read."""
+    d = _pair_matrix(dmat, "dmat")
+    off = ~np.eye(d.shape[0], dtype=bool)
+    d_off = d[off]
+    if not (d_off.min() > 0 and d_off.max() < np.inf):  # NaN fails both
+        raise ValueError("off-diagonal diffusivities must be positive and finite")
+    inv = np.zeros_like(d)
+    inv[off] = 1.0 / d_off
+    return inv
 
 
 @dataclass(frozen=True)
@@ -35,8 +57,9 @@ class MixtureSpec:
     """Species labels and the symmetric matrix of pairwise diffusivities
     (length^2/time).
 
-    The diagonal of ``dmat`` is unused and stored as 0.  Construction is
-    lenient; use :func:`validate_spec` to collect invariant violations.
+    Needs at least 2 names and an (n, n) ``dmat`` with a zero diagonal
+    that passes the D rule (:func:`_inverse_diffusivities`); anything else
+    raises ``ValueError``.
     """
     names: tuple[str, ...]
     dmat: np.ndarray
@@ -44,39 +67,18 @@ class MixtureSpec:
     def __post_init__(self):
         object.__setattr__(self, "names", tuple(str(s) for s in self.names))
         object.__setattr__(self, "dmat", _frozen_array(self.dmat))
+        n, d = self.n, self.dmat
+        if n < 2:
+            raise ValueError(f"need >= 2 species, got {n}")
+        if d.shape != (n, n):
+            raise ValueError(f"dmat shape {d.shape} does not match {n} species")
+        if np.any(np.diag(d) != 0):
+            raise ValueError("dmat diagonal is unused and must be 0")
+        _inverse_diffusivities(d)
 
     @property
     def n(self) -> int:
         return len(self.names)
-
-
-def validate_spec(spec: MixtureSpec) -> list[SpecIssue]:
-    """Check every MixtureSpec invariant and return all violations.
-
-    An empty list means the spec is valid.
-    """
-    issues: list[SpecIssue] = []
-    n = spec.n
-    d = spec.dmat
-    if n < 2:
-        issues.append(SpecIssue("BadDimension", f"need >= 2 species, got {n}"))
-    if d.ndim != 2 or d.shape != (n, n):
-        issues.append(SpecIssue(
-            "BadDimension", f"dmat shape {d.shape} does not match {n} species"))
-        return issues  # remaining checks assume a square matrix
-    asym = np.argwhere(d != d.T)
-    if asym.size:
-        i, j = asym[0]
-        issues.append(SpecIssue(
-            "AsymmetricD", f"dmat[{i},{j}]={d[i, j]!r} != dmat[{j},{i}]={d[j, i]!r}"))
-    off = ~np.eye(n, dtype=bool)
-    if np.any(d[off] <= 0):
-        issues.append(SpecIssue("NonPositiveD", "off-diagonal diffusivities must be > 0"))
-    if not np.all(np.isfinite(d[off])):
-        issues.append(SpecIssue("NonFiniteD", "off-diagonal diffusivities must be finite"))
-    if np.any(np.diag(d) != 0):
-        issues.append(SpecIssue("NonZeroDiagonal", "diagonal entries are unused; store 0"))
-    return issues
 
 
 @dataclass(frozen=True)

@@ -27,24 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EigSolverFailure, NotConvex, SingularSystem
-from .mixture import (Composition, DrivingForce, FluxSet, _first_true, _unbatch,
-                      simplex_basis)
+from .mixture import (Composition, DrivingForce, FluxSet, _first_true,
+                      _inverse_diffusivities, _unbatch, simplex_basis)
 from .thermo import (ThermoModel, _as_x, convexity_check, floor_composition,
                      gamma_matrix)
-
-
-def _inverse_diffusivities(dmat) -> np.ndarray:
-    """1 / D_ij off the diagonal, 0 on it.  This is the one place 1/D is
-    formed, so it checks the raw ``dmat`` of every per-state function: an
-    off-diagonal D_ij that is not positive and finite raises ``ValueError``."""
-    d = np.asarray(dmat, dtype=float)
-    off = ~np.eye(d.shape[0], dtype=bool)
-    d_off = d[off]
-    if not (d_off.min() > 0 and d_off.max() < np.inf):  # NaN fails both
-        raise ValueError("off-diagonal diffusivities must be positive and finite")
-    inv = np.zeros_like(d)
-    inv[off] = 1.0 / d_off
-    return inv
 
 
 def assemble_A(x, dmat) -> np.ndarray:

@@ -11,8 +11,8 @@ DT_REFRESH_STEPS steps.
 Inputs are validated on construction (``Grid1D``, ``Field``, ``Reaction``,
 ``SimConfig``) and by the kernel set-up (species count) at every entry
 point; the step loop then makes one kernel pass per step over plain
-arrays and builds a ``Field`` only at checkpoints.  Exact zeros go
-through ``thermo.floor_composition``.
+arrays, and a checkpoint keeps the array the kernel has just checked.
+Exact zeros go through ``thermo.floor_composition``.
 """
 from __future__ import annotations
 
@@ -22,9 +22,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import MaxStepsExceeded, NotConvex, PositivityViolation
-from .mixture import CLAMP_REL, MixtureSpec
-from .mskernel import (_assemble_A, _fluxes_projected, _inverse_diffusivities,
-                       _operator_reduced)
+from .mixture import CLAMP_REL, MixtureSpec, _inverse_diffusivities
+from .mskernel import _assemble_A, _fluxes_projected, _operator_reduced
 from .thermo import (IDEAL, ThermoModel, _ln_gamma_x, _margules_gamma,
                      floor_composition, gibbs_density)
 
@@ -334,16 +333,19 @@ class Trajectory:
         return self.checkpoints[-1]
 
 
-def _checkpoint(field: Field, model: ThermoModel, w: float,
+def _checkpoint(c: np.ndarray, t: float, h: float, model: ThermoModel, w: float,
                 cum_w: float) -> Checkpoint:
+    """Snapshot of ``c``, which the kernel has checked and nothing writes
+    again; it is made read-only, not copied."""
+    c.setflags(write=False)
     return Checkpoint(
-        time=field.time,
-        c=field.c,
-        masses=field.c.sum(axis=0) * field.grid.h,
-        entropy=gibbs_density(model, field.c) * field.grid.h,
+        time=t,
+        c=c,
+        masses=c.sum(axis=0) * h,
+        entropy=gibbs_density(model, c) * h,
         dissipation=w,
         cumulative_dissipation=cum_w,
-        min_concentration=float(field.c.min()),
+        min_concentration=float(c.min()),
     )
 
 
@@ -354,21 +356,19 @@ def simulate(initial: Field, spec: MixtureSpec, model: ThermoModel | None = None
 
     Validation happens at entry (``initial`` and ``config`` check
     themselves; the species counts of ``spec`` and ``initial`` must
-    agree); the loop steps plain arrays and builds a ``Field`` only at
-    checkpoints.  Raises ``MaxStepsExceeded``, ``PositivityViolation``,
-    or ``NotConvex``.
+    agree); the loop steps plain arrays and checks nothing twice.  Raises
+    ``MaxStepsExceeded``, ``PositivityViolation``, or ``NotConvex``.
     """
     if config is None:
         raise ValueError("a SimConfig is required")
-    grid = initial.grid
     kernel = _Kernel(spec, model, initial)
     model = kernel.model
     st = kernel(initial.c, bound=True)
     w, cum_w = st.w, 0.0
-    traj = Trajectory(grid=grid, names=spec.names)
-    traj.checkpoints.append(_checkpoint(initial, model, w, cum_w))
-
+    traj = Trajectory(grid=initial.grid, names=spec.names)
     t = initial.time
+    traj.checkpoints.append(_checkpoint(initial.c, t, kernel.h, model, w, cum_w))
+
     interval = config.cp_interval
     next_cp = t + interval
     tiny = 1e-12 * config.t_end
@@ -386,8 +386,8 @@ def simulate(initial: Field, spec: MixtureSpec, model: ThermoModel | None = None
         if steps > config.max_steps:
             raise MaxStepsExceeded(f"{steps} steps at t = {t!r}")
         if t >= next_cp - tiny:
-            traj.checkpoints.append(_checkpoint(Field(c, grid, t), model, w, cum_w))
+            traj.checkpoints.append(_checkpoint(c, t, kernel.h, model, w, cum_w))
             next_cp += interval
     if traj.checkpoints[-1].time < t - tiny:
-        traj.checkpoints.append(_checkpoint(Field(st.c, grid, t), model, w, cum_w))
+        traj.checkpoints.append(_checkpoint(st.c, t, kernel.h, model, w, cum_w))
     return traj

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateComposition
-from .mixture import (Composition, DrivingForce, _check_zero_sum, _unbatch,
-                      simplex_basis)
+from .mixture import (Composition, DrivingForce, _check_zero_sum, _frozen_array,
+                      _pair_matrix, _unbatch, simplex_basis)
 
 #: Compositions with any fraction below this floor (or a NaN) are
 #: degenerate for quantities involving ln(x) or 1/x.  floor_composition
@@ -40,21 +40,19 @@ X_FLOOR = 1e-12
 class ThermoModel:
     """Ideal or two-suffix Margules activity model.
 
-    ``amat`` is the symmetric, zero-diagonal interaction matrix; ``None``
-    means ideal (identical to Margules with a zero matrix).
+    ``amat`` is the interaction matrix: square, symmetric, finite and
+    zero on the diagonal, else ``ValueError``.  ``None`` means ideal
+    (identical to Margules with a zero matrix).
     """
     amat: np.ndarray | None = None
 
     def __post_init__(self):
         if self.amat is not None:
-            a = np.array(self.amat, dtype=float)
-            if a.ndim != 2 or a.shape[0] != a.shape[1]:
-                raise ValueError(f"interaction matrix must be square, got {a.shape}")
-            if not np.array_equal(a, a.T):
-                raise ValueError("interaction matrix must be symmetric")
+            a = _pair_matrix(_frozen_array(self.amat), "amat")
+            if not np.all(np.isfinite(a)):
+                raise ValueError("amat entries must be finite")
             if np.any(np.diag(a) != 0):
-                raise ValueError("interaction matrix must have zero diagonal")
-            a.setflags(write=False)
+                raise ValueError("amat must have zero diagonal")
             object.__setattr__(self, "amat", a)
 
     @classmethod

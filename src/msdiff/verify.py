@@ -8,7 +8,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import NonMonotoneFlux
-from .mixture import MixtureSpec, _unbatch
+from .mixture import MixtureSpec, _inverse_diffusivities, _unbatch
 from .mskernel import assemble_B
 from .solver import Field, Grid1D, Trajectory, face_fluxes
 from .thermo import ThermoModel, _as_x
@@ -62,13 +62,13 @@ def entropy_ledger(trajectory: Trajectory, model: ThermoModel | None = None) -> 
     if neg.size:
         k = int(neg[0])
         violations.append(
-            f"dissipation W = {w[k]!r} < 0 at checkpoint {k} (t = {t[k]!r})")
+            f"dissipation W = {float(w[k])!r} < 0 at checkpoint {k} (t = {float(t[k])!r})")
     excess = np.nonzero(v + cum > v[0] + LYAP_TOL_REL * v0)[0]
     if excess.size:
         k = int(excess[0])
         violations.append(
-            f"Lyapunov balance violated at checkpoint {k} (t = {t[k]!r}): "
-            f"V + int W - V0 = {v[k] + cum[k] - v[0]!r}")
+            f"Lyapunov balance violated at checkpoint {k} (t = {float(t[k])!r}): "
+            f"V + int W - V0 = {float(v[k] + cum[k] - v[0])!r}")
     return EntropyLedger(times=t, entropy=v, dissipation=w,
                          cumulative_dissipation=cum,
                          ok=not violations, violations=violations)
@@ -191,6 +191,7 @@ def ternary_closed_forms(x, dmat) -> TernaryReport:
     """
     x = _as_x(x)
     d = np.asarray(dmat, dtype=float)
+    _inverse_diffusivities(d)  # the D rule, before the closed forms divide by D
     if x.shape[-1:] != (3,) or d.shape != (3, 3):
         raise ValueError("ternary closed forms require exactly 3 species")
     d12, d13, d23 = d[0, 1], d[0, 2], d[1, 2]

@@ -65,8 +65,20 @@ class TestLoadConfig:
 
     def test_invalid_mixture_reported_with_code(self, tmp_path):
         cfg = {"mixture": {"names": ["A", "B"], "dmat": [[0, 1], [2, 0]]}}
-        with pytest.raises(ConfigError, match="AsymmetricD"):
+        with pytest.raises(ConfigError, match=r"^mixture: dmat must be symmetric: "
+                           r"dmat\[0,1\]=1\.0 != dmat\[1,0\]=2\.0$"):
             load_config(_write(tmp_path, cfg))
+
+    @pytest.mark.parametrize("dmat,err", [
+        ([[0, 1, 2], [3, 0, 1], [2, 1, 0]],
+         "mixture: dmat must be symmetric: dmat[0,1]=1.0 != dmat[1,0]=3.0"),
+        ([[0, 1, 2], [1, 0, 1]], "mixture: dmat shape (2, 3) does not match 3 species"),
+        ([[1, 1, 2], [1, 0, 1], [2, 1, 0]], "mixture: dmat diagonal is unused and must be 0"),
+    ])
+    def test_bad_dmat_exits_2_with_one_line(self, tmp_path, capsys, dmat, err):
+        cfg = dict(BASE, mixture={"names": ["A", "B", "C"], "dmat": dmat},
+                   composition={"x": [0.2, 0.3, 0.5]})
+        assert _config_error(tmp_path, capsys, cfg) == f"config error: {err}\n"
 
     def test_gradients_must_balance(self, tmp_path):
         cfg = dict(BASE, gradients=[0.1, 0.0])
@@ -486,6 +498,40 @@ class TestSimulateCommand:
         code, _ = _run(["simulate", "--config", _write(tmp_path, cfg),
                         "--out", str(tmp_path / "zeros")])
         assert code == EXIT_OK
+
+    @pytest.mark.parametrize("out", ["file", "file/sub"])
+    def test_unusable_out_exits_2_before_the_run(self, tmp_path, monkeypatch, capsys, out):
+        def run(*args, **kwargs):
+            raise AssertionError("simulate ran although --out is unusable")
+        monkeypatch.setattr(msdiff.cli, "simulate", run)
+        (tmp_path / "file").write_text("")
+        code, stdout = _run(["simulate", "--config", _write(tmp_path, SIM),
+                             "--out", str(tmp_path / out)])
+        err = capsys.readouterr().err
+        assert (code, stdout) == (EXIT_CONFIG, "")
+        assert err.count("\n") == 1 and err.startswith("config error: --out: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("blocked", ["trajectory.csv", "ledger.csv"])
+    def test_unwritable_csv_exits_2(self, tmp_path, capsys, blocked):
+        (tmp_path / "out" / blocked).mkdir(parents=True)  # a directory in its place
+        code, stdout = _run(["simulate", "--config", _write(tmp_path, SIM),
+                             "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert (code, stdout) == (EXIT_CONFIG, "")
+        assert err.count("\n") == 1 and err.startswith("config error: --out: ")
+        assert blocked in err
+
+    def test_infinite_amat_exits_2(self, tmp_path, capsys):
+        cfg = json.loads(json.dumps(SIM))
+        cfg["thermo"] = {"model": "margules", "amat": [[0.0, "INF"], ["INF", 0.0]]}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg).replace('"INF"', "1e999"))  # JSON overflows to inf
+        code, stdout = _run(["simulate", "--config", str(path),
+                             "--out", str(tmp_path / "out")])
+        assert (code, stdout) == (EXIT_CONFIG, "")
+        assert capsys.readouterr().err == "config error: thermo: amat entries must be finite\n"
+        assert not (tmp_path / "out").exists()
 
     def test_reactions_parse_by_name(self, tmp_path):
         cfg = json.loads(json.dumps(SIM))

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from msdiff import (IDEAL, Composition, DrivingForce, FluxSet, MixtureSpec,
-                    driving_force, mole_fractions, validate_spec)
+                    driving_force, mole_fractions)
 from msdiff.errors import NegativeConcentration, NonPositiveTotal
 
 
@@ -84,35 +84,56 @@ class TestCompositionInvariants:
 
 
 class TestValidateSpec:
+    """MixtureSpec checks itself: each rule raises ``ValueError`` at
+    construction, at the first violation."""
+
     def test_ok(self):
         spec = MixtureSpec(names=("A", "B"), dmat=[[0, 1], [1, 0]])
-        assert validate_spec(spec) == []
+        assert spec.n == 2 and not spec.dmat.flags.writeable
 
     def test_asymmetric(self):
-        spec = MixtureSpec(names=("A", "B"), dmat=[[0, 1], [2, 0]])
-        codes = [i.code for i in validate_spec(spec)]
-        assert "AsymmetricD" in codes
+        with pytest.raises(ValueError,
+                           match=r"dmat must be symmetric: dmat\[0,1\]=1\.0 != dmat\[1,0\]=2\.0"):
+            MixtureSpec(names=("A", "B"), dmat=[[0, 1], [2, 0]])
 
     def test_nonpositive(self):
-        spec = MixtureSpec(names=("A", "B"), dmat=[[0, -1], [-1, 0]])
-        codes = [i.code for i in validate_spec(spec)]
-        assert "NonPositiveD" in codes
+        with pytest.raises(ValueError, match="diffusivities must be positive and finite"):
+            MixtureSpec(names=("A", "B"), dmat=[[0, -1], [-1, 0]])
 
     @pytest.mark.parametrize("value", [np.inf, np.nan])
     def test_non_finite(self, value):
-        spec = MixtureSpec(names=("A", "B"), dmat=[[0, value], [value, 0]])
-        codes = [i.code for i in validate_spec(spec)]
-        assert "NonFiniteD" in codes
+        with pytest.raises(ValueError, match="diffusivities must be positive and finite"):
+            MixtureSpec(names=("A", "B"), dmat=[[0, value], [value, 0]])
 
     def test_bad_dimension(self):
-        spec = MixtureSpec(names=("A", "B", "C"), dmat=[[0, 1], [1, 0]])
-        codes = [i.code for i in validate_spec(spec)]
-        assert codes == ["BadDimension"]
+        with pytest.raises(ValueError, match=r"dmat shape \(2, 2\) does not match 3 species"):
+            MixtureSpec(names=("A", "B", "C"), dmat=[[0, 1], [1, 0]])
 
-    def test_reports_all_violations(self):
-        spec = MixtureSpec(names=("A", "B"), dmat=[[0, -1], [2, 0]])
-        codes = {i.code for i in validate_spec(spec)}
-        assert {"AsymmetricD", "NonPositiveD"} <= codes
+    @pytest.mark.parametrize("dmat", [[0, 1], [[0, 1, 2], [1, 0, 1]], [[[0, 1], [1, 0]]]])
+    def test_dmat_must_be_n_by_n(self, dmat):
+        with pytest.raises(ValueError, match="does not match 2 species"):
+            MixtureSpec(names=("A", "B"), dmat=dmat)
+
+    @pytest.mark.parametrize("names", [(), ("A",)])
+    def test_fewer_than_two_species(self, names):
+        with pytest.raises(ValueError, match=f"need >= 2 species, got {len(names)}"):
+            MixtureSpec(names=names, dmat=np.zeros((len(names), len(names))))
+
+    @pytest.mark.parametrize("diag", [1.0, np.nan])
+    def test_nonzero_diagonal(self, diag):
+        with pytest.raises(ValueError, match="dmat diagonal is unused and must be 0"):
+            MixtureSpec(names=("A", "B"), dmat=[[diag, 1], [1, 0]])
+
+    def test_rejects_at_the_first_violation(self):
+        # asymmetric and nonpositive: one error, not a list
+        with pytest.raises(ValueError, match="dmat must be symmetric") as info:
+            MixtureSpec(names=("A", "B"), dmat=[[0, -1], [2, 0]])
+        assert "positive" not in str(info.value)
+
+    def test_motivating_asymmetric_ternary(self):
+        # the matrix that once gave fluxes, a spectrum and a full simulation
+        with pytest.raises(ValueError, match=r"dmat\[0,1\]=1\.0 != dmat\[1,0\]=3\.0"):
+            MixtureSpec(names=("A", "B", "C"), dmat=[[0, 1, 2], [3, 0, 1], [2, 1, 0]])
 
 
 class TestZeroSumVectors:

@@ -5,12 +5,13 @@ import pytest
 from msdiff import (IDEAL, Composition, FluxSet, ThermoModel, assemble_A,
                     assemble_A_sym, assemble_B, diffusion_operator_spectrum,
                     mole_fractions, solve_fluxes_invariant,
-                    solve_fluxes_reduced, spectral_gap_delta, spectrum)
+                    solve_fluxes_reduced, spectral_gap_delta, spectrum,
+                    ternary_closed_forms)
 from msdiff import mskernel
 from msdiff.errors import DegenerateComposition, NotConvex, SingularSystem
-from msdiff.mixture import _unbatch, simplex_basis
+from msdiff.mixture import _inverse_diffusivities, _unbatch, simplex_basis
 from msdiff.mskernel import (_diffusion_matrix_reduced, _gauss_solve,
-                             _inverse_diffusivities, _solve_reduced)
+                             _solve_reduced)
 from msdiff.thermo import _as_x, floor_composition
 
 
@@ -140,6 +141,7 @@ RAW_DMAT_CALLS = {
     "assemble_A": assemble_A,
     "assemble_A_sym": assemble_A_sym,
     "assemble_B": assemble_B,
+    "ternary_closed_forms": ternary_closed_forms,
 }
 
 
@@ -150,6 +152,27 @@ def test_raw_dmat_must_be_positive_and_finite(call, value):
     # D = 0 used to give NaN eigenvalues from spectrum, with warnings
     d = np.array([[0.0, value, 1.0], [value, 0.0, 2.0], [1.0, 2.0, 0.0]])
     with pytest.raises(ValueError, match="diffusivities must be positive and finite"):
+        RAW_DMAT_CALLS[call]([0.2, 0.3, 0.5], d)
+
+
+#: dmat -> the message it must raise; the asymmetric one once gave
+#: fluxes, a positive operator spectrum and eigvalsh of half of A_S.
+BAD_SHAPE_DMAT = {
+    "asymmetric": ([[0.0, 1.0, 2.0], [3.0, 0.0, 1.0], [2.0, 1.0, 0.0]],
+                   r"dmat must be symmetric: dmat\[0,1\]=1\.0 != dmat\[1,0\]=3\.0"),
+    "non-square": ([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0]],
+                   r"dmat must be square, at least 2x2, got shape \(2, 3\)"),
+    "vector": ([1.0, 2.0, 3.0], r"dmat must be square, at least 2x2, got shape \(3,\)"),
+    "1x1": ([[1.0]], r"dmat must be square, at least 2x2, got shape \(1, 1\)"),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", sorted(BAD_SHAPE_DMAT))
+@pytest.mark.parametrize("call", sorted(RAW_DMAT_CALLS))
+def test_raw_dmat_must_be_square_and_symmetric(call, case):
+    d, match = BAD_SHAPE_DMAT[case]
+    with pytest.raises(ValueError, match=match):
         RAW_DMAT_CALLS[call]([0.2, 0.3, 0.5], d)
 
 

@@ -333,6 +333,19 @@ class TestSimulate:
         for cp in traj.checkpoints[1:]:
             np.testing.assert_allclose(cp.masses, m0, rtol=1e-12)
 
+    def test_checkpoints_keep_read_only_states_and_build_no_field(self, monkeypatch):
+        fld = _binary_step_field(ncells=10)
+
+        def no_field(self):
+            raise AssertionError("simulate re-validated a state as a Field")
+        monkeypatch.setattr(Field, "__post_init__", no_field)
+        traj = simulate(fld, BINARY, config=SimConfig(t_end=0.01, checkpoint_interval=0.004))
+        np.testing.assert_allclose(traj.times, [0, 0.004, 0.008, 0.01], atol=1e-15)
+        assert len({id(cp.c) for cp in traj.checkpoints}) == 4
+        for cp in traj.checkpoints:
+            assert not cp.c.flags.writeable
+            np.testing.assert_array_equal(cp.masses, cp.c.sum(axis=0) * fld.grid.h)
+
     def test_entropy_monotone_decreasing(self):
         fld = _binary_step_field(ncells=30)
         traj = simulate(fld, BINARY, config=SimConfig(t_end=0.1))

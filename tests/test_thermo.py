@@ -177,6 +177,26 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             ThermoModel.margules([[1, 0], [0, 1]])
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_rejected(self, value):
+        with pytest.raises(ValueError, match="amat entries must be finite"):
+            ThermoModel.margules([[0, value], [value, 0]])
+
+    @pytest.mark.parametrize("amat,match", [
+        ([[0, 1], [2, 0]], r"amat must be symmetric: amat\[0,1\]=1\.0 != amat\[1,0\]=2\.0"),
+        ([[0, 1, 1], [1, 0, 1]], r"amat must be square, at least 2x2, got shape \(2, 3\)"),
+        ([[0]], r"amat must be square, at least 2x2, got shape \(1, 1\)"),
+    ])
+    def test_pair_matrix_rule_names_amat(self, amat, match):
+        with pytest.raises(ValueError, match=match):
+            ThermoModel.margules(amat)
+
+    def test_stored_read_only(self):
+        amat = np.array([[0.0, 1.0], [1.0, 0.0]])
+        model = ThermoModel.margules(amat)
+        amat[0, 1] = 5.0
+        assert model.amat[0, 1] == 1.0 and not model.amat.flags.writeable
+
     def test_dimension_mismatch(self):
         model = ThermoModel.margules([[0, 1], [1, 0]])
         with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ from msdiff import (IDEAL, Field, Grid1D, MixtureSpec, SimConfig, ThermoModel,
                     detect_uphill, entropy_ledger, filtration_oracle, simulate,
                     ternary_closed_forms)
 from msdiff.errors import NonMonotoneFlux
-from msdiff.solver import Trajectory
+from msdiff.solver import Checkpoint, Trajectory
 
 BINARY = MixtureSpec(names=("A", "B"), dmat=[[0.0, 1.0], [1.0, 0.0]])
 
@@ -45,6 +45,28 @@ class TestEntropyLedger:
         led = entropy_ledger(rev)
         assert not led.ok
         assert any("Lyapunov" in v for v in led.violations)
+
+    @staticmethod
+    def _ledger_with_w(w1):
+        """Ledger of three checkpoints with V = -2 throughout, W = 0
+        except W = ``w1`` at checkpoint 1 (t = 0.25)."""
+        grid = Grid1D(ncells=2, length=1.0)
+        c = np.full((2, 2), 0.5)
+        cps = [Checkpoint(time=t, c=c, masses=c.sum(axis=0) * grid.h, entropy=-2.0,
+                          dissipation=w, cumulative_dissipation=0.0,
+                          min_concentration=0.5)
+               for t, w in [(0.0, 0.0), (0.25, w1), (0.5, 0.0)]]
+        return entropy_ledger(Trajectory(grid=grid, names=("A", "B"), checkpoints=cps))
+
+    def test_negative_dissipation_is_flagged(self):
+        led = self._ledger_with_w(-2e-10 * 2.0)  # twice the tolerance
+        assert not led.ok
+        assert led.violations == [
+            f"dissipation W = {-4e-10!r} < 0 at checkpoint 1 (t = 0.25)"]
+
+    def test_negative_dissipation_within_tolerance_passes(self):
+        led = self._ledger_with_w(-0.5e-10 * 2.0)
+        assert led.ok and led.violations == []
 
     def test_defect_shrinks_with_smaller_steps(self):
         grid = Grid1D(ncells=30, length=1.0)
