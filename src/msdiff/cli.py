@@ -19,8 +19,9 @@ import csv
 import dataclasses
 import io
 import json
+import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 import numpy as np
@@ -325,13 +326,32 @@ def cmd_simulate(cfg: RunConfig, out, out_dir: Path) -> int:
     with _out_errors():  # before the run, so a bad --out costs none of it
         out_dir.mkdir(parents=True, exist_ok=True)
     traj = simulate(cfg.initial, cfg.spec, cfg.model, cfg.reactions, cfg.sim)
-    tpath = out_dir / "trajectory.csv"
-    lpath = out_dir / "ledger.csv"
+    writers = {out_dir / "trajectory.csv": _write_trajectory_csv,
+               out_dir / "ledger.csv": _write_ledger_csv}
     with _out_errors():
-        _write_trajectory_csv(tpath, traj, cfg.spec.names)
-        _write_ledger_csv(lpath, traj, cfg.spec.names)
-    out.write(f"wrote {tpath}\nwrote {lpath}\n")
+        _write_together(writers, traj, cfg.spec.names)
+    out.write("".join(f"wrote {path}\n" for path in writers))
     return EXIT_OK
+
+
+def _write_together(writers: dict, traj, names) -> None:
+    """Each ``path: write`` pair writes ``path``, first under a temporary
+    name beside it; the files move into place only after every one is
+    written, so a failed write leaves no new file beside a stale one.  On
+    an ``OSError`` this run's files are removed and the error re-raised."""
+    tmps = {path: path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in writers}
+    moved = []
+    try:
+        for path, write in writers.items():
+            write(tmps[path], traj, names)
+        for path, tmp in tmps.items():
+            tmp.replace(path)
+            moved.append(path)
+    except OSError:
+        for path in [*tmps.values(), *moved]:
+            with suppress(OSError):
+                path.unlink(missing_ok=True)
+        raise
 
 
 #: Random states drawn per ``verify`` check.

@@ -36,6 +36,11 @@ class PositivityViolation(MsDiffError):
     time stepping; signals a CFL or model breach."""
 
 
+class NonFiniteState(MsDiffError):
+    """A concentration became NaN or infinite during time stepping, e.g.
+    when reaction rates overflow."""
+
+
 class MaxStepsExceeded(MsDiffError):
     """The simulation hit the configured step limit before t_end."""
 

@@ -13,6 +13,12 @@ E (primary) and the reduced (n-1)x(n-1) system via the B matrix, solved
 by Gaussian elimination with partial pivoting; the
 tests add a third, the bordered matrix A - mu (x (x) e).
 
+A(x) is linear in x, and so is its restriction K = P^T A P to E (P the
+orthonormal zero-sum basis): K(x) = sum_k x_k T_k.  The tensor T
+(:func:`_reduced_tensor`) depends on D alone, so the projected route,
+the diffusion operator and the simulator's step kernel all form K as one
+matrix product x @ T (:func:`_reduced_A`), with no (n, n) A on the way.
+
 Compositions and forces are shaped (..., n) and every public per-state
 function is batched over the leading axes, with the domain types of
 :mod:`msdiff.mixture` batched the same way.  One state is the batch of
@@ -115,21 +121,30 @@ def spectrum(x, dmat) -> SpectrumReport:
     return SpectrumReport(eigenvalues=w, delta=delta, gap_ok=_unbatch(gap_ok))
 
 
-def _reduce(m: np.ndarray) -> np.ndarray:
-    """P^T m P for n x n matrices m (batched), P the zero-sum basis."""
-    p = simplex_basis(m.shape[-1])
-    return p.T @ m @ p
+def _reduced_tensor(inv: np.ndarray) -> np.ndarray:
+    """T shaped (n, m*m), m = n - 1, from the inverse diffusivities: row k
+    is T_k = P^T E_k P with (E_k)_ij = delta_ik / D_kj - delta_ij / D_ik,
+    so that A(x) = sum_k x_k E_k and K(x) = P^T A(x) P = x @ T."""
+    n = inv.shape[0]
+    p = simplex_basis(n)
+    t = p[:, :, None] * (inv @ p)[:, None, :] - np.einsum("ai,ak,aj->kij", p, inv, p)
+    return t.reshape(n, -1)
 
 
-def _fluxes_projected(d, a, c_tot) -> tuple[np.ndarray, np.ndarray]:
+def _reduced_A(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """K(x) = P^T A(x) P as x @ T (T from :func:`_reduced_tensor`),
+    batched over leading axes of ``x``; no floor."""
+    m = x.shape[-1] - 1
+    return (x @ t).reshape(x.shape[:-1] + (m, m))
+
+
+def _fluxes_projected(d, k, c_tot) -> np.ndarray:
     """Batched solve of A J = c_tot d by projection onto the zero-sum
-    subspace.  ``d`` shaped (..., n), ``a`` (..., n, n); ``c_tot`` scalar
-    or (...).  Returns J and the reduced matrix K = P^T A P."""
+    subspace, from K = P^T A P.  ``d`` shaped (..., n), ``k`` (..., m, m);
+    ``c_tot`` scalar or (...).  Returns J; P^T drops any mean of ``d``."""
     p = simplex_basis(d.shape[-1])
-    k = _reduce(a)
     rhs = (np.asarray(c_tot)[..., None] * d) @ p
-    y = _solve_reduced(k, rhs[..., None])[..., 0]
-    return y @ p.T, k
+    return _solve_reduced(k, rhs[..., None])[..., 0] @ p.T
 
 
 def _solve_reduced(k: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -153,9 +168,11 @@ def solve_fluxes_invariant(comp: Composition, dmat, d) -> FluxSet:
     Verifies each row's residual of the singular system before returning.
     """
     dv = _as_d(d)
-    a = assemble_A(comp, dmat)
+    x = floor_composition(comp)
+    inv = _inverse_diffusivities(dmat)
+    a = _assemble_A(x, inv)  # for the residual check
     c_tot = np.asarray(comp.c_tot)
-    j, _ = _fluxes_projected(dv, a, c_tot)
+    j = _fluxes_projected(dv, _reduced_A(x, _reduced_tensor(inv)), c_tot)
     resid = np.linalg.norm((a @ j[..., None])[..., 0] - c_tot[..., None] * dv, axis=-1)
     scale = (np.linalg.norm(a, axis=(-2, -1)) * np.linalg.norm(j, axis=-1)
              + c_tot * np.linalg.norm(dv, axis=-1))
@@ -218,13 +235,14 @@ def _diffusion_matrix_reduced(x, dmat, model: ThermoModel) -> np.ndarray:
     -J(v), where J solves A J = Gamma v (the c_tot factors cancel).
     Batched over leading axes of a floored ``x``.
     """
-    k = _reduce(_assemble_A(x, _inverse_diffusivities(dmat)))
-    return _operator_reduced(k, gamma_matrix(model, x))
+    k = _reduced_A(x, _reduced_tensor(_inverse_diffusivities(dmat)))
+    p = simplex_basis(x.shape[-1])
+    return _operator_reduced(k, p.T @ gamma_matrix(model, x) @ p)
 
 
 def _operator_reduced(k: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """M = -K^{-1} (P^T Gamma P) from K = P^T A P, batched."""
-    return -_solve_reduced(k, _reduce(g))
+    """M = -K^{-1} G from K = P^T A P and G = P^T Gamma P, batched."""
+    return -_solve_reduced(k, g)
 
 
 def diffusion_operator_spectrum(x, dmat, model: ThermoModel,

@@ -12,7 +12,14 @@ Inputs are validated on construction (``Grid1D``, ``Field``, ``Reaction``,
 ``SimConfig``) and by the kernel set-up (species count) at every entry
 point; the step loop then makes one kernel pass per step over plain
 arrays, and a checkpoint keeps the array the kernel has just checked.
-Exact zeros go through ``thermo.floor_composition``.
+Exact zeros go through ``thermo.floor_composition``.  A step that leaves
+a NaN or -inf in the state raises ``NonFiniteState``.
+
+The kernel's set-up builds per-run tensors from D (and the Margules A),
+so that each step forms the reduced flux-force matrices of all faces as
+one product K = x_f @ T (:func:`msdiff.mskernel._reduced_A`), applies
+Gamma to the forces without forming it, and on refresh steps forms
+P^T Gamma P from one more product (:mod:`msdiff.thermo`).
 """
 from __future__ import annotations
 
@@ -21,11 +28,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import MaxStepsExceeded, NotConvex, PositivityViolation
+from .errors import (MaxStepsExceeded, NonFiniteState, NotConvex,
+                     PositivityViolation)
 from .mixture import CLAMP_REL, MixtureSpec, _inverse_diffusivities
-from .mskernel import _assemble_A, _fluxes_projected, _operator_reduced
-from .thermo import (IDEAL, ThermoModel, _ln_gamma_x, _margules_gamma,
-                     floor_composition, gibbs_density)
+from .mskernel import (_fluxes_projected, _operator_reduced, _reduced_A,
+                       _reduced_tensor)
+from .thermo import (IDEAL, ThermoModel, _gamma_dot, _gamma_tensor, _ln_gamma_x,
+                     _reduced_gamma, floor_composition, gibbs_density)
 
 #: Relative tolerance on per-cell total-concentration uniformity.
 ISOBARIC_TOL = 1e-8
@@ -188,8 +197,8 @@ class _State(NamedTuple):
 def _uniform_total(totals: np.ndarray) -> float:
     """Mean per-cell total concentration; raises ``ValueError`` unless it
     is positive and every cell is within ISOBARIC_TOL of it."""
-    ref = float(totals.mean())
-    if not (ref > 0 and np.max(np.abs(totals - ref)) <= ISOBARIC_TOL * ref):
+    ref = float(totals.sum() / totals.size)  # the bits of totals.mean()
+    if not (ref > 0 and np.abs(totals - ref).max() <= ISOBARIC_TOL * ref):
         raise ValueError("per-cell total concentration must be positive and uniform")
     return ref
 
@@ -203,9 +212,10 @@ class _Kernel:
             raise ValueError(
                 f"field has {field.nspecies} species, mixture has {spec.n} species")
         self.model, self.h = model or IDEAL, field.grid.h
-        self.inv = _inverse_diffusivities(spec.dmat)
+        self.t = _reduced_tensor(_inverse_diffusivities(spec.dmat))
         # None on the ideal path, where Gamma = I is skipped
         self.amat = None if self.model.is_ideal else self.model.interactions(spec.n)
+        self.s = None if self.amat is None else _gamma_tensor(self.amat)
 
     def __call__(self, c: np.ndarray, bound: bool = False) -> _State:
         """Face compositions are floored arithmetic means, shared by the flux
@@ -217,19 +227,18 @@ class _Kernel:
         xf = floor_composition(xf / xf.sum(axis=1, keepdims=True))
         d = (x[1:] - x[:-1]) / self.h
         mu = _ln_gamma_x(self.model, floor_composition(x))
-        g = None
         if self.amat is not None:
-            g = _margules_gamma(xf, self.amat)
-            d = np.einsum("fij,fj->fi", g, d)
-        d -= d.mean(axis=1, keepdims=True)
-        ctf = 0.5 * (totals[:-1, 0] + totals[1:, 0])
-        j, k = _fluxes_projected(d, _assemble_A(xf, self.inv), ctf)
+            xa = xf @ self.amat
+            d = _gamma_dot(xf, xa, self.amat, d)
+        k = _reduced_A(xf, self.t)
+        j = _fluxes_projected(d, k, 0.5 * (totals[:-1, 0] + totals[1:, 0]))
         jf = np.zeros((c.shape[0] + 1, c.shape[1]))
         jf[1:-1] = j
-        w = float(-np.sum(j * (mu[1:] - mu[:-1])))
+        w = float(-(j * (mu[1:] - mu[:-1])).sum())
         lam = None
         if bound:
-            m = _operator_reduced(k, np.eye(c.shape[1]) if g is None else g)
+            g = np.eye(k.shape[-1]) if self.s is None else _reduced_gamma(xf, xa, self.s)
+            m = _operator_reduced(k, g)
             # binary mixtures: M is 1x1 per face, its own eigenvalue
             lam = m[..., 0] if m.shape[-1] == 1 else np.linalg.eigvals(m).real
         return _State(c=c, c_tot=c_tot, jf=jf, w=w, lam=lam)
@@ -296,12 +305,16 @@ def _advance(st: _State, reactions: ReactionNetwork, dt: float, t: float,
     if reactions.reactions:
         rhs = rhs + reactions.rates(st.c)
     cn = st.c + dt * rhs
-    if np.any(cn < -CLAMP_REL * st.c_tot):
-        cell, sp = np.unravel_index(np.argmin(cn), cn.shape)
+    lo = cn.min()  # NaN if any entry is NaN
+    if not lo >= -CLAMP_REL * st.c_tot:
+        cell, sp = np.unravel_index(np.argmin(cn), cn.shape)  # the first NaN, if any
+        if not np.isfinite(lo):
+            raise NonFiniteState(f"c[{cell},{sp}] = {float(lo)!r} at t = {t + dt!r} "
+                                 "(overflow or an invalid operation)")
         raise PositivityViolation(
             f"c[{cell},{sp}] = {cn[cell, sp]!r} at t = {t + dt!r} "
             "(CFL or model breach)")
-    np.clip(cn, 0.0, None, out=cn)
+    np.maximum(cn, 0.0, out=cn)
     return cn
 
 
@@ -357,7 +370,8 @@ def simulate(initial: Field, spec: MixtureSpec, model: ThermoModel | None = None
     Validation happens at entry (``initial`` and ``config`` check
     themselves; the species counts of ``spec`` and ``initial`` must
     agree); the loop steps plain arrays and checks nothing twice.  Raises
-    ``MaxStepsExceeded``, ``PositivityViolation``, or ``NotConvex``.
+    ``MaxStepsExceeded``, ``PositivityViolation``, ``NonFiniteState``, or
+    ``NotConvex``.
     """
     if config is None:
         raise ValueError("a SimConfig is required")
@@ -373,21 +387,24 @@ def simulate(initial: Field, spec: MixtureSpec, model: ThermoModel | None = None
     next_cp = t + interval
     tiny = 1e-12 * config.t_end
     steps = 0
-    while t < config.t_end - tiny:
-        if steps % DT_REFRESH_STEPS == 0:
-            dt_bound = kernel.dt_bound(st, reactions, config.cfl_safety)
-        dt = min(dt_bound, config.t_end - t, next_cp - t)
-        c = _advance(st, reactions, dt, t, kernel.h)
-        t += dt
-        steps += 1
-        st = kernel(c, bound=steps % DT_REFRESH_STEPS == 0)
-        cum_w += 0.5 * (w + st.w) * dt
-        w = st.w
-        if steps > config.max_steps:
-            raise MaxStepsExceeded(f"{steps} steps at t = {t!r}")
-        if t >= next_cp - tiny:
-            traj.checkpoints.append(_checkpoint(c, t, kernel.h, model, w, cum_w))
-            next_cp += interval
+    # an overflow or invalid operation leaves a NaN or -inf in the state,
+    # which _advance raises as NonFiniteState; numpy need not warn as well
+    with np.errstate(over="ignore", invalid="ignore"):
+        while t < config.t_end - tiny:
+            if steps % DT_REFRESH_STEPS == 0:
+                dt_bound = kernel.dt_bound(st, reactions, config.cfl_safety)
+            dt = min(dt_bound, config.t_end - t, next_cp - t)
+            c = _advance(st, reactions, dt, t, kernel.h)
+            t += dt
+            steps += 1
+            st = kernel(c, bound=steps % DT_REFRESH_STEPS == 0)
+            cum_w += 0.5 * (w + st.w) * dt
+            w = st.w
+            if steps > config.max_steps:
+                raise MaxStepsExceeded(f"{steps} steps at t = {t!r}")
+            if t >= next_cp - tiny:
+                traj.checkpoints.append(_checkpoint(c, t, kernel.h, model, w, cum_w))
+                next_cp += interval
     if traj.checkpoints[-1].time < t - tiny:
         traj.checkpoints.append(_checkpoint(st.c, t, kernel.h, model, w, cum_w))
     return traj

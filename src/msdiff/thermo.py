@@ -9,6 +9,9 @@ The nonideal family is the multicomponent two-suffix Margules model,
     ln gamma_i = sum_j A_ij x_j - g_excess,
 
 which reduces to the classical binary closed form ln gamma_1 = A x_2^2.
+Its Gamma = I + diag(x) A - x (A x)^T is affine in x, so the simulator
+applies and reduces it without forming it (:func:`_gamma_dot`,
+:func:`_reduced_gamma`).
 
 Functions accept either a :class:`~msdiff.mixture.Composition` or a plain
 mole-fraction array shaped (..., n).  The per-state functions
@@ -118,13 +121,32 @@ def gamma_matrix(model: ThermoModel, x) -> np.ndarray:
     n = x.shape[-1]
     if model.is_ideal:
         return np.broadcast_to(np.eye(n), x.shape + (n,)).copy()
-    return _margules_gamma(x, model.interactions(n))
-
-
-def _margules_gamma(x: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Two-suffix Gamma for interactions ``a``, batched; no domain check."""
+    a = model.interactions(n)
     # d(ln gamma_i)/dx_j = A_ij - (A x)_j
-    return np.eye(a.shape[0]) + x[..., :, None] * (a - (x @ a)[..., None, :])
+    return np.eye(n) + x[..., :, None] * (a - (x @ a)[..., None, :])
+
+
+def _gamma_dot(x: np.ndarray, xa: np.ndarray, a: np.ndarray,
+               d: np.ndarray) -> np.ndarray:
+    """Gamma(x) d = d + x * (A d - <A x, d>) for the symmetric
+    interactions ``a``, given ``xa = x @ a``; batched, Gamma not formed."""
+    return d + x * (d @ a - np.sum(xa * d, axis=-1, keepdims=True))
+
+
+def _gamma_tensor(a: np.ndarray) -> np.ndarray:
+    """S shaped (n, m*m), m = n - 1, with row k S_k = P[k] (x) (A P)[k]:
+    P^T diag(x) A P = x @ S, the part of P^T Gamma P linear in x."""
+    p = simplex_basis(a.shape[0])
+    return (p[:, :, None] * (a @ p)[:, None, :]).reshape(a.shape[0], -1)
+
+
+def _reduced_gamma(x: np.ndarray, xa: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """P^T Gamma(x) P = I + x @ S - (P^T x)(P^T A x)^T, batched, from
+    S = :func:`_gamma_tensor` (A) and ``xa = x @ a``; no domain check."""
+    p = simplex_basis(x.shape[-1])
+    m = p.shape[1]
+    return (np.eye(m) + (x @ s).reshape(x.shape[:-1] + (m, m))
+            - (x @ p)[..., :, None] * (xa @ p)[..., None, :])
 
 
 def driving_force(model: ThermoModel, x, grad_x) -> DrivingForce:

@@ -112,6 +112,7 @@ EXIT_OF = {
     errors.SingularSystem: EXIT_NUMERICAL,
     errors.EigSolverFailure: EXIT_NUMERICAL,
     errors.NonMonotoneFlux: EXIT_NUMERICAL,
+    errors.NonFiniteState: EXIT_NUMERICAL,
     MsDiffError: EXIT_NUMERICAL,
 }
 
@@ -521,6 +522,24 @@ class TestSimulateCommand:
         assert (code, stdout) == (EXIT_CONFIG, "")
         assert err.count("\n") == 1 and err.startswith("config error: --out: ")
         assert blocked in err
+        # neither this run's other CSV nor a temporary file is left behind
+        assert [p.name for p in (tmp_path / "out").iterdir()] == [blocked]
+
+    @pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
+    def test_overflowing_reaction_exits_6(self, tmp_path, capsys):
+        """Rates overflow to inf, dt_bound gives 0 and 0 * inf puts a NaN
+        into the step: a numerical failure, not a ValueError traceback."""
+        cfg = json.loads(json.dumps(SIM))
+        cfg["initial"]["c_tot"] = 1000.0
+        cfg["reactions"] = [{"reactants": {"A": 2}, "products": {"B": 2},
+                             "rate_constant": 1e303}]
+        code, stdout = _run(["simulate", "--config", _write(tmp_path, cfg),
+                             "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert (code, stdout) == (EXIT_NUMERICAL, "")
+        assert err.count("\n") == 1 and err.startswith("numerical failure: c[")
+        assert "nan" in err
+        assert list((tmp_path / "out").iterdir()) == []
 
     def test_infinite_amat_exits_2(self, tmp_path, capsys):
         cfg = json.loads(json.dumps(SIM))

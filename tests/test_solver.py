@@ -1,5 +1,7 @@
 """Finite-volume reaction-diffusion stepping: fluxes, dt control,
 conservation, positivity."""
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,8 +13,13 @@ from msdiff import (Composition, Field, Grid1D, IDEAL, MixtureSpec, NO_REACTIONS
                     chemical_potentials, diffusion_operator_spectrum,
                     driving_force, face_fluxes, simulate,
                     solve_fluxes_invariant, stable_dt, step)
-from msdiff.errors import (MaxStepsExceeded, NotConvex, PositivityViolation)
-from msdiff.solver import _Kernel
+from msdiff.errors import (MaxStepsExceeded, NonFiniteState, NotConvex,
+                           PositivityViolation)
+from msdiff.mixture import _inverse_diffusivities, simplex_basis
+from msdiff.mskernel import _assemble_A, _reduced_A, _reduced_tensor
+from msdiff.solver import _advance, _Kernel, _State
+from msdiff.thermo import (_gamma_dot, _gamma_tensor, _reduced_gamma,
+                           floor_composition, gamma_matrix)
 
 BINARY = MixtureSpec(names=("A", "B"), dmat=[[0.0, 1.0], [1.0, 0.0]])
 
@@ -224,10 +231,79 @@ class TestStep:
             step(fld, BINARY, dt=dt)
 
 
+    @pytest.mark.parametrize("bad, first", [(np.nan, "c[1,0] = nan"),
+                                            (-np.inf, "c[2,0] = -inf")])
+    def test_non_finite_step_raises_non_finite_state(self, bad, first):
+        c = np.full((3, 2), 0.5)
+        jf = np.zeros((4, 2))
+        jf[2] = [bad, 0.0]  # the face between cells 1 and 2
+        st = _State(c=c, c_tot=1.0, jf=jf, w=0.0, lam=None)
+        with pytest.raises(NonFiniteState, match=re.escape(first)):
+            _advance(st, NO_REACTIONS, 0.1, 0.0, 1.0)
+
+
 def _sym(off, n):
     m = np.zeros((n, n))
     m[np.triu_indices(n, 1)] = off
     return m + m.T
+
+
+@st.composite
+def face_stacks(draw):
+    """(x, d, dmat, amat): floored face compositions and forces shaped
+    (..., n) (one face, a row of faces, or a 2-D stack), n = 2..6, where
+    a drawn fraction is exactly 0 about a third of the time before the
+    floor; a symmetric D and Margules interactions with |A_ij| <= 3."""
+    n = draw(st.integers(2, 6))
+    shape = draw(st.sampled_from([(), (5,), (2, 3)])) + (n,)
+    npair = n * (n - 1) // 2
+    w = draw(hnp.arrays(float, shape, elements=st.one_of(
+        st.just(0.0), st.floats(1e-3, 1.0), st.floats(1e-3, 1.0))))
+    w = np.where(w.sum(axis=-1, keepdims=True) > 0, w, 1.0)
+    d = draw(hnp.arrays(float, shape, elements=st.floats(-10.0, 10.0)))
+    dmat = _sym(draw(hnp.arrays(float, npair, elements=st.floats(0.1, 10.0))), n)
+    amat = _sym(draw(hnp.arrays(float, npair, elements=st.floats(-3.0, 3.0))), n)
+    return floor_composition(w / w.sum(axis=-1, keepdims=True)), d, dmat, amat
+
+
+def _assert_close(got, ref, scale):
+    """|got - ref| <= 1e-13 scale, per face, in the Frobenius norm."""
+    axes = tuple(range(scale.ndim, got.ndim))
+    err = np.sqrt(np.sum((got - ref) ** 2, axis=axes))
+    assert np.all(err <= 1e-13 * scale), float(np.max(err / scale))
+
+
+@pytest.mark.parametrize("thermo", ["ideal", "margules"])
+@settings(max_examples=60, deadline=None)
+@given(data=face_stacks())
+def test_kernel_one_product_forms(thermo, data):
+    """The step kernel's per-run tensor forms against the matrices they
+    replace, face by face, to 1e-13 of the norm of the matrix formed
+    (A, Gamma, or ||Gamma|| ||d||): K(x) = x @ T is P^T A(x) P; the
+    refresh-step P^T Gamma P is P^T Gamma(x) P (I on ideal thermo, and
+    the Margules form at A = 0); Gamma d applied directly is Gamma @ d.
+    Near a spinodal P^T Gamma P is much smaller than Gamma, and the
+    reference's own rounding is relative to ||Gamma||."""
+    x, d, dmat, amat = data
+    n = x.shape[-1]
+    p = simplex_basis(n)
+    inv = _inverse_diffusivities(dmat)
+    a_full = _assemble_A(x, inv)
+    _assert_close(_reduced_A(x, _reduced_tensor(inv)), p.T @ a_full @ p,
+                  np.linalg.norm(a_full, axis=(-2, -1)))
+
+    model = ThermoModel.margules(amat) if thermo == "margules" else IDEAL
+    a = amat if thermo == "margules" else np.zeros((n, n))
+    g = gamma_matrix(model, x)
+    g_ref = p.T @ g @ p
+    g_norm = np.linalg.norm(g, axis=(-2, -1))
+    if thermo == "ideal":
+        _assert_close(np.broadcast_to(np.eye(n - 1), g_ref.shape), g_ref, g_norm)
+    xa = x @ a
+    _assert_close(_reduced_gamma(x, xa, _gamma_tensor(a)), g_ref, g_norm)
+    gd_ref = (g @ d[..., None])[..., 0]
+    _assert_close(_gamma_dot(x, xa, a, d), gd_ref,
+                  np.linalg.norm(g, axis=(-2, -1)) * np.linalg.norm(d, axis=-1))
 
 
 @st.composite
@@ -315,6 +391,16 @@ class TestReactions:
 
 
 class TestSimulate:
+    @pytest.mark.filterwarnings("error")  # the loop raises; numpy need not warn
+    def test_overflowing_rates_raise_non_finite_state(self):
+        """Rates overflow to inf, the reaction bound gives dt = 0, and
+        0 * inf is NaN: a typed error, not the isobaric ValueError."""
+        rx = ReactionNetwork(reactions=(Reaction(
+            reactants=[2, 0], products=[0, 2], rate_constant=1e303),))
+        with pytest.raises(NonFiniteState, match="nan"):
+            simulate(_binary_step_field(ncells=8, c_tot=1000.0), BINARY,
+                     reactions=rx, config=SimConfig(t_end=0.01))
+
     def test_uniform_state_is_stationary(self):
         grid = Grid1D(ncells=6, length=1.0)
         fld = Field(c=np.tile([0.4, 0.6], (6, 1)), grid=grid)
