@@ -37,8 +37,8 @@ class PositivityViolation(MsDiffError):
 
 
 class NonFiniteState(MsDiffError):
-    """A concentration became NaN or infinite during time stepping, e.g.
-    when reaction rates overflow."""
+    """A reaction rate or a concentration became NaN or infinite during
+    time stepping, e.g. when reaction rates overflow."""
 
 
 class MaxStepsExceeded(MsDiffError):

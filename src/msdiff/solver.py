@@ -9,11 +9,13 @@ spectral radius of the effective diffusion operator, recomputed every
 DT_REFRESH_STEPS steps.
 
 Inputs are validated on construction (``Grid1D``, ``Field``, ``Reaction``,
-``SimConfig``) and by the kernel set-up (species count) at every entry
-point; the step loop then makes one kernel pass per step over plain
-arrays, and a checkpoint keeps the array the kernel has just checked.
-Exact zeros go through ``thermo.floor_composition``.  A step that leaves
-a NaN or -inf in the state raises ``NonFiniteState``.
+``ReactionNetwork``, ``SimConfig``) and by the kernel set-up (the species
+counts of the field and a nonempty network) at every entry point.  The
+kernel owns a run's inputs; each step is one kernel pass over plain arrays
+that evaluates the reaction rates once, and a checkpoint keeps the array
+the kernel has just checked.  Exact zeros go through
+``thermo.floor_composition``.  A non-finite rate, or a step that leaves a
+NaN or -inf in the state, raises ``NonFiniteState`` without numpy warnings.
 
 The kernel's set-up builds per-run tensors from D (and the Margules A),
 so that each step forms the reduced flux-force matrices of all faces as
@@ -41,6 +43,9 @@ ISOBARIC_TOL = 1e-8
 
 #: The dt bound is recomputed every this many steps.
 DT_REFRESH_STEPS = 10
+
+#: The numpy guard of simulate, step and stable_dt: NonFiniteState reports overflow.
+_fail_closed = np.errstate(over="ignore", invalid="ignore")
 
 
 def _count(value, what: str) -> int:
@@ -125,29 +130,35 @@ class Reaction:
         object.__setattr__(self, "reactants", r)
         object.__setattr__(self, "products", p)
 
-    @property
-    def net(self) -> np.ndarray:
-        return self.products - self.reactants
-
 
 @dataclass(frozen=True)
 class ReactionNetwork:
     """Mole-conserving mass-action network; the induced rate function is
-    quasi-positive by construction."""
+    quasi-positive by construction.  All reactions need one species count."""
     reactions: tuple[Reaction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "reactions", tuple(self.reactions))
+        rxs = tuple(self.reactions)
+        sizes = sorted({rx.reactants.size for rx in rxs})
+        if len(sizes) > 1:
+            raise ValueError(f"reactions must have one species count, got {sizes}")
+        object.__setattr__(self, "reactions", rxs)
+        object.__setattr__(self, "_k", np.array([rx.rate_constant for rx in rxs]))
+        object.__setattr__(self, "_orders", np.array([rx.reactants for rx in rxs]))
+        object.__setattr__(self, "_net", np.array([rx.products for rx in rxs]) - self._orders)
+
+    @property
+    def nspecies(self) -> int | None:
+        """Species count of every reaction; None for the empty network."""
+        return self._orders.shape[1] if self.reactions else None
 
     def rates(self, c: np.ndarray) -> np.ndarray:
         """Net production rates f(c), batched over leading axes."""
         c = np.asarray(c, dtype=float)
-        f = np.zeros_like(c)
-        for rx in self.reactions:
-            rate = rx.rate_constant * np.prod(
-                np.power(c, rx.reactants), axis=-1, keepdims=True)
-            f = f + rate * rx.net
-        return f
+        if not self.reactions:
+            return np.zeros_like(c)
+        rate = self._k * np.prod(np.power(c[..., None, :], self._orders), axis=-1)
+        return np.add.reduce(rate[..., None] * self._net, axis=-2, initial=0.0)
 
 
 NO_REACTIONS = ReactionNetwork(reactions=())
@@ -192,6 +203,7 @@ class _State(NamedTuple):
     jf: np.ndarray           # fluxes at all ncells+1 faces, zero at the walls
     w: float                 # dissipation W = -sum_faces sum_i J_i dmu_i
     lam: np.ndarray | None   # diffusion-operator eigenvalues at the faces
+    f: np.ndarray | None     # finite reaction rates r(c); None without reactions
 
 
 def _uniform_total(totals: np.ndarray) -> float:
@@ -204,14 +216,17 @@ def _uniform_total(totals: np.ndarray) -> float:
 
 
 class _Kernel:
-    """The step kernel: set up once per run, then one call per step computes
-    face states, fluxes, W and, with ``bound``, the dt spectrum, each once."""
+    """The step kernel, owner of a run's inputs: set up once, then one call per
+    step computes face states, fluxes, W, rates and (``bound``) the dt spectrum."""
 
-    def __init__(self, spec: MixtureSpec, model: ThermoModel | None, field: Field):
-        if field.nspecies != spec.n:
-            raise ValueError(
-                f"field has {field.nspecies} species, mixture has {spec.n} species")
+    def __init__(self, spec: MixtureSpec, model: ThermoModel | None, field: Field,
+                 reactions: ReactionNetwork = NO_REACTIONS,
+                 cfl_safety: float = SimConfig.cfl_safety):
+        for what, n in (("field", field.nspecies), ("reaction network", reactions.nspecies)):
+            if n not in (None, spec.n):
+                raise ValueError(f"{what} has {n} species, mixture has {spec.n} species")
         self.model, self.h = model or IDEAL, field.grid.h
+        self.reactions, self.cfl_safety = reactions, cfl_safety
         self.t = _reduced_tensor(_inverse_diffusivities(spec.dmat))
         # None on the ideal path, where Gamma = I is skipped
         self.amat = None if self.model.is_ideal else self.model.interactions(spec.n)
@@ -241,24 +256,24 @@ class _Kernel:
             m = _operator_reduced(k, g)
             # binary mixtures: M is 1x1 per face, its own eigenvalue
             lam = m[..., 0] if m.shape[-1] == 1 else np.linalg.eigvals(m).real
-        return _State(c=c, c_tot=c_tot, jf=jf, w=w, lam=lam)
+        f = self.reactions.rates(c) if self.reactions.reactions else None
+        if f is not None and not np.isfinite(f).all():
+            cell, sp = np.unravel_index(np.argmin(np.isfinite(f)), f.shape)
+            raise NonFiniteState(f"reaction rate f[{cell},{sp}] = {float(f[cell, sp])!r} "
+                                 "(overflow or an invalid operation)")
+        return _State(c=c, c_tot=c_tot, jf=jf, w=w, lam=lam, f=f)
 
-    def dt_bound(self, st: _State, reactions: ReactionNetwork,
-                 cfl_safety: float) -> float:
+    def dt_bound(self, st: _State) -> float:
         """cfl * h^2 / (2 lambda_max) from the spectrum in ``st``, capped
         so reactions change no concentration by more than 10% per step."""
         lam_min = float(st.lam.min())
         if lam_min <= 0:
             raise NotConvex(f"diffusion operator eigenvalue {lam_min!r} <= 0 at a face")
-        dt = cfl_safety * self.h * self.h / (2.0 * float(st.lam.max()))
-        if reactions.reactions:
-            f = reactions.rates(st.c)
-            consuming = f < 0
-            if np.any(consuming):
-                dt = min(dt, float(0.1 * np.min(st.c[consuming] / -f[consuming])))
-            producing = f > 0
-            if np.any(producing):
-                dt = min(dt, float(0.1 * st.c_tot / np.max(f[producing])))
+        dt = self.cfl_safety * self.h * self.h / (2.0 * float(st.lam.max()))
+        if st.f is not None:
+            neg, pos = st.f < 0, st.f > 0
+            dt = min(dt, float(0.1 * np.min(st.c[neg] / -st.f[neg], initial=np.inf)),
+                     float(np.min(0.1 * st.c_tot / st.f[pos], initial=np.inf)))
         return dt
 
 
@@ -269,41 +284,47 @@ def face_fluxes(field: Field, spec: MixtureSpec,
     return _Kernel(spec, model, field)(field.c).jf
 
 
+@_fail_closed
 def stable_dt(field: Field, spec: MixtureSpec, model: ThermoModel | None = None,
               reactions: ReactionNetwork = NO_REACTIONS,
-              cfl_safety: float = 0.4) -> float:
+              cfl_safety: float = SimConfig.cfl_safety) -> float:
     """Explicit-Euler step bound: cfl * h^2 / (2 lambda_max) with
     lambda_max the largest diffusion-operator eigenvalue over all faces,
     further capped so reactions change no concentration by more than 10%
     per step.
 
-    Raises ``NotConvex`` if the operator loses positivity at any face.
+    Raises ``NotConvex`` if the operator loses positivity at any face and
+    ``NonFiniteState`` if a reaction rate is not finite.
     """
-    kernel = _Kernel(spec, model, field)
-    return kernel.dt_bound(kernel(field.c, bound=True), reactions, cfl_safety)
+    kernel = _Kernel(spec, model, field, reactions, cfl_safety)
+    return kernel.dt_bound(kernel(field.c, bound=True))
 
 
+@_fail_closed
 def step(field: Field, spec: MixtureSpec, model: ThermoModel | None = None,
-         reactions: ReactionNetwork = NO_REACTIONS, dt: float = 0.0) -> Field:
-    """One explicit Euler update c += dt (div-free flux balance + r(c)).
+         reactions: ReactionNetwork = NO_REACTIONS, *, dt: float) -> Field:
+    """One explicit Euler update c += dt (div-free flux balance + r(c)),
+    with 0 < dt < inf (``ValueError`` otherwise).
 
     Per-cell totals are preserved exactly up to roundoff because fluxes
     sum to zero over species and reactions conserve moles.  Negatives
     beyond the noise threshold raise ``PositivityViolation``; tiny ones
-    are clamped to zero.
+    are clamped to zero.  A non-finite rate or state raises
+    ``NonFiniteState``.
     """
-    kernel = _Kernel(spec, model, field)
-    cn = _advance(kernel(field.c), reactions, dt, field.time, kernel.h)
+    if not 0 < dt < np.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
+    kernel = _Kernel(spec, model, field, reactions)
+    cn = _advance(kernel(field.c), dt, field.time, kernel.h)
     return Field(c=cn, grid=field.grid, time=field.time + dt)
 
 
-def _advance(st: _State, reactions: ReactionNetwork, dt: float, t: float,
-             h: float) -> np.ndarray:
+def _advance(st: _State, dt: float, t: float, h: float) -> np.ndarray:
     """Concentrations after one explicit Euler step of length ``dt``
     from time ``t``."""
     rhs = (st.jf[:-1] - st.jf[1:]) / h
-    if reactions.reactions:
-        rhs = rhs + reactions.rates(st.c)
+    if st.f is not None:
+        rhs = rhs + st.f
     cn = st.c + dt * rhs
     lo = cn.min()  # NaN if any entry is NaN
     if not lo >= -CLAMP_REL * st.c_tot:
@@ -362,6 +383,7 @@ def _checkpoint(c: np.ndarray, t: float, h: float, model: ThermoModel, w: float,
     )
 
 
+@_fail_closed
 def simulate(initial: Field, spec: MixtureSpec, model: ThermoModel | None = None,
              reactions: ReactionNetwork = NO_REACTIONS,
              config: SimConfig | None = None) -> Trajectory:
@@ -375,36 +397,32 @@ def simulate(initial: Field, spec: MixtureSpec, model: ThermoModel | None = None
     """
     if config is None:
         raise ValueError("a SimConfig is required")
-    kernel = _Kernel(spec, model, initial)
-    model = kernel.model
+    kernel = _Kernel(spec, model, initial, reactions, config.cfl_safety)
     st = kernel(initial.c, bound=True)
     w, cum_w = st.w, 0.0
     traj = Trajectory(grid=initial.grid, names=spec.names)
     t = initial.time
-    traj.checkpoints.append(_checkpoint(initial.c, t, kernel.h, model, w, cum_w))
+    traj.checkpoints.append(_checkpoint(initial.c, t, kernel.h, kernel.model, w, cum_w))
 
     interval = config.cp_interval
     next_cp = t + interval
     tiny = 1e-12 * config.t_end
     steps = 0
-    # an overflow or invalid operation leaves a NaN or -inf in the state,
-    # which _advance raises as NonFiniteState; numpy need not warn as well
-    with np.errstate(over="ignore", invalid="ignore"):
-        while t < config.t_end - tiny:
-            if steps % DT_REFRESH_STEPS == 0:
-                dt_bound = kernel.dt_bound(st, reactions, config.cfl_safety)
-            dt = min(dt_bound, config.t_end - t, next_cp - t)
-            c = _advance(st, reactions, dt, t, kernel.h)
-            t += dt
-            steps += 1
-            st = kernel(c, bound=steps % DT_REFRESH_STEPS == 0)
-            cum_w += 0.5 * (w + st.w) * dt
-            w = st.w
-            if steps > config.max_steps:
-                raise MaxStepsExceeded(f"{steps} steps at t = {t!r}")
-            if t >= next_cp - tiny:
-                traj.checkpoints.append(_checkpoint(c, t, kernel.h, model, w, cum_w))
-                next_cp += interval
+    while t < config.t_end - tiny:
+        if st.lam is not None:  # a refresh step
+            dt_bound = kernel.dt_bound(st)
+        dt = min(dt_bound, config.t_end - t, next_cp - t)
+        c = _advance(st, dt, t, kernel.h)
+        t += dt
+        steps += 1
+        st = kernel(c, bound=steps % DT_REFRESH_STEPS == 0)
+        cum_w += 0.5 * (w + st.w) * dt
+        w = st.w
+        if steps > config.max_steps:
+            raise MaxStepsExceeded(f"{steps} steps at t = {t!r}")
+        if t >= next_cp - tiny:
+            traj.checkpoints.append(_checkpoint(c, t, kernel.h, kernel.model, w, cum_w))
+            next_cp += interval
     if traj.checkpoints[-1].time < t - tiny:
-        traj.checkpoints.append(_checkpoint(st.c, t, kernel.h, model, w, cum_w))
+        traj.checkpoints.append(_checkpoint(st.c, t, kernel.h, kernel.model, w, cum_w))
     return traj

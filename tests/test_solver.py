@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import msdiff.solver
 from msdiff import (Composition, Field, Grid1D, IDEAL, MixtureSpec, NO_REACTIONS,
                     Reaction, ReactionNetwork, SimConfig, ThermoModel,
                     chemical_potentials, diffusion_operator_spectrum,
@@ -17,7 +18,7 @@ from msdiff.errors import (MaxStepsExceeded, NonFiniteState, NotConvex,
                            PositivityViolation)
 from msdiff.mixture import _inverse_diffusivities, simplex_basis
 from msdiff.mskernel import _assemble_A, _reduced_A, _reduced_tensor
-from msdiff.solver import _advance, _Kernel, _State
+from msdiff.solver import DT_REFRESH_STEPS, _advance, _Kernel, _State
 from msdiff.thermo import (_gamma_dot, _gamma_tensor, _reduced_gamma,
                            floor_composition, gamma_matrix)
 
@@ -237,9 +238,19 @@ class TestStep:
         c = np.full((3, 2), 0.5)
         jf = np.zeros((4, 2))
         jf[2] = [bad, 0.0]  # the face between cells 1 and 2
-        st = _State(c=c, c_tot=1.0, jf=jf, w=0.0, lam=None)
+        st = _State(c=c, c_tot=1.0, jf=jf, w=0.0, lam=None, f=None)
         with pytest.raises(NonFiniteState, match=re.escape(first)):
-            _advance(st, NO_REACTIONS, 0.1, 0.0, 1.0)
+            _advance(st, 0.1, 0.0, 1.0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kwargs, error", [
+        ({"dt": -1e-3}, ValueError), ({"dt": 0.0}, ValueError), ({"dt": np.nan}, ValueError),
+        ({"dt": np.inf}, ValueError), ({}, TypeError)],
+        ids=["negative", "zero", "nan", "inf", "missing"])
+    def test_bad_dt_rejected(self, kwargs, error):
+        """No backwards or zero step, no default dt, and no numpy warning."""
+        with pytest.raises(error, match="dt"):
+            step(_binary_step_field(ncells=6), BINARY, **kwargs)
 
 
 def _sym(off, n):
@@ -352,7 +363,108 @@ def test_single_step_conserves_totals_and_masses(problem):
         assert np.all(np.abs(mass1 - mass0) <= 1e-12 * mass0)
 
 
+def _reference_rates(net, c):
+    """f(c) as one loop over the reactions, each adding its mass-action
+    rate times its net stoichiometry; ``ReactionNetwork.rates`` must give
+    the same bits."""
+    c = np.asarray(c, dtype=float)
+    f = np.zeros_like(c)
+    for rx in net.reactions:
+        rate = rx.rate_constant * np.prod(
+            np.power(c, rx.reactants), axis=-1, keepdims=True)
+        f = f + rate * (rx.products - rx.reactants)
+    return f
+
+
+_MAGNITUDES = st.one_of(st.just(0.0), st.floats(-300, 5).map(lambda e: 10.0 ** e))
+
+
+@st.composite
+def rate_problems(draw):
+    """(network, c): n = 2..6 species, 1..12 reactions with coefficients
+    0..3 (products a permutation of the reactants, so moles balance),
+    rate constants and concentrations exactly 0 or from 1e-300 to 1e5,
+    and c one vector or a batch along one or two leading axes."""
+    n = draw(st.integers(2, 6))
+    reactions = []
+    for _ in range(draw(st.integers(1, 12))):
+        r = draw(hnp.arrays(float, n, elements=st.integers(0, 3)))
+        reactions.append(Reaction(reactants=r, products=r[draw(st.permutations(range(n)))],
+                                  rate_constant=draw(_MAGNITUDES)))
+    shape = draw(st.sampled_from([(), (3,), (2, 4)])) + (n,)
+    return ReactionNetwork(reactions=tuple(reactions)), draw(
+        hnp.arrays(float, shape, elements=_MAGNITUDES))
+
+
+@settings(max_examples=150, deadline=None)
+@given(problem=rate_problems())
+def test_rates_match_per_reaction_loop_bit_for_bit(problem):
+    net, c = problem
+    f, ref = net.rates(c), _reference_rates(net, c)
+    assert np.array_equal(f, ref)
+    assert np.array_equal(np.signbit(f), np.signbit(ref))  # -0.0 too
+
+
 class TestReactions:
+    def test_network_rejects_mixed_species_counts(self):
+        with pytest.raises(ValueError, match=re.escape("one species count, got [2, 3]")):
+            ReactionNetwork(reactions=(Reaction([1, 0], [0, 1], 1.0),
+                                       Reaction([1, 0, 0], [0, 0, 1], 1.0)))
+
+    def test_empty_network_rates_are_zeros_like_c(self):
+        f = NO_REACTIONS.rates(np.ones((2, 3, 4)))
+        assert f.shape == (2, 3, 4) and not f.any()
+
+    @pytest.mark.parametrize("entry", [
+        lambda fld, net: simulate(fld, BINARY, reactions=net, config=SimConfig(t_end=0.01)),
+        lambda fld, net: stable_dt(fld, BINARY, reactions=net),
+        lambda fld, net: step(fld, BINARY, reactions=net, dt=1e-5),
+    ], ids=["simulate", "stable_dt", "step"])
+    def test_network_species_count_checked_at_entry(self, entry):
+        net = ReactionNetwork(reactions=(Reaction([1, 0, 0], [0, 1, 0], 1.0),))
+        with pytest.raises(ValueError, match=re.escape(
+                "reaction network has 3 species, mixture has 2 species")):
+            entry(_binary_step_field(ncells=8), net)
+
+    @pytest.mark.filterwarnings("error")  # the entry raises; numpy need not warn
+    @pytest.mark.parametrize("entry", [
+        lambda fld, spec, net: stable_dt(fld, spec, reactions=net),
+        lambda fld, spec, net: step(fld, spec, reactions=net, dt=1e-3),
+    ], ids=["stable_dt", "step"])
+    @pytest.mark.parametrize("reactants, products, first", [
+        ([2, 0], [0, 2], "f[0,0] = -inf"),           # the rate overflows
+        ([0, 2, 0], [0, 0, 2], "f[0,0] = nan"),      # inf times a zero net coefficient
+    ], ids=["inf", "nan"])
+    def test_overflowing_rates_raise_non_finite_state(self, entry, reactants, products,
+                                                      first):
+        n = len(reactants)
+        spec = MixtureSpec(names=("A", "B", "C")[:n], dmat=1.0 - np.eye(n))
+        fld = Field(c=np.full((4, n), 500.0), grid=Grid1D(ncells=4, length=1.0))
+        net = ReactionNetwork(reactions=(Reaction(reactants, products, 1e303),))
+        with pytest.raises(NonFiniteState, match=re.escape(
+                f"reaction rate {first} (overflow or an invalid operation)")):
+            entry(fld, spec, net)
+
+    def test_rates_evaluated_once_per_kernel_call(self, monkeypatch):
+        """One evaluation per step (and one at the start) serves both the
+        dt bound and the update."""
+        calls = {"rates": 0, "advance": 0}
+        rates, advance = ReactionNetwork.rates, msdiff.solver._advance
+
+        def count(name, func):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return func(*args, **kwargs)
+            return wrapper
+        monkeypatch.setattr(ReactionNetwork, "rates", count("rates", rates))
+        monkeypatch.setattr(msdiff.solver, "_advance", count("advance", advance))
+        net = ReactionNetwork(reactions=(Reaction([1, 0], [0, 1], 2.0),
+                                         Reaction([0, 1], [1, 0], 1.0)))
+        simulate(_binary_step_field(ncells=10), BINARY, reactions=net,
+                 config=SimConfig(t_end=0.05))
+        assert calls["advance"] > 2 * DT_REFRESH_STEPS
+        assert calls["rates"] == calls["advance"] + 1
+
     @pytest.mark.parametrize("k", [-1.0, np.nan, np.inf])
     def test_rate_constant_must_be_finite_nonnegative(self, k):
         with pytest.raises(ValueError):
@@ -391,13 +503,14 @@ class TestReactions:
 
 
 class TestSimulate:
-    @pytest.mark.filterwarnings("error")  # the loop raises; numpy need not warn
+    @pytest.mark.filterwarnings("error")  # simulate raises; numpy need not warn
     def test_overflowing_rates_raise_non_finite_state(self):
-        """Rates overflow to inf, the reaction bound gives dt = 0, and
-        0 * inf is NaN: a typed error, not the isobaric ValueError."""
+        """Rates overflow to inf at the first kernel call: a typed error
+        before any step, not the isobaric ValueError."""
         rx = ReactionNetwork(reactions=(Reaction(
             reactants=[2, 0], products=[0, 2], rate_constant=1e303),))
-        with pytest.raises(NonFiniteState, match="nan"):
+        with pytest.raises(NonFiniteState, match=re.escape(
+                "reaction rate f[0,0] = -inf (overflow or an invalid operation)")):
             simulate(_binary_step_field(ncells=8, c_tot=1000.0), BINARY,
                      reactions=rx, config=SimConfig(t_end=0.01))
 
