@@ -41,6 +41,11 @@ class NonFiniteState(MsDiffError):
     time stepping, e.g. when reaction rates overflow."""
 
 
+class IsobaricDrift(MsDiffError):
+    """Per-cell total concentrations drifted apart beyond the isobaric
+    tolerance during time stepping."""
+
+
 class MaxStepsExceeded(MsDiffError):
     """The simulation hit the configured step limit before t_end."""
 

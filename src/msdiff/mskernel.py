@@ -138,13 +138,12 @@ def _reduced_A(x: np.ndarray, t: np.ndarray) -> np.ndarray:
     return (x @ t).reshape(x.shape[:-1] + (m, m))
 
 
-def _fluxes_projected(d, k, c_tot) -> np.ndarray:
-    """Batched solve of A J = c_tot d by projection onto the zero-sum
-    subspace, from K = P^T A P.  ``d`` shaped (..., n), ``k`` (..., m, m);
-    ``c_tot`` scalar or (...).  Returns J; P^T drops any mean of ``d``."""
-    p = simplex_basis(d.shape[-1])
-    rhs = (np.asarray(c_tot)[..., None] * d) @ p
-    return _solve_reduced(k, rhs[..., None])[..., 0] @ p.T
+def _fluxes_projected(b: np.ndarray, k: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Batched solve of A J = b by projection onto the zero-sum subspace:
+    J = P K^{-1} P^T b, from K = P^T A P and the basis P
+    (:func:`msdiff.mixture.simplex_basis`).  ``b`` shaped (..., n), ``k``
+    (..., m, m), ``p`` (n, m).  P^T drops any mean of ``b``."""
+    return _solve_reduced(k, (b @ p)[..., None])[..., 0] @ p.T
 
 
 def _solve_reduced(k: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -172,7 +171,8 @@ def solve_fluxes_invariant(comp: Composition, dmat, d) -> FluxSet:
     inv = _inverse_diffusivities(dmat)
     a = _assemble_A(x, inv)  # for the residual check
     c_tot = np.asarray(comp.c_tot)
-    j = _fluxes_projected(dv, _reduced_A(x, _reduced_tensor(inv)), c_tot)
+    j = _fluxes_projected(c_tot[..., None] * dv, _reduced_A(x, _reduced_tensor(inv)),
+                          simplex_basis(x.shape[-1]))
     resid = np.linalg.norm((a @ j[..., None])[..., 0] - c_tot[..., None] * dv, axis=-1)
     scale = (np.linalg.norm(a, axis=(-2, -1)) * np.linalg.norm(j, axis=-1)
              + c_tot * np.linalg.norm(dv, axis=-1))

@@ -10,18 +10,22 @@ DT_REFRESH_STEPS steps.
 
 Inputs are validated on construction (``Grid1D``, ``Field``, ``Reaction``,
 ``ReactionNetwork``, ``SimConfig``) and by the kernel set-up (the species
-counts of the field and a nonempty network) at every entry point.  The
-kernel owns a run's inputs; each step is one kernel pass over plain arrays
-that evaluates the reaction rates once, and a checkpoint keeps the array
-the kernel has just checked.  Exact zeros go through
-``thermo.floor_composition``.  A non-finite rate, or a step that leaves a
-NaN or -inf in the state, raises ``NonFiniteState`` without numpy warnings.
+counts of the field and a nonempty network, and ``cfl_safety`` in (0, 1])
+at every entry point.  The kernel owns a run's inputs; each step is one
+kernel pass over plain arrays that evaluates the reaction rates once, and
+a checkpoint keeps the array the kernel has just checked.  Exact zeros go
+through ``thermo.floor_composition``.  A non-finite rate, or a step that
+leaves a NaN or -inf in the state, raises ``NonFiniteState`` without
+numpy warnings; per-cell totals that drift apart raise ``IsobaricDrift``.
 
 The kernel's set-up builds per-run tensors from D (and the Margules A),
 so that each step forms the reduced flux-force matrices of all faces as
 one product K = x_f @ T (:func:`msdiff.mskernel._reduced_A`), applies
 Gamma to the forces without forming it, and on refresh steps forms
-P^T Gamma P from one more product (:mod:`msdiff.thermo`).
+P^T Gamma P from one more product (:mod:`msdiff.thermo`).  It also keeps
+the basis P and an all-ones (n, n) matrix, so that the row sums of c and
+x_f are one product each (:func:`_row_sums`) and divide without a
+broadcast; the per-step reductions call ``np.*.reduce`` directly.
 """
 from __future__ import annotations
 
@@ -30,9 +34,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (MaxStepsExceeded, NonFiniteState, NotConvex,
+from .errors import (IsobaricDrift, MaxStepsExceeded, NonFiniteState, NotConvex,
                      PositivityViolation)
-from .mixture import CLAMP_REL, MixtureSpec, _inverse_diffusivities
+from .mixture import CLAMP_REL, MixtureSpec, _inverse_diffusivities, simplex_basis
 from .mskernel import (_fluxes_projected, _operator_reduced, _reduced_A,
                        _reduced_tensor)
 from .thermo import (IDEAL, ThermoModel, _gamma_dot, _gamma_tensor, _ln_gamma_x,
@@ -95,7 +99,8 @@ class Field:
             raise ValueError(f"c must be (ncells, nspecies), got {c.shape}")
         if not np.all((c >= 0) & (c < np.inf)):
             raise ValueError("concentrations must be finite and nonnegative")
-        _uniform_total(c.sum(axis=1))
+        if _uniform_total(_row_sums(c, np.ones((c.shape[1], 1)))) is None:
+            raise ValueError("per-cell total concentration must be positive and uniform")
         c.setflags(write=False)
         object.__setattr__(self, "c", c)
 
@@ -153,10 +158,14 @@ class ReactionNetwork:
         return self._orders.shape[1] if self.reactions else None
 
     def rates(self, c: np.ndarray) -> np.ndarray:
-        """Net production rates f(c), batched over leading axes."""
+        """Net production rates f(c), batched over leading axes; the last
+        axis of ``c`` must hold the network's species (``ValueError``)."""
         c = np.asarray(c, dtype=float)
         if not self.reactions:
             return np.zeros_like(c)
+        if c.shape[-1:] != self._orders.shape[1:]:
+            raise ValueError(f"c has {c.shape[-1] if c.ndim else 0} species, "
+                             f"reaction network has {self.nspecies} species")
         rate = self._k * np.prod(np.power(c[..., None, :], self._orders), axis=-1)
         return np.add.reduce(rate[..., None] * self._net, axis=-2, initial=0.0)
 
@@ -182,8 +191,7 @@ class SimConfig:
         object.__setattr__(self, "max_steps", _count(self.max_steps, "max_steps"))
         if not 0 < self.t_end < np.inf:
             raise ValueError("t_end must be positive and finite")
-        if not 0 < self.cfl_safety <= 1:
-            raise ValueError("cfl_safety must be in (0, 1]")
+        _check_cfl(self.cfl_safety)
         if not self.max_steps > 0:
             raise ValueError("max_steps must be positive")
         if not 0 < self.cp_interval < np.inf:
@@ -206,13 +214,26 @@ class _State(NamedTuple):
     f: np.ndarray | None     # finite reaction rates r(c); None without reactions
 
 
-def _uniform_total(totals: np.ndarray) -> float:
-    """Mean per-cell total concentration; raises ``ValueError`` unless it
-    is positive and every cell is within ISOBARIC_TOL of it."""
-    ref = float(totals.sum() / totals.size)  # the bits of totals.mean()
-    if not (ref > 0 and np.abs(totals - ref).max() <= ISOBARIC_TOL * ref):
-        raise ValueError("per-cell total concentration must be positive and uniform")
-    return ref
+def _row_sums(a: np.ndarray, ones: np.ndarray) -> np.ndarray:
+    """Species-axis sums of ``a`` (rows, n), one per column of the all-ones
+    ``ones`` (n, k); at n = 2 the bits of ``a.sum(axis=1)``."""
+    return a @ ones
+
+
+def _uniform_total(totals: np.ndarray) -> float | None:
+    """Mean per-cell total concentration; None unless it is positive and
+    every cell is within ISOBARIC_TOL of it."""
+    ref = float(np.add.reduce(totals, axis=None) / totals.size)  # the bits of totals.mean()
+    if ref > 0 and np.maximum.reduce(np.abs(totals - ref), axis=None) <= ISOBARIC_TOL * ref:
+        return ref
+    return None
+
+
+def _check_cfl(cfl_safety: float) -> float:
+    """``cfl_safety`` if it is in (0, 1], else ``ValueError``."""
+    if not 0 < cfl_safety <= 1:
+        raise ValueError("cfl_safety must be in (0, 1]")
+    return cfl_safety
 
 
 class _Kernel:
@@ -226,7 +247,8 @@ class _Kernel:
             if n not in (None, spec.n):
                 raise ValueError(f"{what} has {n} species, mixture has {spec.n} species")
         self.model, self.h = model or IDEAL, field.grid.h
-        self.reactions, self.cfl_safety = reactions, cfl_safety
+        self.reactions, self.cfl_safety = reactions, _check_cfl(cfl_safety)
+        self.ones, self.p = np.ones((spec.n, spec.n)), simplex_basis(spec.n)
         self.t = _reduced_tensor(_inverse_diffusivities(spec.dmat))
         # None on the ideal path, where Gamma = I is skipped
         self.amat = None if self.model.is_ideal else self.model.interactions(spec.n)
@@ -235,21 +257,24 @@ class _Kernel:
     def __call__(self, c: np.ndarray, bound: bool = False) -> _State:
         """Face compositions are floored arithmetic means, shared by the flux
         solve, Gamma and the spectrum; h cancels in W against the gradient."""
-        totals = c.sum(axis=1, keepdims=True)
-        c_tot = _uniform_total(totals)
+        totals = _row_sums(c, self.ones)
+        c_tot = _uniform_total(totals[:, 0])
+        if c_tot is None:
+            raise IsobaricDrift("per-cell total concentrations are no longer positive "
+                                f"and uniform to ISOBARIC_TOL = {ISOBARIC_TOL:g}")
         x = c / totals
         xf = 0.5 * (x[:-1] + x[1:])
-        xf = floor_composition(xf / xf.sum(axis=1, keepdims=True))
+        xf = floor_composition(xf / _row_sums(xf, self.ones))
         d = (x[1:] - x[:-1]) / self.h
         mu = _ln_gamma_x(self.model, floor_composition(x))
         if self.amat is not None:
             xa = xf @ self.amat
             d = _gamma_dot(xf, xa, self.amat, d)
         k = _reduced_A(xf, self.t)
-        j = _fluxes_projected(d, k, 0.5 * (totals[:-1, 0] + totals[1:, 0]))
+        j = _fluxes_projected(0.5 * (totals[:-1] + totals[1:]) * d, k, self.p)
         jf = np.zeros((c.shape[0] + 1, c.shape[1]))
         jf[1:-1] = j
-        w = float(-(j * (mu[1:] - mu[:-1])).sum())
+        w = float(-np.add.reduce(j * (mu[1:] - mu[:-1]), axis=None))
         lam = None
         if bound:
             g = np.eye(k.shape[-1]) if self.s is None else _reduced_gamma(xf, xa, self.s)
@@ -326,7 +351,7 @@ def _advance(st: _State, dt: float, t: float, h: float) -> np.ndarray:
     if st.f is not None:
         rhs = rhs + st.f
     cn = st.c + dt * rhs
-    lo = cn.min()  # NaN if any entry is NaN
+    lo = np.minimum.reduce(cn, axis=None)  # NaN if any entry is NaN
     if not lo >= -CLAMP_REL * st.c_tot:
         cell, sp = np.unravel_index(np.argmin(cn), cn.shape)  # the first NaN, if any
         if not np.isfinite(lo):

@@ -113,6 +113,7 @@ EXIT_OF = {
     errors.EigSolverFailure: EXIT_NUMERICAL,
     errors.NonMonotoneFlux: EXIT_NUMERICAL,
     errors.NonFiniteState: EXIT_NUMERICAL,
+    errors.IsobaricDrift: EXIT_NUMERICAL,
     MsDiffError: EXIT_NUMERICAL,
 }
 

@@ -14,12 +14,13 @@ from msdiff import (Composition, Field, Grid1D, IDEAL, MixtureSpec, NO_REACTIONS
                     chemical_potentials, diffusion_operator_spectrum,
                     driving_force, face_fluxes, simulate,
                     solve_fluxes_invariant, stable_dt, step)
-from msdiff.errors import (MaxStepsExceeded, NonFiniteState, NotConvex,
-                           PositivityViolation)
-from msdiff.mixture import _inverse_diffusivities, simplex_basis
-from msdiff.mskernel import _assemble_A, _reduced_A, _reduced_tensor
-from msdiff.solver import DT_REFRESH_STEPS, _advance, _Kernel, _State
-from msdiff.thermo import (_gamma_dot, _gamma_tensor, _reduced_gamma,
+from msdiff.errors import (IsobaricDrift, MaxStepsExceeded, MsDiffError,
+                           NonFiniteState, NotConvex, PositivityViolation)
+from msdiff.mixture import CLAMP_REL, _inverse_diffusivities, simplex_basis
+from msdiff.mskernel import (_assemble_A, _operator_reduced, _reduced_A, _reduced_tensor,
+                             _solve_reduced)
+from msdiff.solver import DT_REFRESH_STEPS, ISOBARIC_TOL, _advance, _Kernel, _State
+from msdiff.thermo import (_gamma_dot, _gamma_tensor, _ln_gamma_x, _reduced_gamma,
                            floor_composition, gamma_matrix)
 
 BINARY = MixtureSpec(names=("A", "B"), dmat=[[0.0, 1.0], [1.0, 0.0]])
@@ -194,6 +195,18 @@ class TestStableDt:
         with pytest.raises(NotConvex):
             stable_dt(fld, BINARY, model=model)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("cfl", [-1.0, 0.0, np.nan, np.inf, 5.0])
+    @pytest.mark.parametrize("entry", [
+        lambda fld, cfl: stable_dt(fld, BINARY, cfl_safety=cfl),
+        lambda fld, cfl: _Kernel(BINARY, None, fld, cfl_safety=cfl),
+        lambda fld, cfl: simulate(fld, BINARY, config=SimConfig(t_end=0.01, cfl_safety=cfl)),
+    ], ids=["stable_dt", "kernel", "simulate"])
+    def test_cfl_safety_outside_unit_interval_rejected(self, entry, cfl):
+        """stable_dt used to return -0.0078, 0.0, nan and 0.039 for these."""
+        with pytest.raises(ValueError, match=re.escape("cfl_safety must be in (0, 1]")):
+            entry(_binary_step_field(ncells=8), cfl)
+
 
 class TestStep:
     def test_uniform_is_fixed_point(self):
@@ -241,6 +254,19 @@ class TestStep:
         st = _State(c=c, c_tot=1.0, jf=jf, w=0.0, lam=None, f=None)
         with pytest.raises(NonFiniteState, match=re.escape(first)):
             _advance(st, 0.1, 0.0, 1.0)
+
+    def test_isobaric_drift_raises_a_typed_error(self):
+        """Totals that drift apart inside the kernel raise IsobaricDrift
+        (exit 6), not the ValueError of a Field built from bad input."""
+        fld = _binary_step_field(ncells=4)
+        kernel = _Kernel(BINARY, None, fld)
+        c = fld.c.copy()
+        c[2] *= 1.0 + 0.1 * ISOBARIC_TOL
+        kernel(c)
+        c[2] *= 1.0 + 10 * ISOBARIC_TOL
+        with pytest.raises(IsobaricDrift, match="ISOBARIC_TOL"):
+            kernel(c)
+        assert issubclass(IsobaricDrift, MsDiffError) and not issubclass(IsobaricDrift, ValueError)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("kwargs, error", [
@@ -405,7 +431,116 @@ def test_rates_match_per_reaction_loop_bit_for_bit(problem):
     assert np.array_equal(np.signbit(f), np.signbit(ref))  # -0.0 too
 
 
+def _reference_call(kernel, c, bound=False):
+    """One step-kernel call as species-axis ``sum`` reductions, a per-call
+    basis and ``ndarray`` reduction methods: ``_Kernel.__call__`` must give
+    the same bits at n = 2 and agree to roundoff at n >= 3."""
+    totals = c.sum(axis=1, keepdims=True)
+    c_tot = float(totals.sum() / totals.size)
+    assert c_tot > 0 and np.abs(totals - c_tot).max() <= ISOBARIC_TOL * c_tot
+    x = c / totals
+    xf = 0.5 * (x[:-1] + x[1:])
+    xf = floor_composition(xf / xf.sum(axis=1, keepdims=True))
+    d = (x[1:] - x[:-1]) / kernel.h
+    mu = _ln_gamma_x(kernel.model, floor_composition(x))
+    if kernel.amat is not None:
+        xa = xf @ kernel.amat
+        d = _gamma_dot(xf, xa, kernel.amat, d)
+    k = _reduced_A(xf, kernel.t)
+    p = simplex_basis(c.shape[1])
+    rhs = (0.5 * (totals[:-1, 0] + totals[1:, 0])[..., None] * d) @ p
+    j = _solve_reduced(k, rhs[..., None])[..., 0] @ p.T
+    jf = np.zeros((c.shape[0] + 1, c.shape[1]))
+    jf[1:-1] = j
+    w = float(-(j * (mu[1:] - mu[:-1])).sum())
+    lam = None
+    if bound:
+        g = np.eye(k.shape[-1]) if kernel.s is None else _reduced_gamma(xf, xa, kernel.s)
+        m = _operator_reduced(k, g)
+        lam = m[..., 0] if m.shape[-1] == 1 else np.linalg.eigvals(m).real
+    f = kernel.reactions.rates(c) if kernel.reactions.reactions else None
+    return _State(c=c, c_tot=c_tot, jf=jf, w=w, lam=lam, f=f)
+
+
+def _reference_advance(st, dt, t, h):
+    """One explicit Euler update with the ``ndarray.min`` reduction, for
+    states that stay nonnegative within the clamp."""
+    rhs = (st.jf[:-1] - st.jf[1:]) / h
+    if st.f is not None:
+        rhs = rhs + st.f
+    cn = st.c + dt * rhs
+    assert cn.min() >= -CLAMP_REL * st.c_tot
+    np.maximum(cn, 0.0, out=cn)
+    return cn
+
+
+@settings(max_examples=100, deadline=None)
+@given(problem=step_problems(), bound=st.booleans())
+def test_kernel_matches_reference_arithmetic(problem, bound):
+    """The kernel's per-run ones matrix, basis and direct reductions leave
+    every bit of the state and the update unchanged at n = 2; at n >= 3
+    only the row sums may round differently."""
+    field, spec, model, reactions = problem
+    kernel = _Kernel(spec, model, field, reactions)
+    got, ref = kernel(field.c, bound), _reference_call(kernel, field.c, bound)
+    dt = 0.5 * stable_dt(field, spec, model, reactions)
+    cn, cn_ref = _advance(got, dt, 0.0, kernel.h), _reference_advance(ref, dt, 0.0, kernel.h)
+    assert got.c is field.c
+    assert (got.lam is None, got.f is None) == (not bound, not reactions.reactions)
+    if spec.n == 2:
+        assert got.c_tot == ref.c_tot and got.w == ref.w
+        for a, b in [(got.jf, ref.jf), (got.lam, ref.lam), (got.f, ref.f), (cn, cn_ref)]:
+            assert a is b is None or np.array_equal(a, b)
+        return
+    assert got.c_tot == pytest.approx(ref.c_tot, rel=1e-15)
+    _assert_close(got.jf, ref.jf, np.max(np.abs(ref.jf)))
+    mu = _ln_gamma_x(kernel.model, floor_composition(field.c / field.c.sum(axis=1, keepdims=True)))
+    assert abs(got.w - ref.w) <= 1e-12 * np.sum(np.abs(ref.jf[1:-1] * np.diff(mu, axis=0)))
+    if bound:
+        _assert_close(got.lam, ref.lam, np.max(np.abs(ref.lam)))
+    if got.f is not None:
+        _assert_close(got.f, ref.f, np.max(np.abs(ref.f)))
+    _assert_close(cn, cn_ref, np.max(cn_ref))
+
+
+def test_kernel_step_count_matches_reference_at_n6(monkeypatch):
+    """A Margules n = 6 run with the reference kernel and update takes the
+    same number of steps and checkpoints and ends at roundoff distance."""
+    rng = np.random.default_rng(61)
+    spec, fld = _random_state(rng, 6, ncells=24)
+    a = np.triu(rng.uniform(-0.15, 0.15, size=(6, 6)), 1)
+    model = ThermoModel.margules(a + a.T)
+    config = SimConfig(t_end=2e-2, checkpoint_interval=4e-3)
+    steps = []
+
+    def run():
+        advance = msdiff.solver._advance
+
+        def counted(*args):
+            steps[-1] += 1
+            return advance(*args)
+        steps.append(0)
+        with monkeypatch.context() as m:
+            m.setattr(msdiff.solver, "_advance", counted)
+            return simulate(fld, spec, model, config=config)
+    got = run()
+    monkeypatch.setattr(_Kernel, "__call__", _reference_call)
+    monkeypatch.setattr(msdiff.solver, "_advance", _reference_advance)
+    ref = run()
+    assert steps[0] == steps[1] > 10 * DT_REFRESH_STEPS
+    assert len(got.checkpoints) == len(ref.checkpoints) == 6
+    for cp, cp_ref in zip(got.checkpoints, ref.checkpoints):
+        assert cp.time == pytest.approx(cp_ref.time, rel=1e-14)
+        _assert_close(cp.c, cp_ref.c, np.max(cp_ref.c))
+
+
 class TestReactions:
+    def test_rates_check_the_species_count(self):
+        net = ReactionNetwork(reactions=(Reaction([1, 0], [0, 1], 1.0),))
+        with pytest.raises(ValueError, match=re.escape(
+                "c has 3 species, reaction network has 2 species")):
+            net.rates(np.ones((3, 3)))
+
     def test_network_rejects_mixed_species_counts(self):
         with pytest.raises(ValueError, match=re.escape("one species count, got [2, 3]")):
             ReactionNetwork(reactions=(Reaction([1, 0], [0, 1], 1.0),
