@@ -422,7 +422,7 @@ def cmd_verify(cfg: RunConfig, out) -> int:
                      "(phase-splitting thermo)"))
     else:
         rows.append(_row("normal-ellipticity",
-                         np.count_nonzero(np.min(np.real(w), axis=-1) <= 0)))
+                         np.count_nonzero(np.min(w, axis=-1) <= 0)))
 
     # every state draws its gradient; only strongly convex states are checked
     x, g = _paired_samples(rng, n)

@@ -15,9 +15,11 @@ tests add a third, the bordered matrix A - mu (x (x) e).
 
 A(x) is linear in x, and so is its restriction K = P^T A P to E (P the
 orthonormal zero-sum basis): K(x) = sum_k x_k T_k.  The tensor T
-(:func:`_reduced_tensor`) depends on D alone, so the projected route,
-the diffusion operator and the simulator's step kernel all form K as one
-matrix product x @ T (:func:`_reduced_A`), with no (n, n) A on the way.
+(:func:`_reduced_tensor`) depends on D alone, so the projected route and
+the simulator's step kernel form K as one matrix product x @ T
+(:func:`_reduced_A`), with no (n, n) A on the way; the step kernel's dt
+bound and ``diffusion_operator_spectrum`` share one route from K to the
+diffusion operator's real eigenvalues (:func:`_diffusion_matrix_reduced`).
 
 Compositions and forces are shaped (..., n) and every public per-state
 function is batched over the leading axes, with the domain types of
@@ -35,8 +37,8 @@ import numpy as np
 from .errors import EigSolverFailure, NotConvex, SingularSystem
 from .mixture import (Composition, DrivingForce, FluxSet, _first_true,
                       _inverse_diffusivities, _unbatch, simplex_basis)
-from .thermo import (ThermoModel, _as_x, convexity_check, floor_composition,
-                     gamma_matrix)
+from .thermo import (ThermoModel, _as_x, _gamma_tensor, _interior, _reduced_gamma,
+                     convexity_check, floor_composition)
 
 
 def assemble_A(x, dmat) -> np.ndarray:
@@ -227,44 +229,44 @@ def _gauss_solve(b: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return y.reshape(batch + (m,)), pivot.reshape(batch)
 
 
-def _diffusion_matrix_reduced(x, dmat, model: ThermoModel) -> np.ndarray:
-    """Reduced representation of the effective diffusion operator on the
-    zero-sum subspace: M = -(P^T A P)^{-1} (P^T Gamma P).
-
-    The operator maps a concentration-gradient direction v in E to
-    -J(v), where J solves A J = Gamma v (the c_tot factors cancel).
-    Batched over leading axes of a floored ``x``.
-    """
-    k = _reduced_A(x, _reduced_tensor(_inverse_diffusivities(dmat)))
-    p = simplex_basis(x.shape[-1])
-    return _operator_reduced(k, p.T @ gamma_matrix(model, x) @ p)
-
-
-def _operator_reduced(k: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """M = -K^{-1} G from K = P^T A P and G = P^T Gamma P, batched."""
+def _diffusion_matrix_reduced(k: np.ndarray, x: np.ndarray, xa=None, s=None) -> np.ndarray:
+    """M = -K^{-1} P^T Gamma P, the effective diffusion operator on the
+    zero-sum subspace: v in E maps to -J(v), where A J = Gamma v.  K = x @ T
+    (:func:`_reduced_A`); on Margules thermo ``xa = x @ A`` and the per-run
+    S (:func:`msdiff.thermo._gamma_tensor`) give P^T Gamma P, else Gamma = I.
+    Batched; no floor or domain check."""
+    g = np.eye(k.shape[-1]) if s is None else _reduced_gamma(x, xa, s)
     return -_solve_reduced(k, g)
+
+
+def _real_eigenvalues(m: np.ndarray) -> np.ndarray:
+    """Unsorted eigenvalues of M, batched.  They are real (those of the pencil
+    of the symmetric P^T X^{-1} Gamma P and definite -P^T X^{-1} A P), so the
+    imaginary parts are roundoff and dropped; a 1x1 M is its own eigenvalue."""
+    return m[..., 0] if m.shape[-1] == 1 else np.linalg.eigvals(m).real
 
 
 def diffusion_operator_spectrum(x, dmat, model: ThermoModel,
                                 require_convex: bool = True) -> np.ndarray:
-    """Eigenvalues (descending by real part) of the effective diffusion
-    operator restricted to the zero-sum subspace, shaped (..., n-1).
+    """Eigenvalues (descending) of the effective diffusion operator on the
+    zero-sum subspace, a real float array shaped (..., n-1).
 
     Positive eigenvalues certify normal ellipticity, i.e. parabolicity
-    of the species equations at this state.  A row whose imaginary parts
-    are at roundoff level comes back real; the array is complex only if
-    some row is not.  With ``require_convex`` the strong-convexity
-    certificate is checked first, per row, and ``NotConvex`` is raised
-    when it fails on any row.
+    of the species equations at this state.  ``x`` is floored; a NaN or
+    inf raises ``DegenerateComposition``.  With ``require_convex`` the
+    strong-convexity certificate is checked first, per row, and
+    ``NotConvex`` is raised when it fails on any row.
     """
-    x = floor_composition(x)
+    x = _interior(floor_composition(x), "diffusion_operator_spectrum")
     if require_convex:
         lam = np.asarray(convexity_check(model, x))
         if np.any(lam <= 0):
             raise NotConvex("Gibbs energy not strongly convex: lambda_min = "
                             f"{lam[_first_true(lam <= 0)].item()!r}")
-    w = np.linalg.eigvals(_diffusion_matrix_reduced(x, dmat, model))
-    w = np.take_along_axis(w, np.argsort(-w.real, axis=-1), axis=-1)
-    real = (np.max(np.abs(w.imag), axis=-1)
-            <= 1e-10 * np.maximum(np.max(np.abs(w.real), axis=-1), 1e-300))
-    return w.real if np.all(real) else np.where(real[..., None], w.real, w)
+    k = _reduced_A(x, _reduced_tensor(_inverse_diffusivities(dmat)))
+    xa = s = None
+    if not model.is_ideal:
+        a = model.interactions(x.shape[-1])
+        xa, s = x @ a, _gamma_tensor(a)
+    w = _real_eigenvalues(_diffusion_matrix_reduced(k, x, xa, s))
+    return -np.sort(-w, axis=-1)

@@ -21,11 +21,11 @@ numpy warnings; per-cell totals that drift apart raise ``IsobaricDrift``.
 The kernel's set-up builds per-run tensors from D (and the Margules A),
 so that each step forms the reduced flux-force matrices of all faces as
 one product K = x_f @ T (:func:`msdiff.mskernel._reduced_A`), applies
-Gamma to the forces without forming it, and on refresh steps forms
-P^T Gamma P from one more product (:mod:`msdiff.thermo`).  It also keeps
-the basis P and an all-ones (n, n) matrix, so that the row sums of c and
-x_f are one product each (:func:`_row_sums`) and divide without a
-broadcast; the per-step reductions call ``np.*.reduce`` directly.
+Gamma to the forces without forming it, and on refresh steps takes the
+spectrum of M = -K^{-1} P^T Gamma P by ``diffusion_operator_spectrum``'s
+route.  It keeps the basis P and an all-ones (n, n) matrix, so the row
+sums of c and x_f are one product each (:func:`_row_sums`) and divide
+without a broadcast; per-step reductions call ``np.*.reduce`` directly.
 """
 from __future__ import annotations
 
@@ -37,10 +37,10 @@ import numpy as np
 from .errors import (IsobaricDrift, MaxStepsExceeded, NonFiniteState, NotConvex,
                      PositivityViolation)
 from .mixture import CLAMP_REL, MixtureSpec, _inverse_diffusivities, simplex_basis
-from .mskernel import (_fluxes_projected, _operator_reduced, _reduced_A,
-                       _reduced_tensor)
+from .mskernel import (_diffusion_matrix_reduced, _fluxes_projected, _real_eigenvalues,
+                       _reduced_A, _reduced_tensor)
 from .thermo import (IDEAL, ThermoModel, _gamma_dot, _gamma_tensor, _ln_gamma_x,
-                     _reduced_gamma, floor_composition, gibbs_density)
+                     floor_composition, gibbs_density)
 
 #: Relative tolerance on per-cell total-concentration uniformity.
 ISOBARIC_TOL = 1e-8
@@ -267,20 +267,15 @@ class _Kernel:
         xf = floor_composition(xf / _row_sums(xf, self.ones))
         d = (x[1:] - x[:-1]) / self.h
         mu = _ln_gamma_x(self.model, floor_composition(x))
-        if self.amat is not None:
-            xa = xf @ self.amat
+        xa = None if self.amat is None else xf @ self.amat
+        if xa is not None:
             d = _gamma_dot(xf, xa, self.amat, d)
         k = _reduced_A(xf, self.t)
         j = _fluxes_projected(0.5 * (totals[:-1] + totals[1:]) * d, k, self.p)
         jf = np.zeros((c.shape[0] + 1, c.shape[1]))
         jf[1:-1] = j
         w = float(-np.add.reduce(j * (mu[1:] - mu[:-1]), axis=None))
-        lam = None
-        if bound:
-            g = np.eye(k.shape[-1]) if self.s is None else _reduced_gamma(xf, xa, self.s)
-            m = _operator_reduced(k, g)
-            # binary mixtures: M is 1x1 per face, its own eigenvalue
-            lam = m[..., 0] if m.shape[-1] == 1 else np.linalg.eigvals(m).real
+        lam = _real_eigenvalues(_diffusion_matrix_reduced(k, xf, xa, self.s)) if bound else None
         f = self.reactions.rates(c) if self.reactions.reactions else None
         if f is not None and not np.isfinite(f).all():
             cell, sp = np.unravel_index(np.argmin(np.isfinite(f)), f.shape)

@@ -10,8 +10,8 @@ The nonideal family is the multicomponent two-suffix Margules model,
 
 which reduces to the classical binary closed form ln gamma_1 = A x_2^2.
 Its Gamma = I + diag(x) A - x (A x)^T is affine in x, so the simulator
-applies and reduces it without forming it (:func:`_gamma_dot`,
-:func:`_reduced_gamma`).
+applies it without forming it (:func:`_gamma_dot`), and the diffusion
+operator reduces it from a per-run tensor (:func:`_reduced_gamma`).
 
 Functions accept either a :class:`~msdiff.mixture.Composition` or a plain
 mole-fraction array shaped (..., n).  The per-state functions
@@ -32,10 +32,10 @@ from .errors import DegenerateComposition
 from .mixture import (Composition, DrivingForce, _check_zero_sum, _frozen_array,
                       _pair_matrix, _unbatch, simplex_basis)
 
-#: Compositions with any fraction below this floor (or a NaN) are
+#: Compositions with any fraction below this floor (or a NaN or inf) are
 #: degenerate for quantities involving ln(x) or 1/x.  floor_composition
 #: raises entries to it, without renormalizing, to keep A irreducible at
-#: simplex boundaries; its output passes the domain check.
+#: simplex boundaries; its finite output passes the domain check.
 X_FLOOR = 1e-12
 
 
@@ -90,12 +90,12 @@ def floor_composition(x) -> np.ndarray:
 
 
 def _interior(x, what: str) -> np.ndarray:
-    """``x`` as an array if every entry is at least X_FLOOR, else
-    ``DegenerateComposition`` (NaN included)."""
+    """``x`` as an array if every entry is finite and at least X_FLOOR,
+    else ``DegenerateComposition`` (NaN and inf included)."""
     x = _as_x(x)
-    if not np.all(x >= X_FLOOR):
+    if not np.all((x >= X_FLOOR) & (x < np.inf)):
         raise DegenerateComposition(
-            f"{what} needs an interior composition (every x_i >= {X_FLOOR:g})")
+            f"{what} needs an interior composition (every x_i finite and >= {X_FLOOR:g})")
     return x
 
 

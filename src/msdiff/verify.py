@@ -22,6 +22,9 @@ LYAP_TOL_REL = 1e-6
 #: detect_uphill: fluxes and gradients below this fraction of their maximum are 0.
 UPHILL_REL_TOL = 1e-10
 
+#: filtration_oracle's step: this fraction of its explicit stability limit.
+ORACLE_CFL = 0.3
+
 
 @dataclass
 class EntropyLedger:
@@ -75,8 +78,7 @@ def entropy_ledger(trajectory: Trajectory, model: ThermoModel | None = None) -> 
 
 
 def filtration_oracle(c0, model: ThermoModel | None, d12: float, grid: Grid1D,
-                      t_end: float, c_tot: float | None = None,
-                      cfl_safety: float = 0.3) -> np.ndarray:
+                      t_end: float, c_tot: float | None = None) -> np.ndarray:
     """Scalar reference solver for the exact binary reduction
     d_t c = Lap(phi(c)) with zero-flux walls.
 
@@ -113,7 +115,7 @@ def filtration_oracle(c0, model: ThermoModel | None, d12: float, grid: Grid1D,
             raise NonMonotoneFlux(
                 f"phi'({c[k]!r}) = {dp[k]!r} <= 0: chemical potential not "
                 "increasing in concentration (phase-splitting regime)")
-        dt = min(cfl_safety * h * h / (2.0 * float(dp.max())), t_end - t)
+        dt = min(ORACLE_CFL * h * h / (2.0 * float(dp.max())), t_end - t)
         p = phi(c)
         lap = np.empty_like(c)
         lap[1:-1] = p[2:] - 2.0 * p[1:-1] + p[:-2]

@@ -1,17 +1,21 @@
 """Flux-force assembly, spectral certificates, and the three solve routes."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from msdiff import (IDEAL, Composition, FluxSet, ThermoModel, assemble_A,
-                    assemble_A_sym, assemble_B, diffusion_operator_spectrum,
-                    mole_fractions, solve_fluxes_invariant,
+from msdiff import (IDEAL, Composition, Field, FluxSet, Grid1D, MixtureSpec, ThermoModel,
+                    assemble_A, assemble_A_sym, assemble_B, diffusion_operator_spectrum,
+                    gamma_matrix, mole_fractions, solve_fluxes_invariant,
                     solve_fluxes_reduced, spectral_gap_delta, spectrum,
                     ternary_closed_forms)
 from msdiff import mskernel
 from msdiff.errors import DegenerateComposition, NotConvex, SingularSystem
 from msdiff.mixture import _inverse_diffusivities, _unbatch, simplex_basis
-from msdiff.mskernel import (_diffusion_matrix_reduced, _gauss_solve,
-                             _solve_reduced)
+from msdiff.mskernel import (_diffusion_matrix_reduced, _gauss_solve, _reduced_A,
+                             _reduced_tensor, _solve_reduced)
+from msdiff.solver import _Kernel
 from msdiff.thermo import _as_x, floor_composition
 
 
@@ -373,12 +377,107 @@ class TestDiffusionOperator:
         rng = np.random.default_rng(73)
         x, dmat = _random_instance(rng, nmin=3, nmax=3)
         xs = floor_composition(x)
-        m = _diffusion_matrix_reduced(xs, dmat, IDEAL)
+        m = _diffusion_matrix_reduced(
+            _reduced_A(xs, _reduced_tensor(_inverse_diffusivities(dmat))), xs)
         p = simplex_basis(3)
         v = _random_zero_sum(rng, 3)
         comp = Composition(x=xs / xs.sum(), c_tot=1.0)
         j = solve_fluxes_invariant(comp, dmat, v).J
         np.testing.assert_allclose(-(p @ m @ (p.T @ v)), j, atol=1e-11)
+
+
+def _sym(v, n):
+    """Symmetric (n, n) matrix with zero diagonal from its n(n-1)/2 upper entries."""
+    out = np.zeros((n, n))
+    out[np.triu_indices(n, 1)] = v
+    return out + out.T
+
+
+@st.composite
+def operator_states(draw):
+    """(x, dmat, model): 1..8 rows of n = 2..6 species, each interior or
+    with 1..n-1 species at X_FLOOR; D_ij in [0.1, 10]; ideal thermo or
+    Margules with |A_ij| <= 3, so that non-convex rows occur."""
+    n = draw(st.integers(2, 6))
+    rows = draw(st.integers(1, 8))
+    npair = n * (n - 1) // 2
+    w = draw(hnp.arrays(float, (rows, n), elements=st.floats(0.05, 1.0)))
+    floored = draw(hnp.arrays(bool, (rows, n)))
+    floored[floored.all(axis=1), 0] = False
+    w[floored] = 0.0
+    dmat = _sym(draw(hnp.arrays(float, npair, elements=st.floats(0.1, 10.0))), n)
+    model = IDEAL
+    if draw(st.booleans()):
+        model = ThermoModel.margules(_sym(draw(hnp.arrays(
+            float, npair, elements=st.floats(-3.0, 3.0))), n))
+    return floor_composition(w / w.sum(axis=1, keepdims=True)), dmat, model
+
+
+@settings(max_examples=200, deadline=None)
+@given(state=operator_states())
+def test_operator_spectrum_is_real(state):
+    """The diffusion operator's spectrum is real, convex or not and with
+    floored species: the public spectrum is a descending float array, and
+    the eigenvalues of M = -(P^T A P)^{-1} P^T Gamma P, formed here from
+    the assembled A and Gamma, have imaginary parts at roundoff."""
+    x, dmat, model = state
+    w = diffusion_operator_spectrum(x, dmat, model, require_convex=False)
+    assert w.dtype == np.float64 and w.shape == x.shape[:-1] + (x.shape[-1] - 1,)
+    assert np.all(np.diff(w, axis=-1) <= 0)
+    p = simplex_basis(x.shape[-1])
+    ev = np.linalg.eigvals(-np.linalg.solve(p.T @ assemble_A(x, dmat) @ p,
+                                            p.T @ gamma_matrix(model, x) @ p))
+    assert np.all(np.max(np.abs(ev.imag), axis=-1)
+                  <= 1e-10 * np.max(np.abs(ev.real), axis=-1))
+
+
+def _pencil_spectrum(x, dmat, model):
+    """Ascending operator eigenvalues per row of ``x`` from the symmetric
+    definite pencil (Q^T X^{-1/2} Gamma X^{1/2} Q, -Q^T A_S Q), with
+    A_S = X^{-1/2} A X^{1/2} and Q a Householder basis of the complement
+    of sqrt(x).  The X^{1/2} scaling keeps floored species well
+    conditioned (an X^{-1} weighting would not)."""
+    out = []
+    for xi in x:
+        r = np.sqrt(xi)
+        v = r / np.linalg.norm(r)
+        v[0] += np.copysign(1.0, v[0])
+        q = (np.eye(xi.size) - 2.0 * np.outer(v, v) / (v @ v))[:, 1:]
+        h = q.T @ (gamma_matrix(model, xi) * (r[None, :] / r[:, None])) @ q
+        li = np.linalg.inv(np.linalg.cholesky(-(q.T @ assemble_A_sym(xi, dmat) @ q)))
+        c = li @ h @ li.T
+        out.append(np.linalg.eigvalsh(0.5 * (c + c.T)))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("thermo", ["ideal", "margules"])
+def test_spectrum_accurate_on_floored_faces(n, thermo):
+    """The public spectrum and the step kernel's refresh spectrum agree
+    with the X^{1/2} pencil to 1e-8 of each face's largest eigenvalue, on
+    a field of pure-species cells (faces with n-1 or n-2 floored species)
+    and mixtures with one species absent."""
+    rng = np.random.default_rng(500 + 10 * n + (thermo == "margules"))
+    dmat = _sym(rng.uniform(0.1, 10.0, n * (n - 1) // 2), n)
+    model = IDEAL
+    if thermo == "margules":
+        model = ThermoModel.margules(_sym(rng.uniform(-3.0, 3.0, n * (n - 1) // 2), n))
+    mixed = rng.dirichlet(np.ones(n), size=4)
+    mixed[np.arange(4), rng.integers(0, n, 4)] = 0.0
+    mixed /= mixed.sum(axis=1, keepdims=True)
+    pure = np.repeat(np.eye(n), 2, axis=0)
+    c = 1.3 * np.concatenate([pure, mixed, pure[::-1]])
+    fld = Field(c=c, grid=Grid1D(ncells=len(c), length=1.0))
+    spec = MixtureSpec(names=tuple(f"S{i}" for i in range(n)), dmat=dmat)
+    x = fld.c / fld.c.sum(axis=1, keepdims=True)
+    xf = 0.5 * (x[:-1] + x[1:])
+    xf = floor_composition(xf / xf.sum(axis=1, keepdims=True))
+    ref = _pencil_spectrum(xf, dmat, model)
+    scale = 1e-8 * np.max(np.abs(ref), axis=-1, keepdims=True)
+    w = diffusion_operator_spectrum(xf, dmat, model, require_convex=False)
+    assert np.all(np.abs(w - ref[:, ::-1]) <= scale)
+    lam = _Kernel(spec, model, fld)(fld.c, bound=True).lam
+    assert np.all(np.abs(np.sort(lam, axis=-1) - ref) <= scale)
 
 
 class TestReducedElimination:

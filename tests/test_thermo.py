@@ -236,3 +236,26 @@ def test_floor_output_is_accepted_at_simplex_boundary(n):
         for check in checks:
             with pytest.raises(DegenerateComposition):
                 check(bad)
+
+
+_DOMAIN_CHECKED = {
+    "convexity_check": lambda model, x, dmat: convexity_check(model, x),
+    "gamma_matrix": lambda model, x, dmat: gamma_matrix(model, x),
+    "chemical_potentials": lambda model, x, dmat: chemical_potentials(model, x),
+    "diffusion_operator_spectrum": lambda model, x, dmat: diffusion_operator_spectrum(
+        x, dmat, model, require_convex=False),
+}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("thermo", ["ideal", "margules"])
+@pytest.mark.parametrize("name", sorted(_DOMAIN_CHECKED))
+def test_infinite_fraction_is_degenerate(n, thermo, name):
+    """A +inf fraction fails the domain check like a NaN: no 1.0
+    certificate, NaN matrix, infinite potential, or LinAlgError."""
+    x = np.full(n, 0.5)
+    x[0] = np.inf
+    off = np.ones((n, n)) - np.eye(n)
+    model = IDEAL if thermo == "ideal" else ThermoModel.margules(0.5 * off)
+    with pytest.raises(DegenerateComposition):
+        _DOMAIN_CHECKED[name](model, x, off)
