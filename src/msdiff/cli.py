@@ -1,7 +1,7 @@
 """Batch front door: parse a JSON run configuration, dispatch to the
 kernel/solver/verify layers, and emit machine-readable results.
 
-Subcommands: ``spectrum``, ``fluxes``, ``simulate``, ``verify``.
+Subcommands: ``spectrum``, ``fluxes``, ``simulate``, ``verify`` (``property_sweep``'s rows).
 
 Config sections ``mixture``, ``composition``, ``grid`` and ``sim`` are
 built by :func:`_build` from their library constructors' fields, defaults
@@ -272,12 +272,10 @@ def cmd_fluxes(cfg: RunConfig, out) -> int:
     if cfg.composition is None or cfg.gradients is None:
         raise ConfigError("fluxes: config needs 'composition' and 'gradients'")
     d = thermo.driving_force(cfg.model, cfg.composition, cfg.gradients)
-    ji = mskernel.solve_fluxes_invariant(cfg.composition, cfg.spec.dmat, d).J
-    jr = mskernel.solve_fluxes_reduced(cfg.composition, cfg.spec.dmat, d).J
-    scale = max(float(np.max(np.abs(ji))), 1e-300)
+    ji, jr, agreement = verify.flux_routes(cfg.composition, cfg.spec.dmat, d)
     json.dump({"invariant": [float(v) for v in ji],
                "reduced": [float(v) for v in jr],
-               "agreement": float(np.max(np.abs(ji - jr)) / scale)},
+               "agreement": float(agreement)},
               out, sort_keys=True)
     out.write("\n")
     return EXIT_OK
@@ -354,91 +352,12 @@ def _write_together(writers: dict, traj, names) -> None:
         raise
 
 
-#: Random states drawn per ``verify`` check.
-VERIFY_SAMPLES = 200
-
-
-def _interior_samples(rng, n: int, k: int) -> np.ndarray:
-    """``k`` Dirichlet(1) compositions with every x_i >= 1e-3, shaped
-    (k, n).  Each round draws exactly the shortfall, so the stream is
-    consumed as by k sequential single draws with rejection."""
-    x = np.empty((0, n))
-    while len(x) < k:
-        draw = rng.dirichlet(np.ones(n), size=k - len(x))
-        x = np.concatenate([x, draw[draw.min(axis=1) >= 1e-3]])
-    return x
-
-
-def _paired_samples(rng, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """VERIFY_SAMPLES compositions, each followed in the stream by a
-    standard-normal vector made zero-sum; both shaped (VERIFY_SAMPLES, n)."""
-    xs, vs = [], []
-    for _ in range(VERIFY_SAMPLES):
-        xs.append(_interior_samples(rng, n, 1)[0])
-        vs.append(rng.standard_normal(n))
-    v = np.array(vs)
-    return np.array(xs), v - v.mean(axis=1, keepdims=True)
-
-
-def _row(name: str, fails: int) -> tuple[str, str, str]:
-    return (name, "PASS" if fails == 0 else "FAIL",
-            f"{VERIFY_SAMPLES - fails}/{VERIFY_SAMPLES}")
-
-
 def cmd_verify(cfg: RunConfig, out) -> int:
-    """Property sweep for the configured mixture; prints one pass/fail
-    row per check.  Each check draws its VERIFY_SAMPLES states and makes
-    one batched call per kernel function, with a verdict per state."""
-    rng = np.random.default_rng(cfg.seed)
-    n = cfg.spec.n
-    dmat = cfg.spec.dmat
+    """Print the seed and :func:`verify.property_sweep`'s rows; 1 on a FAIL."""
     out.write(f"seed: {cfg.seed}\n")
-    rows: list[tuple[str, str, str]] = []
-
-    rep = mskernel.spectrum(_interior_samples(rng, n, VERIFY_SAMPLES), dmat)
-    rows.append(_row("spectral-gap", VERIFY_SAMPLES - np.count_nonzero(rep.gap_ok)))
-
-    x, d = _paired_samples(rng, n)
-    comp = Composition(x=x, c_tot=1.0)
-    ji = mskernel.solve_fluxes_invariant(comp, dmat, d).J
-    jr = mskernel.solve_fluxes_reduced(comp, dmat, d).J
-    scale = np.maximum(np.max(np.abs(ji), axis=1), 1e-300)
-    rows.append(_row("flux-route-agreement", np.count_nonzero(
-        np.max(np.abs(ji - jr), axis=1) > 1e-10 * scale)))
-
-    if n == 3:
-        tern = verify.ternary_closed_forms(_interior_samples(rng, 3, VERIFY_SAMPLES), dmat)
-        rows.append(_row("ternary-closed-forms", np.count_nonzero(
-            ~(tern.matches_assembly & tern.sector_ok))))
-
-    x = _interior_samples(rng, n, VERIFY_SAMPLES)
-    convex = thermo.convexity_check(cfg.model, x) > 0
-    w = mskernel.diffusion_operator_spectrum(x[convex], dmat, cfg.model,
-                                             require_convex=False)
-    not_convex = VERIFY_SAMPLES - np.count_nonzero(convex)
-    if not_convex:
-        rows.append(("normal-ellipticity", "XFAIL",
-                     f"NotConvex at {not_convex}/{VERIFY_SAMPLES} states "
-                     "(phase-splitting thermo)"))
-    else:
-        rows.append(_row("normal-ellipticity",
-                         np.count_nonzero(np.min(w, axis=-1) <= 0)))
-
-    # every state draws its gradient; only strongly convex states are checked
-    x, g = _paired_samples(rng, n)
-    convex = thermo.convexity_check(cfg.model, x) > 0
-    comp = Composition(x=x[convex], c_tot=1.0)
-    d = thermo.driving_force(cfg.model, comp, g[convex])
-    j = mskernel.solve_fluxes_invariant(comp, dmat, d).J
-    jmu = j * (d.d / comp.x)
-    rows.append(_row("pointwise-entropy", np.count_nonzero(
-        -jmu.sum(axis=1) < -1e-12 * np.maximum(np.max(np.abs(jmu), axis=1), 1e-300))))
-
-    hard_fail = False
-    for name, status, detail in rows:
-        out.write(f"{status:5s} {name}: {detail}\n")
-        hard_fail |= status == "FAIL"
-    return EXIT_VERIFY_FAIL if hard_fail else EXIT_OK
+    rows = verify.property_sweep(cfg.spec, cfg.model, cfg.seed)
+    out.write("".join(f"{status:5s} {name}: {detail}\n" for name, status, detail in rows))
+    return EXIT_VERIFY_FAIL if any(row[1] == "FAIL" for row in rows) else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:

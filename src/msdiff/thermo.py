@@ -159,6 +159,7 @@ def driving_force(model: ThermoModel, x, grad_x) -> DrivingForce:
     """
     g = np.asarray(grad_x, dtype=float)
     _check_zero_sum(g, "grad_x", rtol=1e-10)
+    x = _interior(x, "driving_force")
     d = (gamma_matrix(model, x) @ g[..., None])[..., 0]
     d -= d.mean(axis=-1, keepdims=True)  # exact zero sum; roundoff-level correction
     return DrivingForce(d=d)

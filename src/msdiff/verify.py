@@ -1,15 +1,16 @@
 """Independent oracles and global diagnostics: the entropy/Lyapunov
 ledger, the binary filtration-equation reference solver, ternary
-closed-form checks, and cross-diffusion phenomenon detectors."""
+closed-form checks, cross-diffusion phenomenon detectors, and the
+property sweep that ``msdiff verify`` prints."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
+from . import mskernel, thermo  # the sweep calls attributes: wrappers see each call
 from .errors import NonMonotoneFlux
-from .mixture import MixtureSpec, _inverse_diffusivities, _unbatch
-from .mskernel import assemble_B
+from .mixture import Composition, MixtureSpec, _inverse_diffusivities, _unbatch
 from .solver import Field, Grid1D, Trajectory, face_fluxes
 from .thermo import ThermoModel, _as_x
 
@@ -85,11 +86,21 @@ def filtration_oracle(c0, model: ThermoModel | None, d12: float, grid: Grid1D,
     For the ideal model phi(c) = d12 * c (heat equation); for the binary
     two-suffix model with interaction a the flux derivative is
     phi'(c) = d12 (1 - 2 a x (1 - x)) with x = c / c_tot.  Raises
-    ``NonMonotoneFlux`` when phi' <= 0 on the traversed range.
+    ``NonMonotoneFlux`` when phi' <= 0 on the traversed range, and
+    ``ValueError`` for a non-finite ``c0``, a ``t_end`` not finite and
+    nonnegative, or a ``d12`` or given ``c_tot`` not in (0, inf).
     """
     c = np.array(c0, dtype=float)
     if c.ndim != 1 or c.size != grid.ncells:
         raise ValueError(f"profile shape {c.shape} does not match grid {grid.ncells}")
+    if not np.all(np.isfinite(c)):
+        raise ValueError("c0 must be finite")
+    if not 0.0 <= t_end < np.inf:
+        raise ValueError(f"t_end must be finite and nonnegative, got {t_end!r}")
+    if not 0.0 < d12 < np.inf:
+        raise ValueError(f"d12 must be in (0, inf), got {d12!r}")
+    if c_tot is not None and not 0.0 < c_tot < np.inf:
+        raise ValueError(f"c_tot must be in (0, inf), got {c_tot!r}")
     a = 0.0 if model is None or model.is_ideal else float(model.interactions(2)[0, 1])
     if a != 0.0 and c_tot is None:
         raise ValueError("c_tot is required for the nonideal binary flux")
@@ -113,7 +124,7 @@ def filtration_oracle(c0, model: ThermoModel | None, d12: float, grid: Grid1D,
         if np.any(dp <= 0):
             k = int(np.argmin(dp))
             raise NonMonotoneFlux(
-                f"phi'({c[k]!r}) = {dp[k]!r} <= 0: chemical potential not "
+                f"phi'({float(c[k])!r}) = {float(dp[k])!r} <= 0: chemical potential not "
                 "increasing in concentration (phase-splitting regime)")
         dt = min(ORACLE_CFL * h * h / (2.0 * float(dp.max())), t_end - t)
         p = phi(c)
@@ -200,7 +211,7 @@ def ternary_closed_forms(x, dmat) -> TernaryReport:
     x1, x2, x3 = x[..., 0], x[..., 1], x[..., 2]
     det_cf = x1 / (d12 * d13) + x2 / (d12 * d23) + x3 / (d13 * d23)
     tr_cf = (x1 + x2) / d12 + (x1 + x3) / d13 + (x2 + x3) / d23
-    b = assemble_B(x, d)
+    b = mskernel.assemble_B(x, d)
     det_as = np.linalg.det(b)
     tr_as = np.trace(b, axis1=-2, axis2=-1)
     matches = ((np.abs(det_as - det_cf) <= 1e-12 * np.abs(det_cf))
@@ -212,3 +223,83 @@ def ternary_closed_forms(x, dmat) -> TernaryReport:
     return TernaryReport(det_b=_unbatch(det_cf), tr_b=_unbatch(tr_cf),
                          matches_assembly=_unbatch(matches),
                          sector_ok=_unbatch(sector))
+
+
+#: Random states drawn per :func:`property_sweep` check.
+VERIFY_SAMPLES = 200
+
+
+def _interior_samples(rng, n: int, k: int) -> np.ndarray:
+    """``k`` Dirichlet(1) compositions with every x_i >= 1e-3, shaped
+    (k, n).  Each round draws exactly the shortfall, so the stream is
+    consumed as by k sequential single draws with rejection."""
+    x = np.empty((0, n))
+    while len(x) < k:
+        draw = rng.dirichlet(np.ones(n), size=k - len(x))
+        x = np.concatenate([x, draw[draw.min(axis=1) >= 1e-3]])
+    return x
+
+
+def _paired_samples(rng, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """VERIFY_SAMPLES compositions, each followed in the stream by a
+    standard-normal vector made zero-sum; both shaped (VERIFY_SAMPLES, n)."""
+    xs, vs = [], []
+    for _ in range(VERIFY_SAMPLES):
+        xs.append(_interior_samples(rng, n, 1)[0])
+        vs.append(rng.standard_normal(n))
+    v = np.array(vs)
+    return np.array(xs), v - v.mean(axis=1, keepdims=True)
+
+
+def _row(name: str, fails: int) -> tuple[str, str, str]:
+    return (name, "PASS" if fails == 0 else "FAIL",
+            f"{VERIFY_SAMPLES - fails}/{VERIFY_SAMPLES}")
+
+
+def flux_routes(comp, dmat, d):
+    """``(J_inv, J_red, agreement)`` by the invariant and reduced routes;
+    agreement = max|J_inv - J_red| / max(max|J_inv|, 1e-300) per row."""
+    ji = mskernel.solve_fluxes_invariant(comp, dmat, d).J
+    jr = mskernel.solve_fluxes_reduced(comp, dmat, d).J
+    scale = np.maximum(np.max(np.abs(ji), axis=-1), 1e-300)
+    return ji, jr, np.max(np.abs(ji - jr), axis=-1) / scale
+
+
+def property_sweep(spec: MixtureSpec, model: ThermoModel,
+                   seed: int) -> list[tuple[str, str, str]]:
+    """One ``(name, PASS|FAIL|XFAIL, detail)`` row per property check.
+    Each check draws its VERIFY_SAMPLES states from the ``seed`` stream
+    and makes one batched call per kernel function, a verdict per state."""
+    rng = np.random.default_rng(seed)
+    n, dmat = spec.n, spec.dmat
+    rep = mskernel.spectrum(_interior_samples(rng, n, VERIFY_SAMPLES), dmat)
+    rows = [_row("spectral-gap", VERIFY_SAMPLES - np.count_nonzero(rep.gap_ok))]
+
+    x, d = _paired_samples(rng, n)
+    agreement = flux_routes(Composition(x=x, c_tot=1.0), dmat, d)[2]
+    rows.append(_row("flux-route-agreement", np.count_nonzero(agreement > 1e-10)))
+
+    if n == 3:
+        tern = ternary_closed_forms(_interior_samples(rng, 3, VERIFY_SAMPLES), dmat)
+        rows.append(_row("ternary-closed-forms", np.count_nonzero(
+            ~(tern.matches_assembly & tern.sector_ok))))
+
+    x = _interior_samples(rng, n, VERIFY_SAMPLES)
+    convex = thermo.convexity_check(model, x) > 0
+    w = mskernel.diffusion_operator_spectrum(x[convex], dmat, model, require_convex=False)
+    not_convex = VERIFY_SAMPLES - np.count_nonzero(convex)
+    if not_convex:
+        rows.append(("normal-ellipticity", "XFAIL", f"NotConvex at {not_convex}/"
+                     f"{VERIFY_SAMPLES} states (phase-splitting thermo)"))
+    else:
+        rows.append(_row("normal-ellipticity", np.count_nonzero(np.min(w, axis=-1) <= 0)))
+
+    # every state draws its gradient; only strongly convex states are checked
+    x, g = _paired_samples(rng, n)
+    convex = thermo.convexity_check(model, x) > 0
+    comp = Composition(x=x[convex], c_tot=1.0)
+    d = thermo.driving_force(model, comp, g[convex])
+    jmu = mskernel.solve_fluxes_invariant(comp, dmat, d).J * (d.d / comp.x)
+    rows.append(_row("pointwise-entropy", np.count_nonzero(
+        -jmu.sum(axis=1) < -1e-12 * np.maximum(np.max(np.abs(jmu), axis=1), 1e-300))))
+    return rows

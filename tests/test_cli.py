@@ -15,12 +15,14 @@ import pytest
 import msdiff.cli
 from msdiff import errors
 from msdiff.cli import (EXIT_CONFIG, EXIT_CONVEXITY, EXIT_NUMERICAL, EXIT_OK,
-                        EXIT_POSITIVITY, EXIT_STEP_LIMIT, VERIFY_SAMPLES,
-                        _interior_samples, _paired_samples,
+                        EXIT_POSITIVITY, EXIT_STEP_LIMIT,
                         _write_trajectory_csv, load_config, main)
 from msdiff.errors import ConfigError, MsDiffError
 from msdiff.mixture import Composition, MixtureSpec
 from msdiff.solver import Checkpoint, Grid1D, SimConfig, Trajectory, simulate
+from msdiff.thermo import X_FLOOR, driving_force
+from msdiff.verify import (VERIFY_SAMPLES, _interior_samples, _paired_samples,
+                           flux_routes, property_sweep)
 
 CONFIGS = Path(__file__).parents[1] / "configs"
 
@@ -145,6 +147,14 @@ class TestErrorMap:
         code, _ = _run(["fluxes", "--config", _write(tmp_path, cfg)])
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err.count("\n") == 1
+
+    def test_fluxes_at_pure_corner_names_driving_force(self, tmp_path, capsys):
+        # the error names the function fluxes calls, not one it calls in turn
+        cfg = dict(BASE, composition={"x": [1.0, 0.0], "c_tot": 1.0})
+        assert _run(["fluxes", "--config", _write(tmp_path, cfg)])[0] == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "degenerate composition: driving_force needs an interior composition "
+            f"(every x_i finite and >= {X_FLOOR:g})\n")
 
     @pytest.mark.parametrize("section,value", [
         ("initial", {"kind": "uniform", "x": ["a", 0.5]}),
@@ -390,6 +400,37 @@ class TestFluxesCommand:
         cfg = {"mixture": BASE["mixture"], "composition": BASE["composition"]}
         code, _ = _run(["fluxes", "--config", _write(tmp_path, cfg)])
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("path", sorted(p.name for p in CONFIGS.glob("*.json")
+                                            if "gradients" in json.loads(p.read_text())))
+    def test_flux_routes_are_the_printed_bits(self, path):
+        cfg = load_config(CONFIGS / path)
+        d = driving_force(cfg.model, cfg.composition, cfg.gradients)
+        ji, jr, agreement = flux_routes(cfg.composition, cfg.spec.dmat, d)
+        assert _run(["fluxes", "--config", str(CONFIGS / path)]) == (EXIT_OK, json.dumps(
+            {"agreement": float(agreement), "invariant": ji.tolist(),
+             "reduced": jr.tolist()}) + "\n")
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_flux_routes_batch_is_its_rows(self, n):
+        rng = np.random.default_rng(n)
+        x, d = _paired_samples(rng, n)
+        dmat = rng.uniform(0.5, 5.0, (n, n))
+        dmat = dmat + dmat.T
+        np.fill_diagonal(dmat, 0.0)
+        ji, jr, agreement = flux_routes(Composition(x=x, c_tot=1.0), dmat, d)
+        assert agreement.shape == (VERIFY_SAMPLES,)
+        for k in range(VERIFY_SAMPLES):
+            one = flux_routes(Composition(x=x[k], c_tot=1.0), dmat, d[k])
+            # the batching contract: rows to 1e-13 relative (stacked solves
+            # differ from unstacked ones in the last bits)
+            for row, single in zip((ji[k], jr[k]), one[:2]):
+                np.testing.assert_allclose(row, single, rtol=1e-13,
+                                           atol=1e-13 * np.max(np.abs(single)))
+            # the agreement of each row is that row's own, bit for bit
+            assert agreement[k] == (np.max(np.abs(ji[k] - jr[k]))
+                                    / max(np.max(np.abs(ji[k])), 1e-300))
+            assert one[2] < 1e-10 and agreement[k] < 1e-10
 
 
 SIM = {
@@ -705,6 +746,14 @@ class TestVerifyCommand:
     def test_shipped_config_output_is_pinned(self, name, seed):
         assert _run(["verify", "--config", str(CONFIGS / name),
                      "--seed", str(seed)]) == PINNED_VERIFY[name, seed]
+
+    @pytest.mark.parametrize("name,seed", sorted(PINNED_VERIFY))
+    def test_property_sweep_rows_are_the_pinned_output(self, name, seed):
+        cfg = load_config(CONFIGS / name)
+        rows = property_sweep(cfg.spec, cfg.model, seed)
+        printed = f"seed: {seed}\n" + "".join(f"{status:5s} {check}: {detail}\n"
+                                              for check, status, detail in rows)
+        assert printed == PINNED_VERIFY[name, seed][1]
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_interior_samples_match_sequential_draws(self, n):

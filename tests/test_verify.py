@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from msdiff import (IDEAL, Field, Grid1D, MixtureSpec, SimConfig, ThermoModel,
-                    detect_uphill, entropy_ledger, filtration_oracle, simulate,
-                    ternary_closed_forms)
+                    detect_uphill, entropy_ledger, filtration_oracle, mskernel,
+                    simulate, ternary_closed_forms, thermo, verify)
 from msdiff.errors import NonMonotoneFlux
 from msdiff.solver import Checkpoint, Trajectory
 
@@ -115,6 +115,28 @@ class TestFiltrationOracle:
         with pytest.raises(NonMonotoneFlux):
             filtration_oracle(c0, model, 1.0, grid, 0.01, c_tot=1.0)
 
+    def test_spinodal_message_prints_plain_floats(self):
+        grid = Grid1D(ncells=20, length=1.0)
+        model = ThermoModel.margules([[0, 2.1], [2.1, 0]])
+        with pytest.raises(NonMonotoneFlux, match=r"^phi'\(0\.5\) = -0\.05\d* <= 0"):
+            filtration_oracle(np.full(20, 0.5), model, 1.0, grid, 0.01, c_tot=1.0)
+
+    @pytest.mark.parametrize("kwargs,err", [
+        ({"t_end": np.inf}, "t_end"), ({"t_end": np.nan}, "t_end"),
+        ({"t_end": -1.0}, "t_end"), ({"d12": np.nan}, "d12"),
+        ({"d12": -1.0}, "d12"), ({"d12": 0.0}, "d12"), ({"d12": np.inf}, "d12"),
+        ({"c_tot": 0.0}, "c_tot"), ({"c_tot": -1.0}, "c_tot"),
+        ({"c_tot": np.inf}, "c_tot"), ({"c_tot": np.nan}, "c_tot"),
+        ({"c0": np.r_[np.nan, np.full(19, 0.5)]}, "c0"),
+        ({"c0": np.r_[np.full(19, 0.5), np.inf]}, "c0")])
+    @pytest.mark.parametrize("model", [IDEAL, ThermoModel.margules([[0, 1.5], [1.5, 0]])])
+    def test_bad_input_fails_closed(self, kwargs, err, model):
+        # t_end = inf used to loop forever, NaN to return c0 or an all-NaN profile
+        args = {"c0": np.linspace(0.3, 0.7, 20), "model": model, "d12": 1.0,
+                "grid": Grid1D(ncells=20, length=1.0), "t_end": 0.01, "c_tot": 1.0}
+        with pytest.raises(ValueError, match=f"^{err} must be"):
+            filtration_oracle(**{**args, **kwargs})
+
     def test_matches_full_solver_on_binary(self):
         traj = _binary_step_trajectory(ncells=60, t_end=0.03)
         grid = traj.grid
@@ -218,3 +240,31 @@ class TestTernaryClosedForms:
     def test_wrong_size_rejected(self):
         with pytest.raises(ValueError):
             ternary_closed_forms([0.5, 0.5], np.zeros((2, 2)))
+
+
+class TestPropertySweep:
+    def test_reaches_every_traced_kernel_attribute(self, monkeypatch):
+        # the sweep looks its kernel calls up as module attributes, so a
+        # wrapper set on the attribute (as a tracer sets one) sees them all
+        calls = {}
+        targets = [(mskernel, "spectrum"), (mskernel, "solve_fluxes_invariant"),
+                   (mskernel, "solve_fluxes_reduced"),
+                   (mskernel, "diffusion_operator_spectrum"),
+                   (thermo, "convexity_check"), (thermo, "driving_force"),
+                   (verify, "ternary_closed_forms")]
+        for module, name in targets:
+            def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+        spec = MixtureSpec(names=("A", "B", "C"),
+                           dmat=[[0.0, 1.0, 2.0], [1.0, 0.0, 0.5], [2.0, 0.5, 0.0]])
+        rows = verify.property_sweep(spec, IDEAL, 0)
+        assert [row[:2] for row in rows] == [
+            ("spectral-gap", "PASS"), ("flux-route-agreement", "PASS"),
+            ("ternary-closed-forms", "PASS"), ("normal-ellipticity", "PASS"),
+            ("pointwise-entropy", "PASS")]
+        assert calls == {"spectrum": 1, "solve_fluxes_invariant": 2,
+                         "solve_fluxes_reduced": 1, "diffusion_operator_spectrum": 1,
+                         "convexity_check": 2, "driving_force": 1,
+                         "ternary_closed_forms": 1}
