@@ -52,6 +52,16 @@ def _inverse_diffusivities(dmat) -> np.ndarray:
     return inv
 
 
+def _check_species(inv: np.ndarray, **arrays) -> None:
+    """Each named array must hold one entry per species of ``inv`` (the
+    :func:`_inverse_diffusivities` of dmat) along its last axis, else
+    ``ValueError`` naming both species counts."""
+    for what, a in arrays.items():
+        if a.shape[-1:] != inv.shape[:1]:
+            raise ValueError(f"{what} has {a.shape[-1] if a.ndim else 0} species, "
+                             f"dmat has {inv.shape[0]} species")
+
+
 @dataclass(frozen=True)
 class MixtureSpec:
     """Species labels and the symmetric matrix of pairwise diffusivities

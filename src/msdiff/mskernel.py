@@ -9,17 +9,23 @@ by X^{-1/2} A X^{1/2}) a real spectrum contained in (-inf, -delta] u {0}
 with delta = min_{i != j} 1 / D_ij.
 
 Two independent solve routes are provided: orthonormal projection onto
-E (primary) and the reduced (n-1)x(n-1) system via the B matrix, solved
-by Gaussian elimination with partial pivoting; the
-tests add a third, the bordered matrix A - mu (x (x) e).
+E (primary) and the reduced (n-1)x(n-1) system via the B matrix; the
+tests add a third, the bordered matrix A - mu (x (x) e).  Both routes
+share one eliminator (:func:`_eliminate`, Gaussian elimination with
+partial pivoting run species-major across a whole batch) but solve
+different systems, and the projected route still checks its residual
+against the assembled A.
 
 A(x) is linear in x, and so is its restriction K = P^T A P to E (P the
 orthonormal zero-sum basis): K(x) = sum_k x_k T_k.  The tensor T
 (:func:`_reduced_tensor`) depends on D alone, so the projected route and
 the simulator's step kernel form K as one matrix product x @ T
-(:func:`_reduced_A`), with no (n, n) A on the way; the step kernel's dt
-bound and ``diffusion_operator_spectrum`` share one route from K to the
-diffusion operator's real eigenvalues (:func:`_diffusion_matrix_reduced`).
+(:func:`_reduced_A`), with no (n, n) A on the way.  The step kernel's dt
+bound and ``diffusion_operator_spectrum`` share one route to the
+diffusion operator's real eigenvalues (:func:`_operator_eigenvalues`):
+for n >= 3 the symmetric definite pencil of the X^{1/2} symmetrization
+(:func:`_pencil_eigenvalues`), at n = 2 the 1x1 operator
+M = -K^{-1} P^T Gamma P (:func:`_diffusion_matrix_reduced`).
 
 Compositions and forces are shaped (..., n) and every public per-state
 function is batched over the leading axes, with the domain types of
@@ -35,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EigSolverFailure, NotConvex, SingularSystem
-from .mixture import (Composition, DrivingForce, FluxSet, _first_true,
+from .mixture import (Composition, DrivingForce, FluxSet, _check_species, _first_true,
                       _inverse_diffusivities, _unbatch, simplex_basis)
 from .thermo import (ThermoModel, _as_x, _gamma_tensor, _interior, _reduced_gamma,
                      convexity_check, floor_composition)
@@ -46,7 +52,10 @@ def assemble_A(x, dmat) -> np.ndarray:
 
     The composition is floored first (:func:`msdiff.thermo.floor_composition`).
     """
-    return _assemble_A(floor_composition(x), _inverse_diffusivities(dmat))
+    x = floor_composition(x)
+    inv = _inverse_diffusivities(dmat)
+    _check_species(inv, x=x)
+    return _assemble_A(x, inv)
 
 
 def _assemble_A(x: np.ndarray, inv: np.ndarray) -> np.ndarray:
@@ -67,6 +76,7 @@ def assemble_A_sym(x, dmat) -> np.ndarray:
     sqrt(x_i x_j) / D_ij, same diagonal as A.  Null vector sqrt(x)."""
     x = floor_composition(x)
     inv = _inverse_diffusivities(dmat)
+    _check_species(inv, x=x)
     rx = np.sqrt(x)
     return _with_diagonal(rx[..., :, None] * rx[..., None, :] * inv, inv, x)
 
@@ -80,6 +90,7 @@ def assemble_B(x, dmat) -> np.ndarray:
     """
     x = _as_x(x)
     inv = _inverse_diffusivities(dmat)
+    _check_species(inv, x=x)
     n = inv.shape[0]
     m = n - 1
     col_n = inv[:m, n - 1]
@@ -149,12 +160,13 @@ def _fluxes_projected(b: np.ndarray, k: np.ndarray, p: np.ndarray) -> np.ndarray
 
 
 def _solve_reduced(k: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Batched solve of K Y = B for reduced (n-1)x(n-1) systems.  For a
-    binary mixture K is 1x1; dividing gives LAPACK's 1x1 result bit for
-    bit without its per-system call cost."""
+    """Batched solve of K Y = B for reduced (n-1)x(n-1) systems, ``k`` shaped
+    (..., m, m) and ``b`` (..., m, r) with broadcasting batch shapes.  For a
+    binary mixture K is 1x1 and dividing gives LAPACK's 1x1 result bit for
+    bit; otherwise :func:`_eliminate`."""
     if k.shape[-1] == 1:
         return b / k
-    return np.linalg.solve(k, b)
+    return _eliminate(k, b)[0]
 
 
 def _as_d(d) -> np.ndarray:
@@ -171,6 +183,7 @@ def solve_fluxes_invariant(comp: Composition, dmat, d) -> FluxSet:
     dv = _as_d(d)
     x = floor_composition(comp)
     inv = _inverse_diffusivities(dmat)
+    _check_species(inv, x=x, d=dv)
     a = _assemble_A(x, inv)  # for the residual check
     c_tot = np.asarray(comp.c_tot)
     j = _fluxes_projected(c_tot[..., None] * dv, _reduced_A(x, _reduced_tensor(inv)),
@@ -193,40 +206,70 @@ def solve_fluxes_reduced(comp: Composition, dmat, d) -> FluxSet:
     x = _as_x(comp)
     dv = _as_d(d)
     b = assemble_B(x, dmat)
+    _check_species(_inverse_diffusivities(dmat), d=dv)
     rhs = -np.asarray(comp.c_tot)[..., None] * dv[..., :-1]
     if not (np.all(np.isfinite(b)) and np.all(np.isfinite(rhs))):
         raise ValueError("reduced system must be finite (NaN or inf in B or the forces)")
-    jr, pivot = _gauss_solve(b, rhs)
+    with np.errstate(divide="ignore", invalid="ignore"):  # the pivot check rejects them
+        jr, pivot = _gauss_solve(b, rhs)
     if np.any(pivot < 1e-14 * np.linalg.norm(b, axis=(-2, -1))):
         raise SingularSystem("vanishing pivot in the reduced-system elimination")
     return FluxSet(J=np.concatenate([jr, -jr.sum(axis=-1, keepdims=True)], axis=-1))
 
 
 def _gauss_solve(b: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solve b y = rhs by Gaussian elimination with partial pivoting, for
-    b shaped (..., m, m) and rhs (..., m) with broadcasting batch shapes.
-    Returns y and each system's smallest |pivot|.  As in LAPACK's getf2,
+    """Solve b y = rhs for b shaped (..., m, m) and rhs (..., m) with
+    broadcasting batch shapes; returns y and each system's smallest |pivot|
+    (:func:`_eliminate` with one right-hand side)."""
+    y, pivots = _eliminate(b, rhs[..., None])
+    return y[..., 0], np.minimum.reduce(np.abs(pivots), axis=-1)
+
+
+def _eliminate(b: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve b Y = rhs by Gaussian elimination with partial pivoting, for
+    b shaped (..., m, m) and rhs (..., m, r) with broadcasting batch shapes.
+    Returns Y and each system's pivots (..., m).  As in LAPACK's getf2,
     the multipliers are scaled by the reciprocal pivot and the back
-    substitution divides; a zero pivot leaves inf or NaN in its row, for
-    the caller's pivot check to reject."""
-    batch = np.broadcast_shapes(b.shape[:-2], rhs.shape[:-1])
-    m = b.shape[-1]
-    a = np.broadcast_to(b, batch + (m, m)).reshape(-1, m, m).copy()
-    y = np.broadcast_to(rhs, batch + (m,)).reshape(-1, m).copy()
-    r = np.arange(len(a))
-    with np.errstate(all="ignore"):
-        for k in range(m):
-            p = k + np.argmax(np.abs(a[:, k:, k]), axis=-1)
-            a[r, k], a[r, p] = a[r, p], a[r, k]  # fancy indexing copies
-            y[r, k], y[r, p] = y[r, p], y[r, k]
-            l = a[:, k + 1:, k] * (1.0 / a[:, k, k])[:, None]
-            a[:, k + 1:, k + 1:] -= l[:, :, None] * a[:, k, None, k + 1:]
-            y[:, k + 1:] -= l * y[:, k, None]
-        for k in range(m - 1, -1, -1):
-            y[:, k] /= a[:, k, k]
-            y[:, :k] -= a[:, :k, k] * y[:, k, None]
-    pivot = np.min(np.abs(np.diagonal(a, axis1=-2, axis2=-1)), axis=-1)
-    return y.reshape(batch + (m,)), pivot.reshape(batch)
+    substitution divides; a zero pivot leaves inf or NaN (with numpy's
+    warning) in its row, for the caller to reject.
+
+    The systems are eliminated together, species-major: the augmented
+    matrices [b | rhs] as one (m, m+r, systems) array, so each step is a
+    few array operations whatever the batch size.  Rows are swapped only
+    in the systems whose pivot is not the first largest |entry| of its
+    column, which gives the bits of swapping in every system."""
+    m, r = rhs.shape[-2:]
+    batch = np.broadcast(b[..., 0, 0], rhs[..., 0, 0]).shape
+    a = np.empty((m, m + r) + batch)
+    a[:, :m] = _species_first(b, len(batch))
+    a[:, m:] = _species_first(rhs, len(batch))
+    a = a.reshape(m, m + r, -1)
+    for k in range(m - 1):
+        col = np.abs(a[k:, k])
+        beats = col[1:] > col[0]
+        if beats.any():
+            f = np.flatnonzero(np.logical_or.reduce(beats, axis=0))
+            p = k + np.argmax(col[:, f], axis=0)  # the first of equal maxima
+            a[k, k:, f], a[p, k:, f] = a[p, k:, f], a[k, k:, f]  # fancy indexing copies
+        l = a[k + 1:, k] * (1.0 / a[k, k])
+        for i in range(k + 1, m):
+            a[i, k + 1:] -= l[i - k - 1] * a[k, k + 1:]
+    y = a[:, m:]
+    for k in range(m - 1, 0, -1):
+        y[k] /= a[k, k]
+        y[:k] -= a[:k, k, None] * y[k]
+    y[0] /= a[0, 0]
+    y = y.reshape((m, r) + batch)
+    return (y.transpose(tuple(range(2, y.ndim)) + (0, 1)),
+            np.diagonal(a[:, :m]).reshape(batch + (m,)))
+
+
+def _species_first(a: np.ndarray, nbatch: int) -> np.ndarray:
+    """View of ``a`` (..., p, q) with its last two axes first and ``nbatch``
+    batch axes after them, (p, q, ...), so that it broadcasts against a
+    species-major array of that many batch axes."""
+    a = a.reshape((1,) * (nbatch + 2 - a.ndim) + a.shape)
+    return a.transpose((nbatch, nbatch + 1) + tuple(range(nbatch)))
 
 
 def _diffusion_matrix_reduced(k: np.ndarray, x: np.ndarray, xa=None, s=None) -> np.ndarray:
@@ -239,11 +282,82 @@ def _diffusion_matrix_reduced(k: np.ndarray, x: np.ndarray, xa=None, s=None) -> 
     return -_solve_reduced(k, g)
 
 
-def _real_eigenvalues(m: np.ndarray) -> np.ndarray:
-    """Unsorted eigenvalues of M, batched.  They are real (those of the pencil
-    of the symmetric P^T X^{-1} Gamma P and definite -P^T X^{-1} A P), so the
-    imaginary parts are roundoff and dropped; a 1x1 M is its own eigenvalue."""
-    return m[..., 0] if m.shape[-1] == 1 else np.linalg.eigvals(m).real
+def _operator_eigenvalues(k: np.ndarray, x: np.ndarray, inv: np.ndarray, amat=None,
+                          xa=None, s=None) -> np.ndarray:
+    """Real eigenvalues of the diffusion operator per row of ``x`` (..., n).
+    At n = 2 it is the 1x1 M of :func:`_diffusion_matrix_reduced` (from K,
+    and ``xa``, ``s`` on Margules thermo); for n >= 3 they come ascending
+    from the symmetric pencil of :func:`_pencil_eigenvalues` (``inv`` and
+    the Margules ``amat``).  Batched; no floor or domain check."""
+    if k.shape[-1] == 1:
+        return _diffusion_matrix_reduced(k, x, xa, s)[..., 0]
+    return _pencil_eigenvalues(x, inv, amat)
+
+
+def _pencil_eigenvalues(x: np.ndarray, inv: np.ndarray, amat=None) -> np.ndarray:
+    """Ascending eigenvalues of the diffusion operator per row of ``x``
+    (..., n), n >= 3, from the paper's symmetrization by X^{1/2}.
+
+    With A_S = X^{-1/2} A X^{1/2} and Q an orthonormal basis of the
+    complement of sqrt(x), the operator's eigenvalues are those of the
+    symmetric definite pencil (G, N): N = -Q^T A_S Q >= delta and
+    G = I + Q^T X^{1/2} A_m X^{1/2} Q for the Margules ``amat`` (G = I on
+    ideal thermo).  Q is the first n-1 columns of one Householder reflector
+    H = I - beta v v^T per row, mapping u = sqrt(x)/||sqrt(x)|| to -e_n
+    (v = u + e_n, beta = 1 / (1 + u_n)).  For a symmetric S with
+    w = S v, H S H = S - v z^T - z v^T where z = beta w - beta^2 (v^T w) v / 2;
+    for A_S, whose null vector is u, w = A_S e_n and v^T w = -s_n.  Then
+    N = L L^T (Cholesky) and one ``eigvalsh`` of C = L^{-1} G L^{-T}; on
+    ideal thermo, one ``eigvalsh`` of N and the reciprocals.  Everything
+    but ``eigvalsh`` runs species-major, (m, m, rows)."""
+    n = x.shape[-1]
+    m = n - 1
+    xs = np.ascontiguousarray(x.reshape(-1, n).T)
+    r = np.sqrt(xs)
+    u = r / np.sqrt(np.add.reduce(xs, axis=0))
+    beta = 1.0 / (1.0 + u[m])
+    s = inv @ xs  # s_i = sum_k x_k / D_ik
+    z = beta * r[m] * inv[:m, m, None] * r[:m] + (0.5 * beta * beta * s[m]) * u[:m]
+    rr = r[:m, None] * r[:m]
+    idx = np.arange(m)
+    big_n = u[:m, None] * z
+    big_n += big_n.swapaxes(0, 1)
+    big_n -= rr * inv[:m, :m, None]
+    big_n[idx, idx] += s[:m]
+    if amat is None:  # G = I: the eigenvalues are the reciprocals of N's
+        lam = 1.0 / np.linalg.eigvalsh(np.moveaxis(big_n, -1, 0))[:, ::-1]
+    else:
+        v = u.copy()
+        v[m] += 1.0
+        w = r * (amat @ (r * v))  # the same update for S = X^{1/2} A_m X^{1/2}
+        y = beta * w[:m] - (0.5 * beta * beta * np.add.reduce(v * w, axis=0)) * v[:m]
+        g = np.multiply(rr, amat[:m, :m, None], out=rr)
+        g -= v[:m, None] * y
+        g -= y[:, None] * v[:m]
+        g[idx, idx] += 1.0
+        lo = _cholesky(big_n)
+        c = _forward(lo, _forward(lo, g).swapaxes(0, 1))  # in place of g
+        lam = np.linalg.eigvalsh(np.moveaxis(c, -1, 0))
+    return lam.reshape(x.shape[:-1] + (m,))
+
+
+def _cholesky(a: np.ndarray) -> np.ndarray:
+    """Cholesky factor L of the symmetric positive definite matrices ``a``,
+    species-major (m, m, rows), in place: the lower triangle of ``a``
+    becomes L's and is the only part read; the upper one is left as it is."""
+    for j in range(a.shape[0]):
+        a[j, j] = np.sqrt(a[j, j] - np.einsum("kf,kf->f", a[j, :j], a[j, :j]))
+        a[j + 1:, j] = (a[j + 1:, j] - np.einsum("ikf,kf->if", a[j + 1:, :j], a[j, :j])) / a[j, j]
+    return a
+
+
+def _forward(lo: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """L^{-1} B by forward substitution, in place of ``b``: species-major,
+    ``lo`` (m, m, rows) with L in its lower triangle and ``b`` (m, q, rows)."""
+    for i in range(lo.shape[0]):
+        b[i] -= np.einsum("kf,kqf->qf", lo[i, :i], b[:i])
+        b[i] /= lo[i, i]
+    return b
 
 
 def diffusion_operator_spectrum(x, dmat, model: ThermoModel,
@@ -258,15 +372,16 @@ def diffusion_operator_spectrum(x, dmat, model: ThermoModel,
     ``NotConvex`` is raised when it fails on any row.
     """
     x = _interior(floor_composition(x), "diffusion_operator_spectrum")
+    inv = _inverse_diffusivities(dmat)
+    _check_species(inv, x=x)
     if require_convex:
         lam = np.asarray(convexity_check(model, x))
         if np.any(lam <= 0):
             raise NotConvex("Gibbs energy not strongly convex: lambda_min = "
                             f"{lam[_first_true(lam <= 0)].item()!r}")
-    k = _reduced_A(x, _reduced_tensor(_inverse_diffusivities(dmat)))
-    xa = s = None
+    a = xa = s = None
     if not model.is_ideal:
         a = model.interactions(x.shape[-1])
         xa, s = x @ a, _gamma_tensor(a)
-    w = _real_eigenvalues(_diffusion_matrix_reduced(k, x, xa, s))
+    w = _operator_eigenvalues(_reduced_A(x, _reduced_tensor(inv)), x, inv, a, xa, s)
     return -np.sort(-w, axis=-1)

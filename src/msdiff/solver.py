@@ -20,10 +20,12 @@ numpy warnings; per-cell totals that drift apart raise ``IsobaricDrift``.
 
 The kernel's set-up builds per-run tensors from D (and the Margules A),
 so that each step forms the reduced flux-force matrices of all faces as
-one product K = x_f @ T (:func:`msdiff.mskernel._reduced_A`), applies
-Gamma to the forces without forming it, and on refresh steps takes the
-spectrum of M = -K^{-1} P^T Gamma P by ``diffusion_operator_spectrum``'s
-route.  It keeps the basis P and an all-ones (n, n) matrix, so the row
+one product K = x_f @ T (:func:`msdiff.mskernel._reduced_A`), solves them
+in one elimination across the faces, applies Gamma to the forces without
+forming it, and on refresh steps takes the diffusion operator's spectrum
+by ``diffusion_operator_spectrum``'s route (for n >= 3 the X^{1/2}
+pencil, from 1/D and the Margules A; at n = 2 the 1x1 operator from K).
+It keeps the basis P and an all-ones (n, n) matrix, so the row
 sums of c and x_f are one product each (:func:`_row_sums`) and divide
 without a broadcast; per-step reductions call ``np.*.reduce`` directly.
 """
@@ -37,8 +39,7 @@ import numpy as np
 from .errors import (IsobaricDrift, MaxStepsExceeded, NonFiniteState, NotConvex,
                      PositivityViolation)
 from .mixture import CLAMP_REL, MixtureSpec, _inverse_diffusivities, simplex_basis
-from .mskernel import (_diffusion_matrix_reduced, _fluxes_projected, _real_eigenvalues,
-                       _reduced_A, _reduced_tensor)
+from .mskernel import _fluxes_projected, _operator_eigenvalues, _reduced_A, _reduced_tensor
 from .thermo import (IDEAL, ThermoModel, _gamma_dot, _gamma_tensor, _ln_gamma_x,
                      floor_composition, gibbs_density)
 
@@ -249,7 +250,8 @@ class _Kernel:
         self.model, self.h = model or IDEAL, field.grid.h
         self.reactions, self.cfl_safety = reactions, _check_cfl(cfl_safety)
         self.ones, self.p = np.ones((spec.n, spec.n)), simplex_basis(spec.n)
-        self.t = _reduced_tensor(_inverse_diffusivities(spec.dmat))
+        self.inv = _inverse_diffusivities(spec.dmat)
+        self.t = _reduced_tensor(self.inv)
         # None on the ideal path, where Gamma = I is skipped
         self.amat = None if self.model.is_ideal else self.model.interactions(spec.n)
         self.s = None if self.amat is None else _gamma_tensor(self.amat)
@@ -275,7 +277,7 @@ class _Kernel:
         jf = np.zeros((c.shape[0] + 1, c.shape[1]))
         jf[1:-1] = j
         w = float(-np.add.reduce(j * (mu[1:] - mu[:-1]), axis=None))
-        lam = _real_eigenvalues(_diffusion_matrix_reduced(k, xf, xa, self.s)) if bound else None
+        lam = _operator_eigenvalues(k, xf, self.inv, self.amat, xa, self.s) if bound else None
         f = self.reactions.rates(c) if self.reactions.reactions else None
         if f is not None and not np.isfinite(f).all():
             cell, sp = np.unravel_index(np.argmin(np.isfinite(f)), f.shape)

@@ -713,6 +713,18 @@ PINNED_VERIFY = {
         'PASS  ternary-closed-forms: 200/200\n'
         'PASS  normal-ellipticity: 200/200\n'
         'PASS  pointwise-entropy: 200/200\n')),
+    ('quaternary_margules.json', 0): (0, (
+        'seed: 0\n'
+        'PASS  spectral-gap: 200/200\n'
+        'PASS  flux-route-agreement: 200/200\n'
+        'PASS  normal-ellipticity: 200/200\n'
+        'PASS  pointwise-entropy: 200/200\n')),
+    ('quaternary_margules.json', 7): (0, (
+        'seed: 7\n'
+        'PASS  spectral-gap: 200/200\n'
+        'PASS  flux-route-agreement: 200/200\n'
+        'PASS  normal-ellipticity: 200/200\n'
+        'PASS  pointwise-entropy: 200/200\n')),
 }
 
 

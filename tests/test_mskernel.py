@@ -1,4 +1,6 @@
 """Flux-force assembly, spectral certificates, and the three solve routes."""
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,13 +12,14 @@ from msdiff import (IDEAL, Composition, Field, FluxSet, Grid1D, MixtureSpec, The
                     gamma_matrix, mole_fractions, solve_fluxes_invariant,
                     solve_fluxes_reduced, spectral_gap_delta, spectrum,
                     ternary_closed_forms)
+import msdiff.solver
 from msdiff import mskernel
 from msdiff.errors import DegenerateComposition, NotConvex, SingularSystem
 from msdiff.mixture import _inverse_diffusivities, _unbatch, simplex_basis
 from msdiff.mskernel import (_diffusion_matrix_reduced, _gauss_solve, _reduced_A,
                              _reduced_tensor, _solve_reduced)
 from msdiff.solver import _Kernel
-from msdiff.thermo import _as_x, floor_composition
+from msdiff.thermo import X_FLOOR, _as_x, floor_composition
 
 
 def solve_fluxes_bordered(comp, dmat, d, mu=None):
@@ -178,6 +181,38 @@ def test_raw_dmat_must_be_square_and_symmetric(call, case):
     d, match = BAD_SHAPE_DMAT[case]
     with pytest.raises(ValueError, match=match):
         RAW_DMAT_CALLS[call]([0.2, 0.3, 0.5], d)
+
+
+#: Every public kernel function that takes a composition (and forces),
+#: called with composition ``x``, dmat ``d`` and forces ``f``.
+SPECIES_CALLS = {
+    "assemble_A": lambda x, d, f: assemble_A(x, d),
+    "assemble_A_sym": lambda x, d, f: assemble_A_sym(x, d),
+    "assemble_B": lambda x, d, f: assemble_B(x, d),
+    "spectrum": lambda x, d, f: spectrum(x, d),
+    "solve_fluxes_invariant": lambda x, d, f: solve_fluxes_invariant(
+        Composition(x=x, c_tot=1.0), d, f),
+    "solve_fluxes_reduced": lambda x, d, f: solve_fluxes_reduced(
+        Composition(x=x, c_tot=1.0), d, f),
+    "diffusion_operator_spectrum": lambda x, d, f: diffusion_operator_spectrum(x, d, IDEAL),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call, bad", [(c, "x") for c in sorted(SPECIES_CALLS)]
+                         + [("solve_fluxes_invariant", "d"), ("solve_fluxes_reduced", "d")])
+def test_species_counts_must_match_dmat(call, bad):
+    """A composition or force with another species count than D raises one
+    ValueError naming both counts, not numpy's broadcast or matmul message."""
+    x = np.array([[0.2, 0.3, 0.5]] * 2)
+    if bad == "x":  # a ternary composition, binary D and forces
+        dmat, d = [[0, 1], [1, 0]], np.array([[0.1, -0.1]] * 2)
+        msg = "x has 3 species, dmat has 2 species"
+    else:  # a ternary composition and D, forces on four species
+        dmat, d = [[0, 1, 2], [1, 0, 3], [2, 3, 0]], np.array([[0.1, 0.0, 0.0, -0.1]] * 2)
+        msg = "d has 4 species, dmat has 3 species"
+    with pytest.raises(ValueError, match=f"^{msg}$"):
+        SPECIES_CALLS[call](x, dmat, d)
 
 
 class TestSpectrum:
@@ -480,6 +515,37 @@ def test_spectrum_accurate_on_floored_faces(n, thermo):
     assert np.all(np.abs(np.sort(lam, axis=-1) - ref) <= scale)
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("thermo", ["ideal", "margules"])
+def test_kernel_refresh_spectrum_is_the_public_spectrum(monkeypatch, n, thermo):
+    """The step kernel's refresh spectrum and ``diffusion_operator_spectrum``
+    take one route: on the kernel's own face compositions (interior and
+    floored) they agree bit for bit once each face's eigenvalues are sorted."""
+    rng = np.random.default_rng(600 + 10 * n + (thermo == "margules"))
+    dmat = _sym(rng.uniform(0.1, 10.0, n * (n - 1) // 2), n)
+    model = IDEAL
+    if thermo == "margules":
+        model = ThermoModel.margules(_sym(rng.uniform(-0.3, 0.3, n * (n - 1) // 2), n))
+    c = rng.dirichlet(np.ones(n), size=30)
+    c[rng.random(c.shape) < 0.2] = 0.0
+    c[c.sum(axis=1) == 0, 0] = 1.0
+    c = 0.8 * c / c.sum(axis=1, keepdims=True)
+    fld = Field(c=c, grid=Grid1D(ncells=len(c), length=1.0))
+    spec = MixtureSpec(names=tuple(f"S{i}" for i in range(n)), dmat=dmat)
+    seen = []
+
+    def spy(k, x, *args):
+        seen.append(x)
+        return mskernel._operator_eigenvalues(k, x, *args)
+
+    monkeypatch.setattr(msdiff.solver, "_operator_eigenvalues", spy)
+    lam = _Kernel(spec, model, fld)(fld.c, bound=True).lam
+    (xf,) = seen
+    assert np.any(xf == X_FLOOR) and lam.shape == (len(c) - 1, n - 1)
+    w = diffusion_operator_spectrum(xf, dmat, model, require_convex=False)
+    assert np.array_equal(np.sort(lam, axis=-1), np.sort(w, axis=-1))
+
+
 class TestReducedElimination:
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
     def test_matches_reference_and_lapack(self, m):
@@ -543,6 +609,96 @@ class TestReducedElimination:
         with np.errstate(divide="ignore"), pytest.raises(ValueError):
             solve_fluxes_reduced(Composition(x=[0.5, 0.5], c_tot=1.0),
                                  [[0.0, 0.0], [0.0, 0.0]], [0.1, -0.1])
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_batch_of_pivoting_and_non_pivoting_systems(self, m):
+        """Diagonally dominant systems never swap rows; their row
+        permutations swap at the first step.  Interleaved in one batch,
+        both give the reference's bits, so swapping only where the pivot
+        is not already the largest loses nothing."""
+        rng = np.random.default_rng(200 + m)
+        dominant = rng.uniform(-1.0, 1.0, size=(40, m, m))
+        dominant[:, np.arange(m), np.arange(m)] = rng.choice([-1.0, 1.0], (40, m)) * (
+            m + rng.uniform(0.0, 1.0, (40, m)))
+        perms = [rng.permutation(m) for _ in range(40)]
+        perms = [np.roll(q, 1) if q[0] == 0 else q for q in perms]
+        b = np.stack([dominant[k // 2] if k % 2 == 0 else dominant[k // 2][perms[k // 2]]
+                      for k in range(80)])
+        swaps_first = np.argmax(np.abs(b[:, :, 0]), axis=1) != 0
+        assert np.array_equal(swaps_first, np.arange(80) % 2 == 1)
+        rhs = rng.standard_normal((80, m))
+        y, pivot = _gauss_solve(b, rhs)
+        for k in range(80):
+            y_ref, pivot_ref = gauss_reference(b[k], rhs[k])
+            assert np.array_equal(y[k], y_ref) and pivot[k] == pivot_ref
+        y_np = np.linalg.solve(b, rhs[..., None])[..., 0]
+        scale = np.linalg.cond(b) * np.max(np.abs(y_np), axis=-1)
+        assert np.all(np.max(np.abs(y - y_np), axis=-1) <= 1e-13 * scale)
+
+    @pytest.mark.parametrize("m", [2, 4])
+    def test_reduced_solve_multi_rhs_and_broadcast(self, m):
+        """_solve_reduced takes (..., m, r) right-hand sides with batch
+        shapes that broadcast against K's; every column is the
+        reference's solve of its own system."""
+        rng = np.random.default_rng(300 + m)
+        k = rng.standard_normal((2, 1, m, m))
+        b = rng.standard_normal((3, m, 3))
+        y = _solve_reduced(k, b)
+        assert y.shape == (2, 3, m, 3)
+        for i in range(2):
+            for j in range(3):
+                for col in range(3):
+                    assert np.array_equal(y[i, j, :, col], gauss_reference(k[i, 0], b[j, :, col])[0])
+        y_np = np.linalg.solve(k, b)
+        scale = np.linalg.cond(k)[..., None, None] * np.max(np.abs(y_np))
+        assert np.all(np.abs(y - y_np) <= 1e-13 * scale)
+        k2 = rng.standard_normal((50, m, m))
+        assert np.array_equal(_solve_reduced(k2, np.eye(m)),
+                              _solve_reduced(k2, np.broadcast_to(np.eye(m), (50, m, m))))
+
+    def test_pivoting_is_exercised_on_floored_reduced_matrices(self):
+        """Reduced flux-force matrices K = P^T A P with D in [0.1, 10] and
+        every pattern of floored species: eliminating without pivoting
+        grows some entries more than 1e3-fold, and the pivoted solve keeps
+        the reference's bits on the worst of them and LAPACK's accuracy on
+        all."""
+        n, m = 6, 5
+        rng = np.random.default_rng(1)
+        patterns = np.array([p for p in itertools.product([False, True], repeat=n)
+                             if not all(p)])
+        k = []
+        for _ in range(20):
+            t = _reduced_tensor(_inverse_diffusivities(
+                _sym(rng.uniform(0.1, 10.0, n * (n - 1) // 2), n)))
+            w = rng.dirichlet(np.ones(n), size=(len(patterns), 3))
+            w[np.repeat(patterns[:, None, :], 3, axis=1)] = 0.0
+            k.append(_reduced_A(floor_composition(w / w.sum(-1, keepdims=True)), t))
+        k = np.concatenate(k).reshape(-1, m, m)
+        growth = _growth_without_pivoting(k)
+        assert growth.max() > 1e3
+        rhs = rng.standard_normal((len(k), m))
+        y, pivot = _gauss_solve(k, rhs)
+        for i in np.argsort(growth)[-10:]:
+            y_ref, pivot_ref = gauss_reference(k[i], rhs[i])
+            assert np.array_equal(y[i], y_ref) and pivot[i] == pivot_ref
+        y_np = np.linalg.solve(k, rhs[..., None])[..., 0]
+        scale = np.linalg.cond(k) * np.max(np.abs(y_np), axis=-1)
+        assert np.all(np.max(np.abs(y - y_np), axis=-1) <= 1e-13 * scale)
+
+
+def _growth_without_pivoting(k):
+    """Largest |entry| met while eliminating each system of ``k`` without
+    row swaps, relative to the system's largest |entry|."""
+    a = k.copy()
+    m = a.shape[-1]
+    scale = np.max(np.abs(a), axis=(-2, -1))
+    big = scale.copy()
+    with np.errstate(all="ignore"):
+        for j in range(m - 1):
+            a[:, j + 1:, j + 1:] -= (a[:, j + 1:, j, None] / a[:, j, None, j, None]
+                                     * a[:, j, None, j + 1:])
+            big = np.fmax(big, np.max(np.abs(a[:, j + 1:, j + 1:]), axis=(-2, -1)))
+    return big / scale
 
 
 def test_mole_fractions_integration():
