@@ -23,9 +23,8 @@ the simulator's step kernel form K as one matrix product x @ T
 (:func:`_reduced_A`), with no (n, n) A on the way.  The step kernel's dt
 bound and ``diffusion_operator_spectrum`` share one route to the
 diffusion operator's real eigenvalues (:func:`_operator_eigenvalues`):
-for n >= 3 the symmetric definite pencil of the X^{1/2} symmetrization
-(:func:`_pencil_eigenvalues`), at n = 2 the 1x1 operator
-M = -K^{-1} P^T Gamma P (:func:`_diffusion_matrix_reduced`).
+the symmetric definite pencil of the X^{1/2} symmetrization, from 1/D
+and the Margules A at every n (at n = 2 its 1x1 closed form).
 
 Compositions and forces are shaped (..., n) and every public per-state
 function is batched over the leading axes, with the domain types of
@@ -41,10 +40,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EigSolverFailure, NotConvex, SingularSystem
-from .mixture import (Composition, DrivingForce, FluxSet, _check_species, _first_true,
-                      _inverse_diffusivities, _unbatch, simplex_basis)
-from .thermo import (ThermoModel, _as_x, _gamma_tensor, _interior, _reduced_gamma,
-                     convexity_check, floor_composition)
+from .mixture import (SUM_TOL, Composition, DrivingForce, FluxSet, _check_species,
+                      _first_true, _inverse_diffusivities, _unbatch, simplex_basis)
+from .thermo import (X_FLOOR, ThermoModel, _as_x, _interior, convexity_check,
+                     floor_composition)
 
 
 def assemble_A(x, dmat) -> np.ndarray:
@@ -272,45 +271,30 @@ def _species_first(a: np.ndarray, nbatch: int) -> np.ndarray:
     return a.transpose((nbatch, nbatch + 1) + tuple(range(nbatch)))
 
 
-def _diffusion_matrix_reduced(k: np.ndarray, x: np.ndarray, xa=None, s=None) -> np.ndarray:
-    """M = -K^{-1} P^T Gamma P, the effective diffusion operator on the
-    zero-sum subspace: v in E maps to -J(v), where A J = Gamma v.  K = x @ T
-    (:func:`_reduced_A`); on Margules thermo ``xa = x @ A`` and the per-run
-    S (:func:`msdiff.thermo._gamma_tensor`) give P^T Gamma P, else Gamma = I.
-    Batched; no floor or domain check."""
-    g = np.eye(k.shape[-1]) if s is None else _reduced_gamma(x, xa, s)
-    return -_solve_reduced(k, g)
-
-
-def _operator_eigenvalues(k: np.ndarray, x: np.ndarray, inv: np.ndarray, amat=None,
-                          xa=None, s=None) -> np.ndarray:
-    """Real eigenvalues of the diffusion operator per row of ``x`` (..., n).
-    At n = 2 it is the 1x1 M of :func:`_diffusion_matrix_reduced` (from K,
-    and ``xa``, ``s`` on Margules thermo); for n >= 3 they come ascending
-    from the symmetric pencil of :func:`_pencil_eigenvalues` (``inv`` and
-    the Margules ``amat``).  Batched; no floor or domain check."""
-    if k.shape[-1] == 1:
-        return _diffusion_matrix_reduced(k, x, xa, s)[..., 0]
-    return _pencil_eigenvalues(x, inv, amat)
-
-
-def _pencil_eigenvalues(x: np.ndarray, inv: np.ndarray, amat=None) -> np.ndarray:
-    """Ascending eigenvalues of the diffusion operator per row of ``x``
-    (..., n), n >= 3, from the paper's symmetrization by X^{1/2}.
+def _operator_eigenvalues(x: np.ndarray, inv: np.ndarray, amat=None) -> np.ndarray:
+    """Real eigenvalues of the diffusion operator per row of ``x`` (..., n),
+    from the paper's symmetrization by X^{1/2}; ascending for n >= 3.
 
     With A_S = X^{-1/2} A X^{1/2} and Q an orthonormal basis of the
     complement of sqrt(x), the operator's eigenvalues are those of the
     symmetric definite pencil (G, N): N = -Q^T A_S Q >= delta and
     G = I + Q^T X^{1/2} A_m X^{1/2} Q for the Margules ``amat`` (G = I on
-    ideal thermo).  Q is the first n-1 columns of one Householder reflector
-    H = I - beta v v^T per row, mapping u = sqrt(x)/||sqrt(x)|| to -e_n
-    (v = u + e_n, beta = 1 / (1 + u_n)).  For a symmetric S with
-    w = S v, H S H = S - v z^T - z v^T where z = beta w - beta^2 (v^T w) v / 2;
-    for A_S, whose null vector is u, w = A_S e_n and v^T w = -s_n.  Then
-    N = L L^T (Cholesky) and one ``eigvalsh`` of C = L^{-1} G L^{-T}; on
-    ideal thermo, one ``eigvalsh`` of N and the reciprocals.  Everything
-    but ``eigvalsh`` runs species-major, (m, m, rows)."""
+    ideal thermo).  At n = 2 both are scalars: with s = x_1 + x_2,
+    N = s / D_12 and G = 1 - 2 a x_1 x_2 / s for a = A_m[0, 1], and the
+    eigenvalue is G / N.  For n >= 3, Q is the first n-1 columns of one
+    Householder reflector H = I - beta v v^T per row, mapping
+    u = sqrt(x)/||sqrt(x)|| to -e_n (v = u + e_n, beta = 1 / (1 + u_n)).
+    For a symmetric S with w = S v, H S H = S - v z^T - z v^T where
+    z = beta w - beta^2 (v^T w) v / 2; for A_S, whose null vector is u,
+    w = A_S e_n and v^T w = -s_n.  Then N = L L^T (Cholesky) and one
+    ``eigvalsh`` of C = L^{-1} G L^{-T}; on ideal thermo, one ``eigvalsh``
+    of N and the reciprocals.  Everything but ``eigvalsh`` runs
+    species-major, (m, m, rows).  Batched; no floor or domain check."""
     n = x.shape[-1]
+    if n == 2:
+        s = x[..., 0] + x[..., 1]
+        g = 1.0 if amat is None else 1.0 - 2.0 * amat[0, 1] * x[..., 0] * x[..., 1] / s
+        return (g / (s * inv[0, 1]))[..., None]
     m = n - 1
     xs = np.ascontiguousarray(x.reshape(-1, n).T)
     r = np.sqrt(xs)
@@ -367,21 +351,24 @@ def diffusion_operator_spectrum(x, dmat, model: ThermoModel,
 
     Positive eigenvalues certify normal ellipticity, i.e. parabolicity
     of the species equations at this state.  ``x`` is floored; a NaN or
-    inf raises ``DegenerateComposition``.  With ``require_convex`` the
+    inf raises ``DegenerateComposition``, and a row whose given fractions
+    do not sum to 1 within SUM_TOL + n X_FLOOR (so that floored rows
+    pass) raises ``ValueError``.  With ``require_convex`` the
     strong-convexity certificate is checked first, per row, and
     ``NotConvex`` is raised when it fails on any row.
     """
-    x = _interior(floor_composition(x), "diffusion_operator_spectrum")
+    raw = _as_x(x)
+    x = _interior(floor_composition(raw), "diffusion_operator_spectrum")
     inv = _inverse_diffusivities(dmat)
     _check_species(inv, x=x)
+    total = np.add.reduce(raw, axis=-1)
+    bad = np.abs(total - 1.0) > SUM_TOL + x.shape[-1] * X_FLOOR
+    if np.any(bad):
+        raise ValueError(f"mole fractions must sum to 1, got {float(total[_first_true(bad)])!r}")
     if require_convex:
         lam = np.asarray(convexity_check(model, x))
         if np.any(lam <= 0):
             raise NotConvex("Gibbs energy not strongly convex: lambda_min = "
                             f"{lam[_first_true(lam <= 0)].item()!r}")
-    a = xa = s = None
-    if not model.is_ideal:
-        a = model.interactions(x.shape[-1])
-        xa, s = x @ a, _gamma_tensor(a)
-    w = _operator_eigenvalues(_reduced_A(x, _reduced_tensor(inv)), x, inv, a, xa, s)
-    return -np.sort(-w, axis=-1)
+    a = None if model.is_ideal else model.interactions(x.shape[-1])
+    return -np.sort(-_operator_eigenvalues(x, inv, a), axis=-1)

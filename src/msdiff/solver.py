@@ -23,8 +23,8 @@ so that each step forms the reduced flux-force matrices of all faces as
 one product K = x_f @ T (:func:`msdiff.mskernel._reduced_A`), solves them
 in one elimination across the faces, applies Gamma to the forces without
 forming it, and on refresh steps takes the diffusion operator's spectrum
-by ``diffusion_operator_spectrum``'s route (for n >= 3 the X^{1/2}
-pencil, from 1/D and the Margules A; at n = 2 the 1x1 operator from K).
+by ``diffusion_operator_spectrum``'s route (the X^{1/2} pencil, from 1/D
+and the Margules A at every n).
 It keeps the basis P and an all-ones (n, n) matrix, so the row
 sums of c and x_f are one product each (:func:`_row_sums`) and divide
 without a broadcast; per-step reductions call ``np.*.reduce`` directly.
@@ -40,8 +40,8 @@ from .errors import (IsobaricDrift, MaxStepsExceeded, NonFiniteState, NotConvex,
                      PositivityViolation)
 from .mixture import CLAMP_REL, MixtureSpec, _inverse_diffusivities, simplex_basis
 from .mskernel import _fluxes_projected, _operator_eigenvalues, _reduced_A, _reduced_tensor
-from .thermo import (IDEAL, ThermoModel, _gamma_dot, _gamma_tensor, _ln_gamma_x,
-                     floor_composition, gibbs_density)
+from .thermo import (IDEAL, ThermoModel, _gamma_dot, _ln_gamma_x, floor_composition,
+                     gibbs_density)
 
 #: Relative tolerance on per-cell total-concentration uniformity.
 ISOBARIC_TOL = 1e-8
@@ -254,7 +254,6 @@ class _Kernel:
         self.t = _reduced_tensor(self.inv)
         # None on the ideal path, where Gamma = I is skipped
         self.amat = None if self.model.is_ideal else self.model.interactions(spec.n)
-        self.s = None if self.amat is None else _gamma_tensor(self.amat)
 
     def __call__(self, c: np.ndarray, bound: bool = False) -> _State:
         """Face compositions are floored arithmetic means, shared by the flux
@@ -269,15 +268,14 @@ class _Kernel:
         xf = floor_composition(xf / _row_sums(xf, self.ones))
         d = (x[1:] - x[:-1]) / self.h
         mu = _ln_gamma_x(self.model, floor_composition(x))
-        xa = None if self.amat is None else xf @ self.amat
-        if xa is not None:
-            d = _gamma_dot(xf, xa, self.amat, d)
-        k = _reduced_A(xf, self.t)
-        j = _fluxes_projected(0.5 * (totals[:-1] + totals[1:]) * d, k, self.p)
+        if self.amat is not None:
+            d = _gamma_dot(xf, xf @ self.amat, self.amat, d)
+        j = _fluxes_projected(0.5 * (totals[:-1] + totals[1:]) * d, _reduced_A(xf, self.t),
+                              self.p)
         jf = np.zeros((c.shape[0] + 1, c.shape[1]))
         jf[1:-1] = j
         w = float(-np.add.reduce(j * (mu[1:] - mu[:-1]), axis=None))
-        lam = _operator_eigenvalues(k, xf, self.inv, self.amat, xa, self.s) if bound else None
+        lam = _operator_eigenvalues(xf, self.inv, self.amat) if bound else None
         f = self.reactions.rates(c) if self.reactions.reactions else None
         if f is not None and not np.isfinite(f).all():
             cell, sp = np.unravel_index(np.argmin(np.isfinite(f)), f.shape)

@@ -10,8 +10,9 @@ The nonideal family is the multicomponent two-suffix Margules model,
 
 which reduces to the classical binary closed form ln gamma_1 = A x_2^2.
 Its Gamma = I + diag(x) A - x (A x)^T is affine in x, so the simulator
-applies it without forming it (:func:`_gamma_dot`), and the diffusion
-operator reduces it from a per-run tensor (:func:`_reduced_gamma`).
+applies it without forming it (:func:`_gamma_dot`); the diffusion
+operator's spectrum uses A itself, in the X^{1/2} pencil of
+:func:`msdiff.mskernel._operator_eigenvalues`.
 
 Functions accept either a :class:`~msdiff.mixture.Composition` or a plain
 mole-fraction array shaped (..., n).  The per-state functions
@@ -131,22 +132,6 @@ def _gamma_dot(x: np.ndarray, xa: np.ndarray, a: np.ndarray,
     """Gamma(x) d = d + x * (A d - <A x, d>) for the symmetric
     interactions ``a``, given ``xa = x @ a``; batched, Gamma not formed."""
     return d + x * (d @ a - np.sum(xa * d, axis=-1, keepdims=True))
-
-
-def _gamma_tensor(a: np.ndarray) -> np.ndarray:
-    """S shaped (n, m*m), m = n - 1, with row k S_k = P[k] (x) (A P)[k]:
-    P^T diag(x) A P = x @ S, the part of P^T Gamma P linear in x."""
-    p = simplex_basis(a.shape[0])
-    return (p[:, :, None] * (a @ p)[:, None, :]).reshape(a.shape[0], -1)
-
-
-def _reduced_gamma(x: np.ndarray, xa: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """P^T Gamma(x) P = I + x @ S - (P^T x)(P^T A x)^T, batched, from
-    S = :func:`_gamma_tensor` (A) and ``xa = x @ a``; no domain check."""
-    p = simplex_basis(x.shape[-1])
-    m = p.shape[1]
-    return (np.eye(m) + (x @ s).reshape(x.shape[:-1] + (m, m))
-            - (x @ p)[..., :, None] * (xa @ p)[..., None, :])
 
 
 def driving_force(model: ThermoModel, x, grad_x) -> DrivingForce:

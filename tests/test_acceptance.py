@@ -7,6 +7,7 @@ sweeps are seeded and deterministic.
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from msdiff import (IDEAL, Composition, Field, Grid1D, MixtureSpec, Reaction,
                     ReactionNetwork, SimConfig, ThermoModel, detect_uphill,
@@ -104,16 +105,19 @@ def test_criterion_4_normal_ellipticity():
           f"(min eigenvalue {worst:.3e})")
 
 
-def _binary_sim_vs_oracle(ncells):
+def _binary_sim_vs_oracle(ncells, a=0.0):
+    """L-inf distance of the binary step run from the filtration oracle,
+    on ideal thermo or, for a != 0, Margules thermo with interaction a."""
     d12, length, c_tot = 1.0, 1.0, 1.0
     grid = Grid1D(ncells=ncells, length=length)
     x0 = np.where(grid.cell_centers[:, None] < 0.5 * length,
                   [0.7, 0.3], [0.3, 0.7])
     fld = Field(c=c_tot * x0, grid=grid)
     spec = MixtureSpec(names=("A", "B"), dmat=[[0.0, d12], [d12, 0.0]])
+    model = IDEAL if a == 0.0 else ThermoModel.margules([[0.0, a], [a, 0.0]])
     t_end = 0.1 * length**2 / d12
-    traj = simulate(fld, spec, config=SimConfig(t_end=t_end))
-    oracle = filtration_oracle(c_tot * x0[:, 0], IDEAL, d12, grid, t_end)
+    traj = simulate(fld, spec, model, config=SimConfig(t_end=t_end))
+    oracle = filtration_oracle(c_tot * x0[:, 0], model, d12, grid, t_end, c_tot)
     return float(np.max(np.abs(traj.final().c[:, 0] - oracle))), c_tot
 
 
@@ -125,6 +129,21 @@ def test_criterion_5_binary_oracle_equivalence():
     assert ratio >= 1.8
     print(f"\nACCEPTANCE 5 PASS: filtration-oracle L-inf {err_coarse:.3e} "
           f"at 200 cells, refinement ratio {ratio:.2f}")
+
+
+@pytest.mark.parametrize("a", [1.5, 1.9])
+def test_criterion_5_nonideal_binary_oracle(a):
+    """Criterion 5's form on Margules thermo, where the n = 2 spectrum's
+    closed form sets dt: L-inf <= 1e-3 c_tot at 200 cells and a ratio
+    >= 1.8 from 100 to 200 cells.  a = 1.9 is near the spinodal a = 2,
+    where phi' = 1 - 2 a x (1 - x) falls to 0.05."""
+    err_fine, c_tot = _binary_sim_vs_oracle(200, a)
+    assert err_fine <= 1e-3 * c_tot
+    err_coarse, _ = _binary_sim_vs_oracle(100, a)
+    ratio = err_coarse / err_fine
+    assert ratio >= 1.8
+    print(f"\nACCEPTANCE 5 PASS (Margules a = {a}): filtration-oracle L-inf "
+          f"{err_fine:.3e} at 200 cells, refinement ratio {ratio:.2f}")
 
 
 def test_criterion_6_conservation_and_bounds():

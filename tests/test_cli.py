@@ -655,6 +655,12 @@ PINNED_VERIFY = {
         'PASS  flux-route-agreement: 200/200\n'
         'PASS  normal-ellipticity: 200/200\n'
         'PASS  pointwise-entropy: 200/200\n')),
+    ('binary_margules.json', 0): (0, (
+        'seed: 0\n'
+        'PASS  spectral-gap: 200/200\n'
+        'PASS  flux-route-agreement: 200/200\n'
+        'PASS  normal-ellipticity: 200/200\n'
+        'PASS  pointwise-entropy: 200/200\n')),
     ('margules_spinodal.json', 0): (0, (
         'seed: 0\n'
         'PASS  spectral-gap: 200/200\n'
