@@ -24,7 +24,10 @@ the simulator's step kernel form K as one matrix product x @ T
 bound and ``diffusion_operator_spectrum`` share one route to the
 diffusion operator's real eigenvalues (:func:`_operator_eigenvalues`):
 the symmetric definite pencil of the X^{1/2} symmetrization, from 1/D
-and the Margules A at every n (at n = 2 its 1x1 closed form).
+and the Margules A at every n (at n = 2 its 1x1 closed form).  The
+pencil's N is positive definite, so by Sylvester's law of inertia its
+eigenvalues have the signs of G, congruent to the X^{-1} Gamma form on E:
+``require_convex``'s strong-convexity verdict is the spectrum's own sign.
 
 Compositions and forces are shaped (..., n) and every public per-state
 function is batched over the leading axes, with the domain types of
@@ -42,8 +45,7 @@ import numpy as np
 from .errors import EigSolverFailure, NotConvex, SingularSystem
 from .mixture import (SUM_TOL, Composition, DrivingForce, FluxSet, _check_species,
                       _first_true, _inverse_diffusivities, _unbatch, simplex_basis)
-from .thermo import (X_FLOOR, ThermoModel, _as_x, _interior, convexity_check,
-                     floor_composition)
+from .thermo import X_FLOOR, ThermoModel, _as_x, _interior, floor_composition
 
 
 def assemble_A(x, dmat) -> np.ndarray:
@@ -155,17 +157,7 @@ def _fluxes_projected(b: np.ndarray, k: np.ndarray, p: np.ndarray) -> np.ndarray
     J = P K^{-1} P^T b, from K = P^T A P and the basis P
     (:func:`msdiff.mixture.simplex_basis`).  ``b`` shaped (..., n), ``k``
     (..., m, m), ``p`` (n, m).  P^T drops any mean of ``b``."""
-    return _solve_reduced(k, (b @ p)[..., None])[..., 0] @ p.T
-
-
-def _solve_reduced(k: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Batched solve of K Y = B for reduced (n-1)x(n-1) systems, ``k`` shaped
-    (..., m, m) and ``b`` (..., m, r) with broadcasting batch shapes.  For a
-    binary mixture K is 1x1 and dividing gives LAPACK's 1x1 result bit for
-    bit; otherwise :func:`_eliminate`."""
-    if k.shape[-1] == 1:
-        return b / k
-    return _eliminate(k, b)[0]
+    return _eliminate(k, (b @ p)[..., None])[0][..., 0] @ p.T
 
 
 def _as_d(d) -> np.ndarray:
@@ -210,18 +202,11 @@ def solve_fluxes_reduced(comp: Composition, dmat, d) -> FluxSet:
     if not (np.all(np.isfinite(b)) and np.all(np.isfinite(rhs))):
         raise ValueError("reduced system must be finite (NaN or inf in B or the forces)")
     with np.errstate(divide="ignore", invalid="ignore"):  # the pivot check rejects them
-        jr, pivot = _gauss_solve(b, rhs)
-    if np.any(pivot < 1e-14 * np.linalg.norm(b, axis=(-2, -1))):
+        jr, pivots = _eliminate(b, rhs[..., None])
+    if np.any(np.abs(pivots) < 1e-14 * np.linalg.norm(b, axis=(-2, -1))[..., None]):
         raise SingularSystem("vanishing pivot in the reduced-system elimination")
+    jr = jr[..., 0]
     return FluxSet(J=np.concatenate([jr, -jr.sum(axis=-1, keepdims=True)], axis=-1))
-
-
-def _gauss_solve(b: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solve b y = rhs for b shaped (..., m, m) and rhs (..., m) with
-    broadcasting batch shapes; returns y and each system's smallest |pivot|
-    (:func:`_eliminate` with one right-hand side)."""
-    y, pivots = _eliminate(b, rhs[..., None])
-    return y[..., 0], np.minimum.reduce(np.abs(pivots), axis=-1)
 
 
 def _eliminate(b: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -230,13 +215,17 @@ def _eliminate(b: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns Y and each system's pivots (..., m).  As in LAPACK's getf2,
     the multipliers are scaled by the reciprocal pivot and the back
     substitution divides; a zero pivot leaves inf or NaN (with numpy's
-    warning) in its row, for the caller to reject.
+    warning) in its row, for the caller to reject.  A 1x1 system is one
+    division, which gives LAPACK's 1x1 result bit for bit (its pivots keep
+    b's batch shape).
 
     The systems are eliminated together, species-major: the augmented
     matrices [b | rhs] as one (m, m+r, systems) array, so each step is a
     few array operations whatever the batch size.  Rows are swapped only
     in the systems whose pivot is not the first largest |entry| of its
     column, which gives the bits of swapping in every system."""
+    if b.shape[-1] == 1:
+        return rhs / b, b[..., 0]
     m, r = rhs.shape[-2:]
     batch = np.broadcast(b[..., 0, 0], rhs[..., 0, 0]).shape
     a = np.empty((m, m + r) + batch)
@@ -353,9 +342,11 @@ def diffusion_operator_spectrum(x, dmat, model: ThermoModel,
     of the species equations at this state.  ``x`` is floored; a NaN or
     inf raises ``DegenerateComposition``, and a row whose given fractions
     do not sum to 1 within SUM_TOL + n X_FLOOR (so that floored rows
-    pass) raises ``ValueError``.  With ``require_convex`` the
-    strong-convexity certificate is checked first, per row, and
-    ``NotConvex`` is raised when it fails on any row.
+    pass) raises ``ValueError``.  With ``require_convex``, a row whose
+    smallest eigenvalue is <= 0 raises ``NotConvex``: by Sylvester's law of
+    inertia the pencil's eigenvalues have the signs of G, which is congruent
+    to the X^{-1} Gamma form on the zero-sum subspace, so this is the
+    strong-convexity verdict (the sign of ``thermo.convexity_check``).
     """
     raw = _as_x(x)
     x = _interior(floor_composition(raw), "diffusion_operator_spectrum")
@@ -365,10 +356,10 @@ def diffusion_operator_spectrum(x, dmat, model: ThermoModel,
     bad = np.abs(total - 1.0) > SUM_TOL + x.shape[-1] * X_FLOOR
     if np.any(bad):
         raise ValueError(f"mole fractions must sum to 1, got {float(total[_first_true(bad)])!r}")
-    if require_convex:
-        lam = np.asarray(convexity_check(model, x))
-        if np.any(lam <= 0):
-            raise NotConvex("Gibbs energy not strongly convex: lambda_min = "
-                            f"{lam[_first_true(lam <= 0)].item()!r}")
     a = None if model.is_ideal else model.interactions(x.shape[-1])
-    return -np.sort(-_operator_eigenvalues(x, inv, a), axis=-1)
+    lam = -np.sort(-_operator_eigenvalues(x, inv, a), axis=-1)
+    low = lam[..., -1]
+    if require_convex and np.any(low <= 0):
+        raise NotConvex("Gibbs energy not strongly convex: operator eigenvalue "
+                        f"{low[_first_true(low <= 0)].item()!r} <= 0")
+    return lam

@@ -13,7 +13,8 @@ Inputs are validated on construction (``Grid1D``, ``Field``, ``Reaction``,
 counts of the field and a nonempty network, and ``cfl_safety`` in (0, 1])
 at every entry point.  The kernel owns a run's inputs; each step is one
 kernel pass over plain arrays that evaluates the reaction rates once, and
-a checkpoint keeps the array the kernel has just checked.  Exact zeros go
+a checkpoint keeps the array the kernel has just checked and reads V and W
+from the kernel's state (its mu and dissipation).  Exact zeros go
 through ``thermo.floor_composition``.  A non-finite rate, or a step that
 leaves a NaN or -inf in the state, raises ``NonFiniteState`` without
 numpy warnings; per-cell totals that drift apart raise ``IsobaricDrift``.
@@ -40,8 +41,7 @@ from .errors import (IsobaricDrift, MaxStepsExceeded, NonFiniteState, NotConvex,
                      PositivityViolation)
 from .mixture import CLAMP_REL, MixtureSpec, _inverse_diffusivities, simplex_basis
 from .mskernel import _fluxes_projected, _operator_eigenvalues, _reduced_A, _reduced_tensor
-from .thermo import (IDEAL, ThermoModel, _gamma_dot, _ln_gamma_x, floor_composition,
-                     gibbs_density)
+from .thermo import IDEAL, ThermoModel, _gamma_dot, _ln_gamma_x, floor_composition
 
 #: Relative tolerance on per-cell total-concentration uniformity.
 ISOBARIC_TOL = 1e-8
@@ -211,6 +211,7 @@ class _State(NamedTuple):
     c_tot: float             # per-cell total, uniform to ISOBARIC_TOL
     jf: np.ndarray           # fluxes at all ncells+1 faces, zero at the walls
     w: float                 # dissipation W = -sum_faces sum_i J_i dmu_i
+    mu: np.ndarray           # per-cell chemical potentials ln(gamma_i x_i), floored x
     lam: np.ndarray | None   # diffusion-operator eigenvalues at the faces
     f: np.ndarray | None     # finite reaction rates r(c); None without reactions
 
@@ -269,7 +270,7 @@ class _Kernel:
         d = (x[1:] - x[:-1]) / self.h
         mu = _ln_gamma_x(self.model, floor_composition(x))
         if self.amat is not None:
-            d = _gamma_dot(xf, xf @ self.amat, self.amat, d)
+            d = _gamma_dot(xf, self.amat, d)
         j = _fluxes_projected(0.5 * (totals[:-1] + totals[1:]) * d, _reduced_A(xf, self.t),
                               self.p)
         jf = np.zeros((c.shape[0] + 1, c.shape[1]))
@@ -281,7 +282,7 @@ class _Kernel:
             cell, sp = np.unravel_index(np.argmin(np.isfinite(f)), f.shape)
             raise NonFiniteState(f"reaction rate f[{cell},{sp}] = {float(f[cell, sp])!r} "
                                  "(overflow or an invalid operation)")
-        return _State(c=c, c_tot=c_tot, jf=jf, w=w, lam=lam, f=f)
+        return _State(c=c, c_tot=c_tot, jf=jf, w=w, mu=mu, lam=lam, f=f)
 
     def dt_bound(self, st: _State) -> float:
         """cfl * h^2 / (2 lambda_max) from the spectrum in ``st``, capped
@@ -387,17 +388,18 @@ class Trajectory:
         return self.checkpoints[-1]
 
 
-def _checkpoint(c: np.ndarray, t: float, h: float, model: ThermoModel, w: float,
-                cum_w: float) -> Checkpoint:
-    """Snapshot of ``c``, which the kernel has checked and nothing writes
-    again; it is made read-only, not copied."""
+def _checkpoint(st: _State, t: float, h: float, cum_w: float) -> Checkpoint:
+    """Snapshot of the kernel state ``st``: its c, which the kernel has
+    checked and nothing writes again, is made read-only, not copied; V and
+    W come from its mu and w (:func:`msdiff.thermo.gibbs_density`'s value)."""
+    c = st.c
     c.setflags(write=False)
     return Checkpoint(
         time=t,
         c=c,
         masses=c.sum(axis=0) * h,
-        entropy=gibbs_density(model, c) * h,
-        dissipation=w,
+        entropy=float(h * np.add.reduce(c * st.mu, axis=None)),
+        dissipation=st.w,
         cumulative_dissipation=cum_w,
         min_concentration=float(c.min()),
     )
@@ -419,10 +421,10 @@ def simulate(initial: Field, spec: MixtureSpec, model: ThermoModel | None = None
         raise ValueError("a SimConfig is required")
     kernel = _Kernel(spec, model, initial, reactions, config.cfl_safety)
     st = kernel(initial.c, bound=True)
-    w, cum_w = st.w, 0.0
+    cum_w = 0.0
     traj = Trajectory(grid=initial.grid, names=spec.names)
     t = initial.time
-    traj.checkpoints.append(_checkpoint(initial.c, t, kernel.h, kernel.model, w, cum_w))
+    traj.checkpoints.append(_checkpoint(st, t, kernel.h, cum_w))
 
     interval = config.cp_interval
     next_cp = t + interval
@@ -432,17 +434,16 @@ def simulate(initial: Field, spec: MixtureSpec, model: ThermoModel | None = None
         if st.lam is not None:  # a refresh step
             dt_bound = kernel.dt_bound(st)
         dt = min(dt_bound, config.t_end - t, next_cp - t)
-        c = _advance(st, dt, t, kernel.h)
+        c, w = _advance(st, dt, t, kernel.h), st.w
         t += dt
         steps += 1
         st = kernel(c, bound=steps % DT_REFRESH_STEPS == 0)
         cum_w += 0.5 * (w + st.w) * dt
-        w = st.w
         if steps > config.max_steps:
             raise MaxStepsExceeded(f"{steps} steps at t = {t!r}")
         if t >= next_cp - tiny:
-            traj.checkpoints.append(_checkpoint(c, t, kernel.h, kernel.model, w, cum_w))
+            traj.checkpoints.append(_checkpoint(st, t, kernel.h, cum_w))
             next_cp += interval
     if traj.checkpoints[-1].time < t - tiny:
-        traj.checkpoints.append(_checkpoint(st.c, t, kernel.h, kernel.model, w, cum_w))
+        traj.checkpoints.append(_checkpoint(st, t, kernel.h, cum_w))
     return traj

@@ -20,8 +20,9 @@ mole-fraction array shaped (..., n).  The per-state functions
 ``driving_force``, ``convexity_check``) are batched over the leading
 axes: one composition is the batch of shape (), every check runs per
 row, and a row that fails a check raises for the whole call, as its
-scalar call would.  ``gibbs_density`` is the one total: it sums over
-every row.
+scalar call would.  ``gibbs_density`` is the one total: it sums c mu
+over every row, with mu from :func:`_ln_gamma_x` at the floored x, the
+formula of the simulator's kernel.
 """
 from __future__ import annotations
 
@@ -127,11 +128,10 @@ def gamma_matrix(model: ThermoModel, x) -> np.ndarray:
     return np.eye(n) + x[..., :, None] * (a - (x @ a)[..., None, :])
 
 
-def _gamma_dot(x: np.ndarray, xa: np.ndarray, a: np.ndarray,
-               d: np.ndarray) -> np.ndarray:
+def _gamma_dot(x: np.ndarray, a: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Gamma(x) d = d + x * (A d - <A x, d>) for the symmetric
-    interactions ``a``, given ``xa = x @ a``; batched, Gamma not formed."""
-    return d + x * (d @ a - np.sum(xa * d, axis=-1, keepdims=True))
+    interactions ``a``; batched, Gamma not formed."""
+    return d + x * (d @ a - np.sum((x @ a) * d, axis=-1, keepdims=True))
 
 
 def driving_force(model: ThermoModel, x, grad_x) -> DrivingForce:
@@ -151,21 +151,21 @@ def driving_force(model: ThermoModel, x, grad_x) -> DrivingForce:
 
 
 def gibbs_density(model: ThermoModel, c) -> float:
-    """Gibbs free energy per volume in RT units: G = sum_i c_i ln(gamma_i x_i).
+    """Gibbs free energy per volume in RT units: G = sum_i c_i ln(gamma_i x_i),
+    summed over every row, with mu from :func:`_ln_gamma_x` at the floored x.
 
-    Zero concentrations contribute 0 (the c ln c limit); negative entries
-    raise ``DegenerateComposition``.
+    Zero concentrations contribute 0 (the c ln c limit: the floor keeps
+    mu finite); a negative, NaN or inf entry, or a row with no positive
+    total, raises ``DegenerateComposition``.
     """
     c = np.asarray(c, dtype=float)
-    if np.any(c < 0):
-        raise DegenerateComposition(f"concentrations must be nonnegative: {c}")
+    if not np.all((c >= 0) & (c < np.inf)):
+        raise DegenerateComposition(f"concentrations must be finite and nonnegative: {c}")
     total = c.sum(axis=-1, keepdims=True)
     if np.any(total <= 0):
         raise DegenerateComposition("total concentration must be positive")
-    x = c / total
-    lng = ln_activity_coeffs(model, x)
-    # c ln x with the c ln c -> 0 limit at c = 0
-    return float(np.sum(c * lng) + np.sum(c * np.log(np.where(c > 0, x, 1.0))))
+    return float(np.add.reduce(c * _ln_gamma_x(model, floor_composition(c / total)),
+                               axis=None))
 
 
 def chemical_potentials(model: ThermoModel, x) -> np.ndarray:

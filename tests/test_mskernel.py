@@ -9,15 +9,15 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from msdiff import (IDEAL, Composition, Field, FluxSet, Grid1D, MixtureSpec, ThermoModel,
-                    assemble_A, assemble_A_sym, assemble_B, diffusion_operator_spectrum,
-                    gamma_matrix, mole_fractions, solve_fluxes_invariant,
-                    solve_fluxes_reduced, spectral_gap_delta, spectrum,
-                    ternary_closed_forms)
+                    assemble_A, assemble_A_sym, assemble_B, convexity_check,
+                    diffusion_operator_spectrum, gamma_matrix, mole_fractions,
+                    solve_fluxes_invariant, solve_fluxes_reduced, spectral_gap_delta,
+                    spectrum, ternary_closed_forms)
 import msdiff.solver
 from msdiff import mskernel
 from msdiff.errors import DegenerateComposition, NotConvex, SingularSystem
 from msdiff.mixture import _inverse_diffusivities, _unbatch, simplex_basis
-from msdiff.mskernel import _gauss_solve, _reduced_A, _reduced_tensor, _solve_reduced
+from msdiff.mskernel import _eliminate, _reduced_A, _reduced_tensor
 from msdiff.solver import _Kernel
 from msdiff.thermo import X_FLOOR, _as_x, floor_composition
 
@@ -48,9 +48,16 @@ def fick_limit_D(x, dmat, i: int) -> float | np.ndarray:
     return _unbatch(1.0 / s)
 
 
+def _solve_one(b, rhs):
+    """``_eliminate`` with one right-hand side ``rhs`` (..., m): the
+    solution and each system's smallest |pivot|."""
+    y, pivots = _eliminate(b, rhs[..., None])
+    return y[..., 0], np.abs(pivots).min(axis=-1)
+
+
 def gauss_reference(b, rhs):
     """Reference for the reduced route: partial-pivot elimination of one
-    system in scalar loops, with the arithmetic of ``_gauss_solve`` (the
+    system in scalar loops, with the arithmetic of ``_eliminate`` (the
     multipliers scaled by the reciprocal pivot, division in the back
     substitution).  Returns the solution and the smallest |pivot|."""
     a = [list(map(float, row)) for row in b]
@@ -422,11 +429,14 @@ class TestDiffusionOperator:
         assert w[0] == pytest.approx(-0.05, rel=1e-10)
 
     def test_scalar_reduced_solve_is_lapack_bit_for_bit(self):
-        # binary mixtures divide instead of calling LAPACK per face
+        # binary mixtures divide instead of calling LAPACK per face; the
+        # one pivot is K itself
         rng = np.random.default_rng(79)
         k = rng.uniform(0.1, 10.0, size=(500, 1, 1)) * rng.choice([-1.0, 1.0], size=(500, 1, 1))
         b = rng.standard_normal((500, 1, 1))
-        assert np.array_equal(_solve_reduced(k, b), np.linalg.solve(k, b))
+        y, pivots = _eliminate(k, b)
+        assert np.array_equal(y, np.linalg.solve(k, b))
+        assert np.array_equal(pivots, k[..., 0])
 
 
 def _sym(v, n):
@@ -472,6 +482,29 @@ def test_operator_spectrum_is_real(state):
                                             p.T @ gamma_matrix(model, x) @ p))
     assert np.all(np.max(np.abs(ev.imag), axis=-1)
                   <= 1e-10 * np.max(np.abs(ev.real), axis=-1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(state=operator_states())
+def test_not_convex_is_the_sign_of_convexity_check(state):
+    """With ``require_convex``, the spectrum raises NotConvex exactly where
+    convexity_check <= 0, per row and for the batch, and otherwise returns
+    the ``require_convex=False`` eigenvalues bit for bit.  Rows within 1e-3
+    of zero are dropped: on floored rows convexity_check's 1/x = 1e12
+    leaves it about four digits, so its sign decides nothing there."""
+    x, dmat, model = state
+    lam_min = np.asarray(convexity_check(model, x))
+    x, lam_min = x[np.abs(lam_min) > 1e-3], lam_min[np.abs(lam_min) > 1e-3]
+    cases = [(x[i], lam_min[i] > 0) for i in range(len(x))]
+    if cases:
+        cases.append((x, np.all(lam_min > 0)))
+    for rows, convex in cases:
+        free = diffusion_operator_spectrum(rows, dmat, model, require_convex=False)
+        if convex:
+            assert np.array_equal(diffusion_operator_spectrum(rows, dmat, model), free)
+        else:
+            with pytest.raises(NotConvex, match="operator eigenvalue"):
+                diffusion_operator_spectrum(rows, dmat, model)
 
 
 def _pencil_spectrum(x, dmat, model):
@@ -565,7 +598,7 @@ class TestReducedElimination:
             b.append(assemble_B(x, dmat)[None])
         b = np.concatenate(b)
         rhs = rng.standard_normal((len(b), m))
-        y, pivot = _gauss_solve(b, rhs)
+        y, pivot = _solve_one(b, rhs)
         assert y.shape == rhs.shape and pivot.shape == (len(b),)
         for k in range(len(b)):
             y_ref, pivot_ref = gauss_reference(b[k], rhs[k])
@@ -579,7 +612,7 @@ class TestReducedElimination:
         rng = np.random.default_rng(107)
         b = rng.standard_normal((2, 3, 4, 4))
         rhs = rng.standard_normal((3, 4))
-        y, pivot = _gauss_solve(b, rhs)
+        y, pivot = _solve_one(b, rhs)
         assert y.shape == (2, 3, 4) and pivot.shape == (2, 3)
         for i in range(2):
             for j in range(3):
@@ -587,11 +620,13 @@ class TestReducedElimination:
                 assert np.array_equal(y[i, j], y_ref) and pivot[i, j] == pivot_ref
 
     @pytest.mark.parametrize("singular", [[[1.0, 2.0], [2.0, 4.0]],
-                                          [[1.0, 1.0], [1.0, 1.0 + 1e-15]]])
+                                          [[1.0, 1.0], [1.0, 1.0 + 1e-15]],
+                                          [[0.0, 0.0], [0.0, 1.0]]])
     def test_vanishing_pivot_raises(self, monkeypatch, singular):
         # no valid composition makes B singular, so B is replaced: the
         # scalar call gets the singular B, the batched call a regular and
-        # the singular one
+        # the singular one; a zero first pivot leaves NaN in the later ones,
+        # and every pivot is checked, not only the smallest
         x = np.array([[0.2, 0.3, 0.5], [0.4, 0.4, 0.2]])
         d = [0.1, 0.2, -0.3]
         dmat = [[0, 1, 2], [1, 0, 3], [2, 3, 0]]
@@ -635,7 +670,7 @@ class TestReducedElimination:
         swaps_first = np.argmax(np.abs(b[:, :, 0]), axis=1) != 0
         assert np.array_equal(swaps_first, np.arange(80) % 2 == 1)
         rhs = rng.standard_normal((80, m))
-        y, pivot = _gauss_solve(b, rhs)
+        y, pivot = _solve_one(b, rhs)
         for k in range(80):
             y_ref, pivot_ref = gauss_reference(b[k], rhs[k])
             assert np.array_equal(y[k], y_ref) and pivot[k] == pivot_ref
@@ -645,13 +680,13 @@ class TestReducedElimination:
 
     @pytest.mark.parametrize("m", [2, 4])
     def test_reduced_solve_multi_rhs_and_broadcast(self, m):
-        """_solve_reduced takes (..., m, r) right-hand sides with batch
+        """_eliminate takes (..., m, r) right-hand sides with batch
         shapes that broadcast against K's; every column is the
         reference's solve of its own system."""
         rng = np.random.default_rng(300 + m)
         k = rng.standard_normal((2, 1, m, m))
         b = rng.standard_normal((3, m, 3))
-        y = _solve_reduced(k, b)
+        y = _eliminate(k, b)[0]
         assert y.shape == (2, 3, m, 3)
         for i in range(2):
             for j in range(3):
@@ -661,8 +696,8 @@ class TestReducedElimination:
         scale = np.linalg.cond(k)[..., None, None] * np.max(np.abs(y_np))
         assert np.all(np.abs(y - y_np) <= 1e-13 * scale)
         k2 = rng.standard_normal((50, m, m))
-        assert np.array_equal(_solve_reduced(k2, np.eye(m)),
-                              _solve_reduced(k2, np.broadcast_to(np.eye(m), (50, m, m))))
+        assert np.array_equal(_eliminate(k2, np.eye(m))[0],
+                              _eliminate(k2, np.broadcast_to(np.eye(m), (50, m, m)))[0])
 
     def test_pivoting_is_exercised_on_floored_reduced_matrices(self):
         """Reduced flux-force matrices K = P^T A P with D in [0.1, 10] and
@@ -685,7 +720,7 @@ class TestReducedElimination:
         growth = _growth_without_pivoting(k)
         assert growth.max() > 1e3
         rhs = rng.standard_normal((len(k), m))
-        y, pivot = _gauss_solve(k, rhs)
+        y, pivot = _solve_one(k, rhs)
         for i in np.argsort(growth)[-10:]:
             y_ref, pivot_ref = gauss_reference(k[i], rhs[i])
             assert np.array_equal(y[i], y_ref) and pivot[i] == pivot_ref

@@ -12,13 +12,13 @@ import msdiff.solver
 from msdiff import (Composition, Field, Grid1D, IDEAL, MixtureSpec, NO_REACTIONS,
                     Reaction, ReactionNetwork, SimConfig, ThermoModel,
                     chemical_potentials, diffusion_operator_spectrum,
-                    driving_force, face_fluxes, simulate,
+                    driving_force, face_fluxes, gibbs_density, simulate,
                     solve_fluxes_invariant, stable_dt, step)
 from msdiff.errors import (IsobaricDrift, MaxStepsExceeded, MsDiffError,
                            NonFiniteState, NotConvex, PositivityViolation)
 from msdiff.mixture import CLAMP_REL, _inverse_diffusivities, simplex_basis
-from msdiff.mskernel import (_assemble_A, _operator_eigenvalues, _reduced_A, _reduced_tensor,
-                             _solve_reduced)
+from msdiff.mskernel import (_assemble_A, _eliminate, _operator_eigenvalues, _reduced_A,
+                             _reduced_tensor)
 from msdiff.solver import DT_REFRESH_STEPS, ISOBARIC_TOL, _advance, _Kernel, _State
 from msdiff.thermo import _gamma_dot, _ln_gamma_x, floor_composition, gamma_matrix
 
@@ -250,7 +250,7 @@ class TestStep:
         c = np.full((3, 2), 0.5)
         jf = np.zeros((4, 2))
         jf[2] = [bad, 0.0]  # the face between cells 1 and 2
-        st = _State(c=c, c_tot=1.0, jf=jf, w=0.0, lam=None, f=None)
+        st = _State(c=c, c_tot=1.0, jf=jf, w=0.0, mu=np.log(c), lam=None, f=None)
         with pytest.raises(NonFiniteState, match=re.escape(first)):
             _advance(st, 0.1, 0.0, 1.0)
 
@@ -329,7 +329,7 @@ def test_kernel_one_product_forms(thermo, data):
     a = amat if thermo == "margules" else np.zeros((n, n))
     g = gamma_matrix(model, x)
     gd_ref = (g @ d[..., None])[..., 0]
-    _assert_close(_gamma_dot(x, x @ a, a, d), gd_ref,
+    _assert_close(_gamma_dot(x, a, d), gd_ref,
                   np.linalg.norm(g, axis=(-2, -1)) * np.linalg.norm(d, axis=-1))
 
 
@@ -423,7 +423,7 @@ def test_rates_match_per_reaction_loop_bit_for_bit(problem):
 
 def _operator_reduced(k, g):
     """M = -K^{-1} G from K = P^T A P and G = P^T Gamma P, batched."""
-    return -_solve_reduced(k, g)
+    return -_eliminate(k, g)[0]
 
 
 @st.composite
@@ -480,12 +480,11 @@ def _reference_call(kernel, c, bound=False):
     d = (x[1:] - x[:-1]) / kernel.h
     mu = _ln_gamma_x(kernel.model, floor_composition(x))
     if kernel.amat is not None:
-        xa = xf @ kernel.amat
-        d = _gamma_dot(xf, xa, kernel.amat, d)
+        d = _gamma_dot(xf, kernel.amat, d)
     k = _reduced_A(xf, kernel.t)
     p = simplex_basis(c.shape[1])
     rhs = (0.5 * (totals[:-1, 0] + totals[1:, 0])[..., None] * d) @ p
-    j = _solve_reduced(k, rhs[..., None])[..., 0] @ p.T
+    j = _eliminate(k, rhs[..., None])[0][..., 0] @ p.T
     jf = np.zeros((c.shape[0] + 1, c.shape[1]))
     jf[1:-1] = j
     w = float(-(j * (mu[1:] - mu[:-1])).sum())
@@ -497,7 +496,7 @@ def _reference_call(kernel, c, bound=False):
         m = _operator_reduced(k, g)
         lam = m[..., 0] if m.shape[-1] == 1 else np.linalg.eigvals(m).real
     f = kernel.reactions.rates(c) if kernel.reactions.reactions else None
-    return _State(c=c, c_tot=c_tot, jf=jf, w=w, lam=lam, f=f)
+    return _State(c=c, c_tot=c_tot, jf=jf, w=w, mu=mu, lam=lam, f=f)
 
 
 def _reference_advance(st, dt, t, h):
@@ -532,7 +531,7 @@ def test_kernel_matches_reference_arithmetic(problem, bound):
                       np.max(np.abs(ref.lam)))
     if spec.n == 2:
         assert got.c_tot == ref.c_tot and got.w == ref.w
-        for a, b in [(got.jf, ref.jf), (got.f, ref.f), (cn, cn_ref)]:
+        for a, b in [(got.jf, ref.jf), (got.mu, ref.mu), (got.f, ref.f), (cn, cn_ref)]:
             assert a is b is None or np.array_equal(a, b)
         return
     assert got.c_tot == pytest.approx(ref.c_tot, rel=1e-15)
@@ -707,6 +706,23 @@ class TestSimulate:
         m0 = traj.checkpoints[0].masses
         for cp in traj.checkpoints[1:]:
             np.testing.assert_allclose(cp.masses, m0, rtol=1e-12)
+
+    @pytest.mark.parametrize("amat", [None, [[0.0, 0.3, -0.4], [0.3, 0.0, 0.2],
+                                             [-0.4, 0.2, 0.0]]])
+    def test_checkpoint_entropy_is_gibbs_density(self, amat):
+        """Checkpoint V is h sum c mu from the kernel's mu; it is
+        gibbs_density's value at the checkpoint's c to 1e-14, on ideal and
+        Margules thermo, with one species absent from one cell at t = 0."""
+        spec = MixtureSpec(names=("A", "B", "C"), dmat=[[0, 1, 2], [1, 0, 3], [2, 3, 0]])
+        model = IDEAL if amat is None else ThermoModel.margules(amat)
+        c = np.random.default_rng(41).dirichlet(np.ones(3), size=8)
+        c[3] = [0.6, 0.0, 0.4]
+        grid = Grid1D(ncells=8, length=1.0)
+        traj = simulate(Field(c=c, grid=grid), spec, model,
+                        config=SimConfig(t_end=1e-2, checkpoint_interval=2.5e-3))
+        assert len(traj.checkpoints) == 5 and traj.checkpoints[0].c[3, 1] == 0.0
+        for cp in traj.checkpoints:
+            assert cp.entropy == pytest.approx(gibbs_density(model, cp.c) * grid.h, rel=1e-14)
 
     def test_checkpoints_keep_read_only_states_and_build_no_field(self, monkeypatch):
         fld = _binary_step_field(ncells=10)

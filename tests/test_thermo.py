@@ -122,6 +122,14 @@ class TestGibbsDensity:
         with pytest.raises(DegenerateComposition):
             gibbs_density(IDEAL, [1.0, -0.5])
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("c", [[np.nan, 1.0], [np.inf, 1.0], [1.0, -np.inf],
+                                   [[0.5, 0.5], [0.5, np.nan]]])
+    def test_non_finite_rejected(self, c):
+        # fails closed, without numpy warnings, rather than returning NaN
+        with pytest.raises(DegenerateComposition, match="finite"):
+            gibbs_density(IDEAL, c)
+
     def test_gradient_is_chemical_potential(self):
         # dG/dc_i = mu_i = ln(gamma_i x_i), checked by central differences
         rng = np.random.default_rng(23)
