@@ -120,7 +120,7 @@ class Composition:
         bad = np.abs(total - 1.0) > SUM_TOL
         if np.any(bad):
             raise ValueError(
-                f"mole fractions must sum to 1, got {total[_first_true(bad)]!r}")
+                f"mole fractions must sum to 1, got {total[_first_true(bad)].item()!r}")
         bad = ~((0 < c_tot) & (c_tot < np.inf))
         if np.any(bad):
             raise ValueError(f"c_tot must be positive and finite, got "
@@ -148,7 +148,7 @@ def mole_fractions(c) -> Composition:
         raise NonPositiveTotal(f"sum of concentrations is {total!r}")
     if np.any(c < -CLAMP_REL * total):
         bad = int(np.argmin(c))
-        raise NegativeConcentration(f"c[{bad}]={c[bad]!r} with total {total!r}")
+        raise NegativeConcentration(f"c[{bad}]={c[bad].item()!r} with total {total!r}")
     c = np.clip(c, 0.0, None)
     total = float(c.sum())
     return Composition(x=c / total, c_tot=total)
@@ -186,7 +186,7 @@ def _check_zero_sum(v: np.ndarray, what: str, rtol: float = 1e-12) -> None:
     if np.any(bad):
         k = _first_true(bad)
         raise ValueError(f"{what} must be finite and sum to zero: "
-                         f"sum={total[k]!r}, max={scale[k]!r}")
+                         f"sum={total[k].item()!r}, max={scale[k].item()!r}")
 
 
 @dataclass(frozen=True)

@@ -30,11 +30,11 @@ eigenvalues have the signs of G, congruent to the X^{-1} Gamma form on E:
 ``require_convex``'s strong-convexity verdict is the spectrum's own sign.
 
 Compositions and forces are shaped (..., n) and every public per-state
-function is batched over the leading axes, with the domain types of
-:mod:`msdiff.mixture` batched the same way.  One state is the batch of
-shape (), computed by the same code.  Every check runs per row (its own
-norm, residual or pivot); a verdict comes back per row, and a row that
-fails a hard check raises for the whole call, as its scalar call would.
+function is batched over the leading axes; one state is the batch of
+shape ().  A raw composition enters through ``thermo._as_x`` (finite and
+>= 0, else ``DegenerateComposition``), forces through :func:`_as_d`
+(finite, else ``ValueError``).  Every check runs per row (its own norm,
+residual or pivot), and a row that fails a hard check raises for the call.
 """
 from __future__ import annotations
 
@@ -45,7 +45,7 @@ import numpy as np
 from .errors import EigSolverFailure, NotConvex, SingularSystem
 from .mixture import (SUM_TOL, Composition, DrivingForce, FluxSet, _check_species,
                       _first_true, _inverse_diffusivities, _unbatch, simplex_basis)
-from .thermo import X_FLOOR, ThermoModel, _as_x, _interior, floor_composition
+from .thermo import X_FLOOR, ThermoModel, _as_x, floor_composition
 
 
 def assemble_A(x, dmat) -> np.ndarray:
@@ -53,7 +53,7 @@ def assemble_A(x, dmat) -> np.ndarray:
 
     The composition is floored first (:func:`msdiff.thermo.floor_composition`).
     """
-    x = floor_composition(x)
+    x = floor_composition(_as_x(x, "assemble_A"))
     inv = _inverse_diffusivities(dmat)
     _check_species(inv, x=x)
     return _assemble_A(x, inv)
@@ -75,7 +75,7 @@ def _with_diagonal(a: np.ndarray, inv: np.ndarray, x: np.ndarray) -> np.ndarray:
 def assemble_A_sym(x, dmat) -> np.ndarray:
     """Symmetrized form A_S = X^{-1/2} A X^{1/2}: off-diagonal
     sqrt(x_i x_j) / D_ij, same diagonal as A.  Null vector sqrt(x)."""
-    x = floor_composition(x)
+    x = floor_composition(_as_x(x, "assemble_A_sym"))
     inv = _inverse_diffusivities(dmat)
     _check_species(inv, x=x)
     rx = np.sqrt(x)
@@ -89,7 +89,7 @@ def assemble_B(x, dmat) -> np.ndarray:
     B_ij = x_i (1/D_in - 1/D_ij) for i != j and
     B_ii = x_i / D_in + sum_{k != i} x_k / D_ik, with x_n = 1 - sum x_m.
     """
-    x = _as_x(x)
+    x = _as_x(x, "assemble_B")
     inv = _inverse_diffusivities(dmat)
     _check_species(inv, x=x)
     n = inv.shape[0]
@@ -121,7 +121,7 @@ def spectral_gap_delta(dmat) -> float:
 def spectrum(x, dmat) -> SpectrumReport:
     """Eigenvalues of A via the symmetric similar matrix A_S; each row's
     zero eigenvalue is tested against its own ||A_S||."""
-    a_sym = assemble_A_sym(x, dmat)
+    a_sym = assemble_A_sym(_as_x(x, "spectrum"), dmat)
     try:
         w = np.linalg.eigvalsh(a_sym)
     except np.linalg.LinAlgError as exc:
@@ -161,9 +161,12 @@ def _fluxes_projected(b: np.ndarray, k: np.ndarray, p: np.ndarray) -> np.ndarray
 
 
 def _as_d(d) -> np.ndarray:
-    if isinstance(d, DrivingForce):
-        return d.d
-    return np.asarray(d, dtype=float)
+    """The one force conversion: a DrivingForce's d, or an array of forces if
+    every entry is finite (no zero-sum rule), else ``ValueError``."""
+    d = d.d if isinstance(d, DrivingForce) else np.asarray(d, dtype=float)
+    if not np.all(np.isfinite(d)):
+        raise ValueError("driving forces must be finite, got a NaN or inf entry")
+    return d
 
 
 def solve_fluxes_invariant(comp: Composition, dmat, d) -> FluxSet:
@@ -185,22 +188,20 @@ def solve_fluxes_invariant(comp: Composition, dmat, d) -> FluxSet:
     bad = ~((scale == 0) | (resid <= 1e-10 * scale))  # NaN fails too
     if np.any(bad):
         k = _first_true(bad)
-        raise SingularSystem(f"projected solve residual {resid[k]!r} (scale {scale[k]!r})")
+        raise SingularSystem(f"projected solve residual {resid[k].item()!r} "
+                             f"(scale {scale[k].item()!r})")
     return FluxSet(J=j - j.mean(axis=-1, keepdims=True))
 
 
 def solve_fluxes_reduced(comp: Composition, dmat, d) -> FluxSet:
     """Fluxes from the reduced system B J' = -c_tot d' by Gaussian
     elimination with partial pivoting, per row; the last flux closes the
-    zero sum.  A non-finite system raises ``ValueError``; a pivot below
-    1e-14 ||B|| in any row raises ``SingularSystem``."""
-    x = _as_x(comp)
+    zero sum.  A pivot below 1e-14 ||B|| in any row raises
+    ``SingularSystem``."""
     dv = _as_d(d)
-    b = assemble_B(x, dmat)
+    b = assemble_B(comp.x, dmat)
     _check_species(_inverse_diffusivities(dmat), d=dv)
     rhs = -np.asarray(comp.c_tot)[..., None] * dv[..., :-1]
-    if not (np.all(np.isfinite(b)) and np.all(np.isfinite(rhs))):
-        raise ValueError("reduced system must be finite (NaN or inf in B or the forces)")
     with np.errstate(divide="ignore", invalid="ignore"):  # the pivot check rejects them
         jr, pivots = _eliminate(b, rhs[..., None])
     if np.any(np.abs(pivots) < 1e-14 * np.linalg.norm(b, axis=(-2, -1))[..., None]):
@@ -339,17 +340,17 @@ def diffusion_operator_spectrum(x, dmat, model: ThermoModel,
     zero-sum subspace, a real float array shaped (..., n-1).
 
     Positive eigenvalues certify normal ellipticity, i.e. parabolicity
-    of the species equations at this state.  ``x`` is floored; a NaN or
-    inf raises ``DegenerateComposition``, and a row whose given fractions
-    do not sum to 1 within SUM_TOL + n X_FLOOR (so that floored rows
-    pass) raises ``ValueError``.  With ``require_convex``, a row whose
+    of the species equations at this state.  A NaN, inf or negative entry
+    raises ``DegenerateComposition``; ``x`` is then floored, and a row whose
+    given fractions do not sum to 1 within SUM_TOL + n X_FLOOR (so that
+    floored rows pass) raises ``ValueError``.  With ``require_convex``, a row whose
     smallest eigenvalue is <= 0 raises ``NotConvex``: by Sylvester's law of
     inertia the pencil's eigenvalues have the signs of G, which is congruent
     to the X^{-1} Gamma form on the zero-sum subspace, so this is the
     strong-convexity verdict (the sign of ``thermo.convexity_check``).
     """
-    raw = _as_x(x)
-    x = _interior(floor_composition(raw), "diffusion_operator_spectrum")
+    raw = _as_x(x, "diffusion_operator_spectrum")
+    x = floor_composition(raw)
     inv = _inverse_diffusivities(dmat)
     _check_species(inv, x=x)
     total = np.add.reduce(raw, axis=-1)

@@ -354,7 +354,7 @@ def _advance(st: _State, dt: float, t: float, h: float) -> np.ndarray:
             raise NonFiniteState(f"c[{cell},{sp}] = {float(lo)!r} at t = {t + dt!r} "
                                  "(overflow or an invalid operation)")
         raise PositivityViolation(
-            f"c[{cell},{sp}] = {cn[cell, sp]!r} at t = {t + dt!r} "
+            f"c[{cell},{sp}] = {cn[cell, sp].item()!r} at t = {t + dt!r} "
             "(CFL or model breach)")
     np.maximum(cn, 0.0, out=cn)
     return cn

@@ -14,15 +14,15 @@ applies it without forming it (:func:`_gamma_dot`); the diffusion
 operator's spectrum uses A itself, in the X^{1/2} pencil of
 :func:`msdiff.mskernel._operator_eigenvalues`.
 
-Functions accept either a :class:`~msdiff.mixture.Composition` or a plain
-mole-fraction array shaped (..., n).  The per-state functions
-(``ln_activity_coeffs``, ``gamma_matrix``, ``chemical_potentials``,
-``driving_force``, ``convexity_check``) are batched over the leading
-axes: one composition is the batch of shape (), every check runs per
-row, and a row that fails a check raises for the whole call, as its
-scalar call would.  ``gibbs_density`` is the one total: it sums c mu
-over every row, with mu from :func:`_ln_gamma_x` at the floored x, the
-formula of the simulator's kernel.
+The per-state functions take a :class:`~msdiff.mixture.Composition` or an
+array shaped (..., n) through one checked conversion, :func:`_as_x`: every
+x_i finite and >= 0 (``ln_activity_coeffs``), or >= X_FLOOR where ln x or
+1/x is taken (``gamma_matrix``, ``chemical_potentials``, ``driving_force``,
+``convexity_check``).  They are batched over the leading axes, one state
+being the batch of shape (), and a row that fails a check raises for the
+whole call.  The step kernel reaches no check: it calls the unchecked
+``floor_composition`` and :func:`_ln_gamma_x`, which ``gibbs_density``
+shares; that one total sums c mu over every row at the floored x.
 """
 from __future__ import annotations
 
@@ -80,36 +80,34 @@ class ThermoModel:
 IDEAL = ThermoModel()
 
 
-def _as_x(x) -> np.ndarray:
-    if isinstance(x, Composition):
-        return x.x
-    return np.asarray(x, dtype=float)
+def _as_x(x, what: str, lo: float = 0.0) -> np.ndarray:
+    """The one mole-fraction conversion: ``x`` (a Composition or an array)
+    as an array if every entry is finite and >= ``lo``, else
+    ``DegenerateComposition`` naming ``what``.  ``lo`` is 0, Composition's
+    rule, or X_FLOOR where ln x or 1/x is taken; row sums are not checked."""
+    x = x.x if isinstance(x, Composition) else np.asarray(x, dtype=float)
+    if not np.all((x >= lo) & (x < np.inf)):
+        raise DegenerateComposition(f"{what} needs {'an interior' if lo else 'a'} composition "
+                                    f"(every x_i finite and >= {lo:g})")
+    return x
 
 
 def floor_composition(x) -> np.ndarray:
-    """Raise entries below X_FLOOR to X_FLOOR; NaN stays NaN."""
-    return np.maximum(_as_x(x), X_FLOOR)
-
-
-def _interior(x, what: str) -> np.ndarray:
-    """``x`` as an array if every entry is finite and at least X_FLOOR,
-    else ``DegenerateComposition`` (NaN and inf included)."""
-    x = _as_x(x)
-    if not np.all((x >= X_FLOOR) & (x < np.inf)):
-        raise DegenerateComposition(
-            f"{what} needs an interior composition (every x_i finite and >= {X_FLOOR:g})")
-    return x
+    """Raise entries below X_FLOOR to X_FLOOR.  Unchecked (NaN stays NaN): the
+    floor of states that :func:`_as_x` or the step kernel has checked."""
+    return np.maximum(x.x if isinstance(x, Composition) else x, X_FLOOR)
 
 
 def ln_activity_coeffs(model: ThermoModel, x) -> np.ndarray:
     """ln gamma_i for every species; zeros for the ideal model."""
-    x = _as_x(x)
-    if model.is_ideal:
-        return np.zeros_like(x)
-    a = model.interactions(x.shape[-1])
+    x = _as_x(x, "ln_activity_coeffs")
+    return np.zeros_like(x) if model.is_ideal else _ln_gamma(x, model.interactions(x.shape[-1]))
+
+
+def _ln_gamma(x: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Margules ln gamma_i for the symmetric ``a``, batched; no domain check."""
     ax = x @ a  # (A x)_i, valid batched since A is symmetric
-    g_ex = 0.5 * np.sum(x * ax, axis=-1, keepdims=True)
-    return ax - g_ex
+    return ax - 0.5 * np.sum(x * ax, axis=-1, keepdims=True)
 
 
 def gamma_matrix(model: ThermoModel, x) -> np.ndarray:
@@ -119,7 +117,7 @@ def gamma_matrix(model: ThermoModel, x) -> np.ndarray:
     partials of the Margules family, treating x_1..x_n as independent
     coordinates.  Column sums equal 1 (Gibbs-Duhem).
     """
-    x = _interior(x, "gamma_matrix")
+    x = _as_x(x, "gamma_matrix", X_FLOOR)
     n = x.shape[-1]
     if model.is_ideal:
         return np.broadcast_to(np.eye(n), x.shape + (n,)).copy()
@@ -144,7 +142,7 @@ def driving_force(model: ThermoModel, x, grad_x) -> DrivingForce:
     """
     g = np.asarray(grad_x, dtype=float)
     _check_zero_sum(g, "grad_x", rtol=1e-10)
-    x = _interior(x, "driving_force")
+    x = _as_x(x, "driving_force", X_FLOOR)
     d = (gamma_matrix(model, x) @ g[..., None])[..., 0]
     d -= d.mean(axis=-1, keepdims=True)  # exact zero sum; roundoff-level correction
     return DrivingForce(d=d)
@@ -170,14 +168,14 @@ def gibbs_density(model: ThermoModel, c) -> float:
 
 def chemical_potentials(model: ThermoModel, x) -> np.ndarray:
     """mu_i in RT units: ln(gamma_i x_i).  Requires interior x."""
-    return _ln_gamma_x(model, _interior(x, "chemical_potentials"))
+    return _ln_gamma_x(model, _as_x(x, "chemical_potentials", X_FLOOR))
 
 
 def _ln_gamma_x(model: ThermoModel, x: np.ndarray) -> np.ndarray:
     """ln(gamma_i x_i), batched; no domain check."""
     mu = np.log(x)
     if not model.is_ideal:
-        mu += ln_activity_coeffs(model, x)
+        mu += _ln_gamma(x, model.interactions(x.shape[-1]))
     return mu
 
 
@@ -189,7 +187,7 @@ def convexity_check(model: ThermoModel, x) -> float | np.ndarray:
     A positive value certifies strong convexity of the Gibbs energy at
     that composition; a negative value signals the phase-splitting regime.
     """
-    x = _interior(x, "convexity_check")
+    x = _as_x(x, "convexity_check", X_FLOOR)
     n = x.shape[-1]
     m = gamma_matrix(model, x) / x[..., :, None]
     sym = 0.5 * (m + np.swapaxes(m, -1, -2))

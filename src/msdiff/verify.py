@@ -202,7 +202,7 @@ def ternary_closed_forms(x, dmat) -> TernaryReport:
     angle pi/6 of the positive real axis.  Evaluated per row of ``x``
     shaped (..., 3).
     """
-    x = _as_x(x)
+    x = _as_x(x, "ternary_closed_forms")
     d = np.asarray(dmat, dtype=float)
     _inverse_diffusivities(d)  # the D rule, before the closed forms divide by D
     if x.shape[-1:] != (3,) or d.shape != (3, 3):
@@ -248,7 +248,9 @@ def _paired_samples(rng, n: int) -> tuple[np.ndarray, np.ndarray]:
         xs.append(_interior_samples(rng, n, 1)[0])
         vs.append(rng.standard_normal(n))
     v = np.array(vs)
-    return np.array(xs), v - v.mean(axis=1, keepdims=True)
+    v -= v.mean(axis=1, keepdims=True)
+    v[:, -1] = -v[:, :-1].sum(axis=1)  # rows sum to exactly 0, as driving_force requires
+    return np.array(xs), v
 
 
 def _row(name: str, fails: int) -> tuple[str, str, str]:

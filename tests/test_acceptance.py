@@ -16,8 +16,9 @@ from msdiff import (IDEAL, Composition, Field, Grid1D, MixtureSpec, Reaction,
                     solve_fluxes_reduced, spectral_gap_delta, stable_dt, step,
                     ternary_closed_forms)
 from msdiff.cli import load_config
+from msdiff.mixture import simplex_basis
 from msdiff.mskernel import assemble_A
-from msdiff.thermo import floor_composition
+from msdiff.thermo import floor_composition, gamma_matrix
 
 CONFIGS = Path(__file__).parents[1] / "configs"
 
@@ -144,6 +145,55 @@ def test_criterion_5_nonideal_binary_oracle(a):
     assert ratio >= 1.8
     print(f"\nACCEPTANCE 5 PASS (Margules a = {a}): filtration-oracle L-inf "
           f"{err_fine:.3e} at 200 cells, refinement ratio {ratio:.2f}")
+
+
+def _mode_decay_error(n, margules, cfl, ncells=40, delta=1e-3):
+    """Relative error, against exp(-1), of the amplitude of the slowest
+    cosine mode along the operator's fastest eigenvector at a uniform
+    state, after t = 1 / (mu lambda_1).  The linearized operator is
+    M = -(P^T A P)^{-1} P^T Gamma P at x_bar, with top eigenvalue mu and
+    eigenvector w; the mode cos(pi (i + 1/2) / N) P w has the Neumann
+    Laplacian eigenvalue lambda_1 = (2 - 2 cos(pi / N)) / h^2."""
+    rng = np.random.default_rng(500 + 10 * n + margules)
+    dmat = _random_dmat(rng, n, 0.5, 2.0)
+    amat = _random_dmat(rng, n, -0.5, 0.5) if margules else None  # symmetric, zero diagonal
+    model = ThermoModel.margules(amat) if margules else IDEAL
+    xbar = 0.7 * rng.dirichlet(np.ones(n)) + 0.3 / n
+    p = simplex_basis(n)
+    m = -np.linalg.solve(p.T @ assemble_A(xbar, dmat) @ p,
+                         p.T @ gamma_matrix(model, xbar) @ p)
+    eig, vecs = np.linalg.eig(m)
+    top = int(np.argmax(eig.real))
+    mu = float(eig[top].real)
+    assert mu == pytest.approx(diffusion_operator_spectrum(xbar, dmat, model)[0], rel=1e-12)
+    v = p @ vecs[:, top].real
+    v /= np.linalg.norm(v)
+    grid = Grid1D(ncells=ncells, length=1.0)
+    mode = np.cos(np.pi * (np.arange(ncells) + 0.5) / ncells)
+    lam1 = (2.0 - 2.0 * np.cos(np.pi / ncells)) / grid.h**2
+    t_end = 1.0 / (mu * lam1)
+    spec = MixtureSpec(names=tuple(f"S{i}" for i in range(n)), dmat=dmat)
+    fld = Field(c=xbar + delta * mode[:, None] * v, grid=grid)
+    final = simulate(fld, spec, model, config=SimConfig(
+        t_end=t_end, cfl_safety=cfl, checkpoint_interval=t_end)).final().c
+    amplitude = mode @ (final - xbar) @ v / (mode @ mode)
+    return abs(amplitude / delta - np.exp(-1.0)) / np.exp(-1.0)
+
+
+@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize("margules", [False, True])
+def test_criterion_5_mode_decay_oracle(n, margules):
+    """Criterion 5's form for n >= 3, where no scalar oracle exists: the
+    slowest eigenmode of the linearized operator decays like
+    exp(-mu lambda_1 t), to 1e-3 at cfl 0.4, and the error (explicit
+    Euler's, first order in dt) halves with cfl: a ratio >= 1.8."""
+    err = _mode_decay_error(n, margules, cfl=0.4)
+    assert err <= 1e-3
+    ratio = err / _mode_decay_error(n, margules, cfl=0.2)
+    assert ratio >= 1.8
+    print(f"\nACCEPTANCE 5 PASS (mode decay, n = {n}, "
+          f"{'Margules' if margules else 'ideal'}): relative error {err:.3e}, "
+          f"cfl refinement ratio {ratio:.2f}")
 
 
 def test_criterion_6_conservation_and_bounds():

@@ -411,6 +411,16 @@ class TestFluxesCommand:
             {"agreement": float(agreement), "invariant": ji.tolist(),
              "reduced": jr.tolist()}) + "\n")
 
+    @pytest.mark.parametrize("key, value, err", [
+        ("composition", {"x": [0.3, 0.3, 0.5], "c_tot": 1.0},
+         "config error: composition: mole fractions must sum to 1, got 1.1\n"),
+        ("gradients", [1.0, 1.0, 1.0],
+         "config error: gradients must be finite and sum to zero: sum=3.0, max=1.0\n")])
+    def test_bad_input_message_prints_plain_floats(self, tmp_path, capsys, key, value, err):
+        cfg = dict(json.loads((CONFIGS / "ternary_osmotic.json").read_text()), **{key: value})
+        assert _run(["fluxes", "--config", _write(tmp_path, cfg)]) == (EXIT_CONFIG, "")
+        assert capsys.readouterr().err == err
+
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_flux_routes_batch_is_its_rows(self, n):
         rng = np.random.default_rng(n)
@@ -731,6 +741,15 @@ PINNED_VERIFY = {
         'PASS  flux-route-agreement: 200/200\n'
         'PASS  normal-ellipticity: 200/200\n'
         'PASS  pointwise-entropy: 200/200\n')),
+    # a seed whose centred normals alone leave a row sum of 2.2e-16 against
+    # a row max of 1.5e-6, past driving_force's zero-sum rule
+    **{(name, 18463): (0, (
+        'seed: 18463\n'
+        'PASS  spectral-gap: 200/200\n'
+        'PASS  flux-route-agreement: 200/200\n'
+        'PASS  normal-ellipticity: 200/200\n'
+        'PASS  pointwise-entropy: 200/200\n'))
+       for name in ('binary_ideal.json', 'binary_margules.json', 'reaction_ab.json')},
 }
 
 
@@ -798,8 +817,11 @@ class TestVerifyCommand:
                 if xk.min() >= 1e-3:
                     break
             vk = ref.standard_normal(4)
+            vk -= vk.mean()
+            vk[-1] = -vk[:-1].sum()
             assert np.array_equal(x[k], xk)
-            assert np.array_equal(v[k], vk - vk.mean())
+            assert np.array_equal(v[k], vk)
+        assert np.all(v.sum(axis=1) == 0.0)  # exactly: driving_force's zero-sum rule
 
     @pytest.mark.parametrize("seed", ["-1", "-7"])
     def test_negative_seed_flag_exits_2(self, tmp_path, capsys, seed):

@@ -29,7 +29,7 @@ class TestMoleFractions:
         assert comp.c_tot == 2.0
 
     def test_large_negative_rejected(self):
-        with pytest.raises(NegativeConcentration):
+        with pytest.raises(NegativeConcentration, match=r"^c\[1\]=-0\.001 with total 0\.999$"):
             mole_fractions([1.0, -1e-3])
 
     def test_zero_total_rejected(self):
@@ -63,7 +63,10 @@ class TestCompositionInvariants:
         assert Composition(x=[0.25, 0.75]).c_tot == 1.0
 
     def test_sum_off_one(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^mole fractions must sum to 1, got 1\.1$"):
+            Composition(x=[0.3, 0.3, 0.5], c_tot=1.0)
+        with pytest.raises(ValueError,
+                           match=r"^mole fractions must sum to 1, got 0\.8999999999999999$"):
             Composition(x=[0.3, 0.6], c_tot=1.0)
 
     def test_negative_fraction(self):
@@ -141,7 +144,8 @@ class TestZeroSumVectors:
         DrivingForce(d=[0.4, -0.1, -0.3])
 
     def test_driving_force_rejects_unbalanced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^driving forces must be finite and sum to "
+                                             r"zero: sum=0\.30000000000000004, max=0\.4$"):
             DrivingForce(d=[0.4, -0.1, 0.0])
 
     def test_flux_set_rejects_unbalanced(self):

@@ -40,7 +40,7 @@ def fick_limit_D(x, dmat, i: int) -> float | np.ndarray:
     This is the coefficient of -grad c_i in the flux split
     J_i = -D_i grad c_i + c_i F_i; cross-effects vanish as x_i -> 0.
     """
-    x = _as_x(x)
+    x = _as_x(x, "fick_limit_D")
     inv = _inverse_diffusivities(dmat)
     s = x @ inv[i]
     if np.any(s == 0.0):
@@ -296,6 +296,16 @@ class TestFluxRoutes:
         d = np.array([0.01, 0.0, -0.01])
         j = solve_fluxes_invariant(comp, dmat, d).J
         assert abs(j[1]) > 1e-3 * np.abs(j).max()
+
+    def test_residual_failure_prints_plain_floats(self, monkeypatch):
+        # no valid input fails the residual, so the solve is replaced by a
+        # wrong zero-sum J; the message prints floats, not numpy reprs
+        monkeypatch.setattr(mskernel, "_fluxes_projected",
+                            lambda b, k, p: np.array([1.0, -1.0, 0.0]))
+        with pytest.raises(SingularSystem, match=r"^projected solve residual [0-9.e+-]+ "
+                                                 r"\(scale [0-9.e+-]+\)$"):
+            solve_fluxes_invariant(Composition(x=[0.3, 0.4, 0.3]),
+                                   [[0, 1, 2], [1, 0, 3], [2, 3, 0]], [0.01, 0.0, -0.01])
 
     def test_no_osmotic_flux_with_equal_diffusivities(self):
         dmat = np.full((3, 3), 50.0)
@@ -639,12 +649,16 @@ class TestReducedElimination:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_force_raises(self, bad):
+        """Both flux routes convert raw forces by one rule and raise one
+        ValueError, before any solve or residual check."""
         x = np.array([[0.2, 0.3, 0.5], [0.4, 0.4, 0.2]])
         d = np.array([[0.1, 0.2, -0.3], [bad, 0.2, -0.3]])
         dmat = [[0, 1, 2], [1, 0, 3], [2, 3, 0]]
-        for rows in (slice(None), 1):  # batched and scalar
-            with pytest.raises(ValueError):
-                solve_fluxes_reduced(Composition(x=x[rows], c_tot=1.0), dmat, d[rows])
+        for call in ("solve_fluxes_invariant", "solve_fluxes_reduced"):
+            for rows in (slice(None), 1):  # batched and scalar
+                with pytest.raises(ValueError, match="^driving forces must be finite, "
+                                                     "got a NaN or inf entry$"):
+                    SPECIES_CALLS[call](x[rows], dmat, d[rows])
 
     def test_non_finite_matrix_raises(self):
         # D_12 = 0 (not validated here) makes B = [[inf]], which an

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import msdiff.solver
+import msdiff.verify
 from msdiff import (Composition, Field, Grid1D, IDEAL, MixtureSpec, NO_REACTIONS,
                     Reaction, ReactionNetwork, SimConfig, ThermoModel,
                     chemical_potentials, diffusion_operator_spectrum,
@@ -240,7 +241,8 @@ class TestStep:
         fld = _binary_step_field(ncells=10, left=(0.999, 0.001),
                                  right=(0.001, 0.999))
         dt = 200 * stable_dt(fld, BINARY)
-        with pytest.raises(PositivityViolation):
+        with pytest.raises(PositivityViolation, match=r"^c\[\d+,\d+\] = -[0-9.e+-]+ at "
+                                                      r"t = [0-9.e+-]+ \(CFL or model breach\)$"):
             step(fld, BINARY, dt=dt)
 
 
@@ -736,6 +738,26 @@ class TestSimulate:
         for cp in traj.checkpoints:
             assert not cp.c.flags.writeable
             np.testing.assert_array_equal(cp.masses, cp.c.sum(axis=0) * fld.grid.h)
+
+    def test_step_loop_reaches_no_input_check(self, monkeypatch):
+        """The kernel steps arrays it has checked: a run never reaches the
+        composition conversion of the public functions, nor the public
+        ln gamma that converts through it."""
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the step loop reached a public input check")
+        for module in (msdiff.thermo, msdiff.mskernel, msdiff.verify):
+            monkeypatch.setattr(module, "_as_x", forbidden)
+        monkeypatch.setattr(msdiff.thermo, "ln_activity_coeffs", forbidden)
+        spec = MixtureSpec(names=("A", "B", "C"), dmat=[[0, 1, 2], [1, 0, 3], [2, 3, 0]])
+        model = ThermoModel.margules(0.5 * (np.ones((3, 3)) - np.eye(3)))
+        c = np.tile([0.2, 0.3, 0.5], (8, 1))
+        c[:4] = [0.6, 0.4, 0.0]  # an exact zero goes through the floor
+        traj = simulate(Field(c=c, grid=Grid1D(ncells=8, length=1.0)), spec, model,
+                        ReactionNetwork(reactions=(Reaction([1, 0, 0], [0, 1, 0], 1.0),)),
+                        SimConfig(t_end=1e-2, checkpoint_interval=5e-3))
+        assert len(traj.checkpoints) == 3
+        with pytest.raises(AssertionError, match="public input check"):
+            gamma_matrix(model, c[4])  # the spies are in place
 
     def test_entropy_monotone_decreasing(self):
         fld = _binary_step_field(ncells=30)

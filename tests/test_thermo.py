@@ -2,9 +2,10 @@
 import numpy as np
 import pytest
 
-from msdiff import (IDEAL, ThermoModel, chemical_potentials, convexity_check,
-                    diffusion_operator_spectrum, driving_force, gamma_matrix,
-                    gibbs_density, ln_activity_coeffs)
+from msdiff import (IDEAL, ThermoModel, assemble_A, assemble_A_sym, assemble_B,
+                    chemical_potentials, convexity_check, diffusion_operator_spectrum,
+                    driving_force, gamma_matrix, gibbs_density, ln_activity_coeffs,
+                    spectrum, ternary_closed_forms)
 from msdiff.errors import DegenerateComposition
 from msdiff.mixture import simplex_basis
 from msdiff.thermo import X_FLOOR, floor_composition
@@ -246,12 +247,20 @@ def test_floor_output_is_accepted_at_simplex_boundary(n):
                 check(bad)
 
 
+#: Every public function that takes a composition, called with model, x and dmat.
 _DOMAIN_CHECKED = {
     "convexity_check": lambda model, x, dmat: convexity_check(model, x),
     "gamma_matrix": lambda model, x, dmat: gamma_matrix(model, x),
     "chemical_potentials": lambda model, x, dmat: chemical_potentials(model, x),
+    "driving_force": lambda model, x, dmat: driving_force(model, x, np.zeros(len(x))),
+    "ln_activity_coeffs": lambda model, x, dmat: ln_activity_coeffs(model, x),
     "diffusion_operator_spectrum": lambda model, x, dmat: diffusion_operator_spectrum(
         x, dmat, model, require_convex=False),
+    "assemble_A": lambda model, x, dmat: assemble_A(x, dmat),
+    "assemble_A_sym": lambda model, x, dmat: assemble_A_sym(x, dmat),
+    "assemble_B": lambda model, x, dmat: assemble_B(x, dmat),
+    "spectrum": lambda model, x, dmat: spectrum(x, dmat),
+    "ternary_closed_forms": lambda model, x, dmat: ternary_closed_forms(x, dmat),
 }
 
 
@@ -259,11 +268,14 @@ _DOMAIN_CHECKED = {
 @pytest.mark.parametrize("thermo", ["ideal", "margules"])
 @pytest.mark.parametrize("name", sorted(_DOMAIN_CHECKED))
 def test_infinite_fraction_is_degenerate(n, thermo, name):
-    """A +inf fraction fails the domain check like a NaN: no 1.0
-    certificate, NaN matrix, infinite potential, or LinAlgError."""
-    x = np.full(n, 0.5)
-    x[0] = np.inf
+    """A +inf fraction fails the domain check like a NaN or a negative
+    one, with DegenerateComposition naming the function: no 1.0
+    certificate, NaN matrix, infinite potential, or LinAlgError, and no
+    floor that lifts -0.2 to X_FLOOR (the rows otherwise sum to 1)."""
     off = np.ones((n, n)) - np.eye(n)
     model = IDEAL if thermo == "ideal" else ThermoModel.margules(0.5 * off)
-    with pytest.raises(DegenerateComposition):
-        _DOMAIN_CHECKED[name](model, x, off)
+    for bad in (np.inf, np.nan, -0.2):
+        x = np.full(n, 1.2 / (n - 1))
+        x[0] = bad
+        with pytest.raises(DegenerateComposition, match=f"^{name} needs "):
+            _DOMAIN_CHECKED[name](model, x, off)
