@@ -14,7 +14,9 @@ tests add a third, the bordered matrix A - mu (x (x) e).  Both routes
 share one eliminator (:func:`_eliminate`, Gaussian elimination with
 partial pivoting run species-major across a whole batch) but solve
 different systems, and the projected route still checks its residual
-against the assembled A.
+against the assembled A.  The eliminator takes one right-hand side per
+system and one batch shape; each route broadcasts its matrix stack once,
+at entry, to the batch of composition and forces together.
 
 A(x) is linear in x, and so is its restriction K = P^T A P to E (P the
 orthonormal zero-sum basis): K(x) = sum_k x_k T_k.  The tensor T
@@ -33,8 +35,9 @@ Compositions and forces are shaped (..., n) and every public per-state
 function is batched over the leading axes; one state is the batch of
 shape ().  A raw composition enters through ``thermo._as_x`` (finite and
 >= 0, else ``DegenerateComposition``), forces through :func:`_as_d`
-(finite, else ``ValueError``).  Every check runs per row (its own norm,
-residual or pivot), and a row that fails a hard check raises for the call.
+(``DrivingForce``'s rule: finite and summing to zero, else ``ValueError``).
+Every check runs per row (its own norm, residual or pivot), and a row that
+fails a hard check raises for the call.
 """
 from __future__ import annotations
 
@@ -156,17 +159,15 @@ def _fluxes_projected(b: np.ndarray, k: np.ndarray, p: np.ndarray) -> np.ndarray
     """Batched solve of A J = b by projection onto the zero-sum subspace:
     J = P K^{-1} P^T b, from K = P^T A P and the basis P
     (:func:`msdiff.mixture.simplex_basis`).  ``b`` shaped (..., n), ``k``
-    (..., m, m), ``p`` (n, m).  P^T drops any mean of ``b``."""
-    return _eliminate(k, (b @ p)[..., None])[0][..., 0] @ p.T
+    (..., m, m) on one batch shape, ``p`` (n, m).  P^T drops any mean of ``b``."""
+    return _eliminate(k, b @ p)[0] @ p.T
 
 
 def _as_d(d) -> np.ndarray:
-    """The one force conversion: a DrivingForce's d, or an array of forces if
-    every entry is finite (no zero-sum rule), else ``ValueError``."""
-    d = d.d if isinstance(d, DrivingForce) else np.asarray(d, dtype=float)
-    if not np.all(np.isfinite(d)):
-        raise ValueError("driving forces must be finite, got a NaN or inf entry")
-    return d
+    """The one force conversion: a DrivingForce's d.  A raw array is made a
+    DrivingForce, so it meets that rule (every row finite and summing to
+    zero) or raises ``ValueError``."""
+    return (d if isinstance(d, DrivingForce) else DrivingForce(d)).d
 
 
 def solve_fluxes_invariant(comp: Composition, dmat, d) -> FluxSet:
@@ -180,9 +181,11 @@ def solve_fluxes_invariant(comp: Composition, dmat, d) -> FluxSet:
     _check_species(inv, x=x, d=dv)
     a = _assemble_A(x, inv)  # for the residual check
     c_tot = np.asarray(comp.c_tot)
-    j = _fluxes_projected(c_tot[..., None] * dv, _reduced_A(x, _reduced_tensor(inv)),
+    rhs = c_tot[..., None] * dv  # the composition's batch, broadcast with the forces'
+    k = _reduced_A(x, _reduced_tensor(inv))
+    j = _fluxes_projected(rhs, np.broadcast_to(k, rhs.shape[:-1] + k.shape[-2:]),
                           simplex_basis(x.shape[-1]))
-    resid = np.linalg.norm((a @ j[..., None])[..., 0] - c_tot[..., None] * dv, axis=-1)
+    resid = np.linalg.norm((a @ j[..., None])[..., 0] - rhs, axis=-1)
     scale = (np.linalg.norm(a, axis=(-2, -1)) * np.linalg.norm(j, axis=-1)
              + c_tot * np.linalg.norm(dv, axis=-1))
     bad = ~((scale == 0) | (resid <= 1e-10 * scale))  # NaN fails too
@@ -202,37 +205,34 @@ def solve_fluxes_reduced(comp: Composition, dmat, d) -> FluxSet:
     b = assemble_B(comp.x, dmat)
     _check_species(_inverse_diffusivities(dmat), d=dv)
     rhs = -np.asarray(comp.c_tot)[..., None] * dv[..., :-1]
+    b = np.broadcast_to(b, rhs.shape[:-1] + b.shape[-2:])
     with np.errstate(divide="ignore", invalid="ignore"):  # the pivot check rejects them
-        jr, pivots = _eliminate(b, rhs[..., None])
+        jr, pivots = _eliminate(b, rhs)
     if np.any(np.abs(pivots) < 1e-14 * np.linalg.norm(b, axis=(-2, -1))[..., None]):
         raise SingularSystem("vanishing pivot in the reduced-system elimination")
-    jr = jr[..., 0]
     return FluxSet(J=np.concatenate([jr, -jr.sum(axis=-1, keepdims=True)], axis=-1))
 
 
 def _eliminate(b: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solve b Y = rhs by Gaussian elimination with partial pivoting, for
-    b shaped (..., m, m) and rhs (..., m, r) with broadcasting batch shapes.
-    Returns Y and each system's pivots (..., m).  As in LAPACK's getf2,
-    the multipliers are scaled by the reciprocal pivot and the back
-    substitution divides; a zero pivot leaves inf or NaN (with numpy's
-    warning) in its row, for the caller to reject.  A 1x1 system is one
-    division, which gives LAPACK's 1x1 result bit for bit (its pivots keep
-    b's batch shape).
+    """Solve b y = rhs by Gaussian elimination with partial pivoting, for
+    b shaped (..., m, m) and rhs (..., m) of one batch shape (callers
+    broadcast).  Returns y (..., m) and each system's pivots (..., m).  As
+    in LAPACK's getf2, the multipliers are scaled by the reciprocal pivot
+    and the back substitution divides; a zero pivot leaves inf or NaN (with
+    numpy's warning) in its row, for the caller to reject.  A 1x1 system is
+    one division, which gives LAPACK's 1x1 result bit for bit.
 
     The systems are eliminated together, species-major: the augmented
-    matrices [b | rhs] as one (m, m+r, systems) array, so each step is a
-    few array operations whatever the batch size.  Rows are swapped only
-    in the systems whose pivot is not the first largest |entry| of its
-    column, which gives the bits of swapping in every system."""
-    if b.shape[-1] == 1:
-        return rhs / b, b[..., 0]
-    m, r = rhs.shape[-2:]
-    batch = np.broadcast(b[..., 0, 0], rhs[..., 0, 0]).shape
-    a = np.empty((m, m + r) + batch)
-    a[:, :m] = _species_first(b, len(batch))
-    a[:, m:] = _species_first(rhs, len(batch))
-    a = a.reshape(m, m + r, -1)
+    matrices [b | rhs] as one (m, m+1, rows) array, so each step is a few
+    array operations whatever the batch size.  Rows are swapped only in the
+    systems whose pivot is not the first largest |entry| of its column,
+    which gives the bits of swapping in every system."""
+    m = b.shape[-1]
+    if m == 1:
+        return rhs / b[..., 0], b[..., 0]
+    a = np.empty((m, m + 1, rhs.size // m))
+    a[:, :m] = b.reshape(-1, m, m).transpose(1, 2, 0)
+    a[:, m] = rhs.reshape(-1, m).T
     for k in range(m - 1):
         col = np.abs(a[k:, k])
         beats = col[1:] > col[0]
@@ -243,22 +243,12 @@ def _eliminate(b: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         l = a[k + 1:, k] * (1.0 / a[k, k])
         for i in range(k + 1, m):
             a[i, k + 1:] -= l[i - k - 1] * a[k, k + 1:]
-    y = a[:, m:]
+    y = a[:, m]
     for k in range(m - 1, 0, -1):
         y[k] /= a[k, k]
-        y[:k] -= a[:k, k, None] * y[k]
+        y[:k] -= a[:k, k] * y[k]
     y[0] /= a[0, 0]
-    y = y.reshape((m, r) + batch)
-    return (y.transpose(tuple(range(2, y.ndim)) + (0, 1)),
-            np.diagonal(a[:, :m]).reshape(batch + (m,)))
-
-
-def _species_first(a: np.ndarray, nbatch: int) -> np.ndarray:
-    """View of ``a`` (..., p, q) with its last two axes first and ``nbatch``
-    batch axes after them, (p, q, ...), so that it broadcasts against a
-    species-major array of that many batch axes."""
-    a = a.reshape((1,) * (nbatch + 2 - a.ndim) + a.shape)
-    return a.transpose((nbatch, nbatch + 1) + tuple(range(nbatch)))
+    return y.T.reshape(rhs.shape), np.diagonal(a[:, :m]).reshape(rhs.shape)
 
 
 def _operator_eigenvalues(x: np.ndarray, inv: np.ndarray, amat=None) -> np.ndarray:

@@ -59,7 +59,8 @@ def _count(value, what: str) -> int:
     if isinstance(value, (bool, np.bool_)) or not (
             isinstance(value, (int, np.integer))
             or isinstance(value, (float, np.floating)) and value.is_integer()):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
+        shown = value.item() if isinstance(value, np.generic) else value
+        raise ValueError(f"{what} must be an integer, got {shown!r}")
     return int(value)
 
 

@@ -11,8 +11,8 @@ import pytest
 
 from msdiff import (IDEAL, Composition, Field, Grid1D, MixtureSpec, Reaction,
                     ReactionNetwork, SimConfig, ThermoModel, detect_uphill,
-                    diffusion_operator_spectrum, entropy_ledger,
-                    filtration_oracle, simulate, solve_fluxes_invariant,
+                    diffusion_operator_spectrum, driving_force, entropy_ledger,
+                    face_fluxes, filtration_oracle, simulate, solve_fluxes_invariant,
                     solve_fluxes_reduced, spectral_gap_delta, stable_dt, step,
                     ternary_closed_forms)
 from msdiff.cli import load_config
@@ -194,6 +194,44 @@ def test_criterion_5_mode_decay_oracle(n, margules):
     print(f"\nACCEPTANCE 5 PASS (mode decay, n = {n}, "
           f"{'Margules' if margules else 'ideal'}): relative error {err:.3e}, "
           f"cfl refinement ratio {ratio:.2f}")
+
+
+def _face_flux_error(n, margules, ncells, seed=7):
+    """Relative L-inf error of the kernel's interior face fluxes on the
+    nonuniform state x(s) = (1 - w) x_L + w x_R, w = (1 - cos pi s) / 2,
+    against the public route at the exact face state: A J = c_tot Gamma x'
+    solved by ``solve_fluxes_invariant`` at x(s_f), x'(s_f)."""
+    rng = np.random.default_rng(seed)
+    dmat = _random_dmat(rng, n, 0.5, 2.0)
+    model = ThermoModel.margules(_random_dmat(rng, n, -1.0, 1.0)) if margules else IDEAL
+    x_l, x_r = (0.7 * rng.dirichlet(np.ones(n)) + 0.3 / n for _ in range(2))
+
+    def profile(s):
+        w = 0.5 * (1.0 - np.cos(np.pi * s))[:, None]
+        return (1.0 - w) * x_l + w * x_r, 0.5 * np.pi * np.sin(np.pi * s)[:, None] * (x_r - x_l)
+
+    grid = Grid1D(ncells=ncells, length=1.0)
+    spec = MixtureSpec(names=tuple(f"S{i}" for i in range(n)), dmat=dmat)
+    j = face_fluxes(Field(c=profile(grid.cell_centers)[0], grid=grid), spec, model)[1:-1]
+    x_f, grad_f = profile(grid.h * np.arange(1, ncells))
+    ref = solve_fluxes_invariant(Composition(x=x_f), dmat,
+                                 driving_force(model, x_f, grad_f)).J
+    return np.max(np.abs(j - ref)) / np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize("margules", [False, True])
+def test_face_flux_consistency_oracle(n, margules):
+    """The step kernel's face fluxes for n >= 3 on a nonlinear state, on
+    ideal and Margules thermo: within 2e-3 of the per-state route at 20
+    cells, and second order in h (a ratio >= 3.6 per halving)."""
+    err = [_face_flux_error(n, margules, ncells) for ncells in (20, 40, 80, 160)]
+    assert err[0] <= 2e-3
+    ratios = [coarse / fine for coarse, fine in zip(err, err[1:])]
+    assert min(ratios) >= 3.6
+    print(f"\nFACE-FLUX ORACLE PASS (n = {n}, {'Margules' if margules else 'ideal'}): "
+          f"relative error {err[0]:.3e} at 20 cells, {err[-1]:.3e} at 160, "
+          f"ratios {', '.join(f'{r:.2f}' for r in ratios)}")
 
 
 def test_criterion_6_conservation_and_bounds():

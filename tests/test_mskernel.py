@@ -49,10 +49,10 @@ def fick_limit_D(x, dmat, i: int) -> float | np.ndarray:
 
 
 def _solve_one(b, rhs):
-    """``_eliminate`` with one right-hand side ``rhs`` (..., m): the
+    """``_eliminate`` of ``b`` (..., m, m) and ``rhs`` (..., m): the
     solution and each system's smallest |pivot|."""
-    y, pivots = _eliminate(b, rhs[..., None])
-    return y[..., 0], np.abs(pivots).min(axis=-1)
+    y, pivots = _eliminate(b, rhs)
+    return y, np.abs(pivots).min(axis=-1)
 
 
 def gauss_reference(b, rhs):
@@ -443,9 +443,9 @@ class TestDiffusionOperator:
         # one pivot is K itself
         rng = np.random.default_rng(79)
         k = rng.uniform(0.1, 10.0, size=(500, 1, 1)) * rng.choice([-1.0, 1.0], size=(500, 1, 1))
-        b = rng.standard_normal((500, 1, 1))
+        b = rng.standard_normal((500, 1))
         y, pivots = _eliminate(k, b)
-        assert np.array_equal(y, np.linalg.solve(k, b))
+        assert np.array_equal(y, np.linalg.solve(k, b[..., None])[..., 0])
         assert np.array_equal(pivots, k[..., 0])
 
 
@@ -619,10 +619,12 @@ class TestReducedElimination:
         assert np.all(np.max(np.abs(y - y_np), axis=-1) <= 1e-13 * scale)
 
     def test_leading_axes_broadcast(self):
+        """Every leading axis is a batch axis; the caller broadcasts the
+        operands to one batch shape."""
         rng = np.random.default_rng(107)
         b = rng.standard_normal((2, 3, 4, 4))
         rhs = rng.standard_normal((3, 4))
-        y, pivot = _solve_one(b, rhs)
+        y, pivot = _solve_one(b, np.broadcast_to(rhs, (2, 3, 4)))
         assert y.shape == (2, 3, 4) and pivot.shape == (2, 3)
         for i in range(2):
             for j in range(3):
@@ -647,17 +649,19 @@ class TestReducedElimination:
             with pytest.raises(SingularSystem):
                 solve_fluxes_reduced(Composition(x=rows, c_tot=1.0), dmat, d)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1.0])
     def test_non_finite_force_raises(self, bad):
-        """Both flux routes convert raw forces by one rule and raise one
-        ValueError, before any solve or residual check."""
+        """Both flux routes hold raw forces to DrivingForce's rule (finite,
+        each row summing to zero) and raise one ValueError, before any solve
+        or residual check; a non-zero-sum row once gave fluxes from the
+        reduced route and SingularSystem from the invariant one."""
         x = np.array([[0.2, 0.3, 0.5], [0.4, 0.4, 0.2]])
         d = np.array([[0.1, 0.2, -0.3], [bad, 0.2, -0.3]])
         dmat = [[0, 1, 2], [1, 0, 3], [2, 3, 0]]
         for call in ("solve_fluxes_invariant", "solve_fluxes_reduced"):
             for rows in (slice(None), 1):  # batched and scalar
-                with pytest.raises(ValueError, match="^driving forces must be finite, "
-                                                     "got a NaN or inf entry$"):
+                with pytest.raises(ValueError, match="^driving forces must be finite "
+                                                     "and sum to zero: "):
                     SPECIES_CALLS[call](x[rows], dmat, d[rows])
 
     def test_non_finite_matrix_raises(self):
@@ -692,26 +696,30 @@ class TestReducedElimination:
         scale = np.linalg.cond(b) * np.max(np.abs(y_np), axis=-1)
         assert np.all(np.max(np.abs(y - y_np), axis=-1) <= 1e-13 * scale)
 
-    @pytest.mark.parametrize("m", [2, 4])
-    def test_reduced_solve_multi_rhs_and_broadcast(self, m):
-        """_eliminate takes (..., m, r) right-hand sides with batch
-        shapes that broadcast against K's; every column is the
-        reference's solve of its own system."""
-        rng = np.random.default_rng(300 + m)
-        k = rng.standard_normal((2, 1, m, m))
-        b = rng.standard_normal((3, m, 3))
-        y = _eliminate(k, b)[0]
-        assert y.shape == (2, 3, m, 3)
-        for i in range(2):
-            for j in range(3):
-                for col in range(3):
-                    assert np.array_equal(y[i, j, :, col], gauss_reference(k[i, 0], b[j, :, col])[0])
-        y_np = np.linalg.solve(k, b)
-        scale = np.linalg.cond(k)[..., None, None] * np.max(np.abs(y_np))
-        assert np.all(np.abs(y - y_np) <= 1e-13 * scale)
-        k2 = rng.standard_normal((50, m, m))
-        assert np.array_equal(_eliminate(k2, np.eye(m))[0],
-                              _eliminate(k2, np.broadcast_to(np.eye(m), (50, m, m)))[0])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_flux_routes_broadcast_at_entry(self, n):
+        """Both flux routes broadcast composition and force batches at
+        entry and give what the call with both operands broadcast by hand
+        gives: the same bits for a composition stack against one force.
+        Otherwise the matrices are assembled on the composition's own batch
+        shape, whose matmul and einsum differ from the hand-broadcast
+        stack's in the last bits (as in test_batching): 1e-13 of max|J|."""
+        rng = np.random.default_rng(300 + n)
+        _, dmat = _random_instance(rng, nmin=n, nmax=n)
+        x = floor_composition(rng.dirichlet(np.ones(n), size=(4, 3)))
+        d = rng.standard_normal((4, 3, n))
+        d[..., -1] = -d[..., :-1].sum(axis=-1)
+        for route in (solve_fluxes_invariant, solve_fluxes_reduced):
+            for xs, ds in ((x, d[0, 0]), (x[0, 0], d), (x[0], d[:, :1])):
+                shape = np.broadcast_shapes(xs.shape, ds.shape)
+                j = route(Composition(x=xs, c_tot=2.0), dmat, ds).J
+                ref = route(Composition(x=np.broadcast_to(xs, shape), c_tot=2.0), dmat,
+                            np.broadcast_to(ds, shape)).J
+                assert j.shape == shape
+                if xs.shape == shape:
+                    assert np.array_equal(j, ref)
+                else:
+                    assert np.max(np.abs(j - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_pivoting_is_exercised_on_floored_reduced_matrices(self):
         """Reduced flux-force matrices K = P^T A P with D in [0.1, 10] and

@@ -75,11 +75,13 @@ class TestGridAndField:
             Grid1D(ncells=4, length=length)
 
     @pytest.mark.parametrize("ncells", [16.7, True, np.bool_(True), "16", np.inf,
-                                        np.nan, None, [16]])
+                                        np.nan, None, [16], np.float64(2.5)])
     def test_grid_rejects_non_integer_ncells(self, ncells):
         # 16.7 used to give 17 cell centres with h = 1/16.7
-        with pytest.raises(ValueError, match="ncells must be an integer"):
+        with pytest.raises(ValueError, match="ncells must be an integer") as exc:
             Grid1D(ncells=ncells, length=1.0)
+        if type(ncells) is np.float64:  # a plain number, not np.float64(2.5)
+            assert str(exc.value) == "ncells must be an integer, got 2.5"
 
     @pytest.mark.parametrize("ncells", [16, np.int64(16), np.int32(16), 16.0,
                                         np.float64(16.0)])
@@ -110,10 +112,12 @@ class TestSimConfig:
             SimConfig(**{"t_end": 0.1, **kwargs})
 
     @pytest.mark.parametrize("max_steps", [2.9, True, np.bool_(False), "3", np.inf,
-                                           np.nan, [3]])
+                                           np.nan, [3], np.float64(2.5)])
     def test_rejects_non_integer_max_steps(self, max_steps):
-        with pytest.raises(ValueError, match="max_steps must be an integer"):
+        with pytest.raises(ValueError, match="max_steps must be an integer") as exc:
             SimConfig(t_end=1, max_steps=max_steps)
+        if type(max_steps) is np.float64:  # a plain number, not np.float64(2.5)
+            assert str(exc.value) == "max_steps must be an integer, got 2.5"
 
     def test_stores_floats_and_an_int(self):
         cfg = SimConfig(t_end=1, cfl_safety=np.float32(0.5),
@@ -424,8 +428,10 @@ def test_rates_match_per_reaction_loop_bit_for_bit(problem):
 
 
 def _operator_reduced(k, g):
-    """M = -K^{-1} G from K = P^T A P and G = P^T Gamma P, batched."""
-    return -_eliminate(k, g)[0]
+    """M = -K^{-1} G from K = P^T A P and G = P^T Gamma P, batched; one
+    solve per column of G."""
+    g = np.broadcast_to(g, k.shape)
+    return -np.stack([_eliminate(k, g[..., c])[0] for c in range(g.shape[-1])], axis=-1)
 
 
 @st.composite
@@ -486,7 +492,7 @@ def _reference_call(kernel, c, bound=False):
     k = _reduced_A(xf, kernel.t)
     p = simplex_basis(c.shape[1])
     rhs = (0.5 * (totals[:-1, 0] + totals[1:, 0])[..., None] * d) @ p
-    j = _eliminate(k, rhs[..., None])[0][..., 0] @ p.T
+    j = _eliminate(k, rhs)[0] @ p.T
     jf = np.zeros((c.shape[0] + 1, c.shape[1]))
     jf[1:-1] = j
     w = float(-(j * (mu[1:] - mu[:-1])).sum())
