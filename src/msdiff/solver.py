@@ -90,12 +90,16 @@ class Grid1D:
 
 @dataclass(frozen=True)
 class Field:
-    """Per-cell concentration vectors at one instant."""
+    """Per-cell concentration vectors at one instant; stores ``time`` as a
+    float, which must be finite."""
     c: np.ndarray
     grid: Grid1D
     time: float = 0.0
 
     def __post_init__(self):
+        object.__setattr__(self, "time", float(self.time))
+        if not np.isfinite(self.time):
+            raise ValueError(f"time must be finite, got {self.time!r}")
         c = np.array(self.c, dtype=float)
         if c.ndim != 2 or c.shape[0] != self.grid.ncells:
             raise ValueError(f"c must be (ncells, nspecies), got {c.shape}")
@@ -124,8 +128,8 @@ class Reaction:
         p = np.array(self.products, dtype=float)
         if r.shape != p.shape or r.ndim != 1:
             raise ValueError("reactant/product stoichiometries must be equal-length vectors")
-        if np.any(r < 0) or np.any(p < 0):
-            raise ValueError("stoichiometric coefficients must be nonnegative")
+        if not np.all((0 <= r) & (r < np.inf) & (0 <= p) & (p < np.inf)):  # NaN fails
+            raise ValueError("stoichiometric coefficients must be finite and nonnegative")
         if not 0 <= self.rate_constant < np.inf:
             raise ValueError("rate constant must be nonnegative and finite")
         if p.sum() != r.sum():
@@ -414,22 +418,31 @@ def simulate(initial: Field, spec: MixtureSpec, model: ThermoModel | None = None
 
     Validation happens at entry (``initial`` and ``config`` check
     themselves; the species counts of ``spec`` and ``initial`` must
-    agree); the loop steps plain arrays and checks nothing twice.  Raises
-    ``MaxStepsExceeded``, ``PositivityViolation``, ``NonFiniteState``, or
-    ``NotConvex``.
+    agree, and ``config.t_end`` must not precede ``initial.time``); the
+    loop steps plain arrays and checks nothing twice.  Raises
+    ``MaxStepsExceeded`` (before the first step when the checkpoints alone
+    need more than ``max_steps`` steps), ``PositivityViolation``,
+    ``NonFiniteState``, or ``NotConvex``.
     """
     if config is None:
         raise ValueError("a SimConfig is required")
+    t, interval, tiny = initial.time, config.cp_interval, 1e-12 * config.t_end
+    if config.t_end < t:
+        raise ValueError(f"t_end = {config.t_end!r} precedes the initial time {t!r}")
+    # dt stops at every checkpoint, so k steps reach at most t + k * interval;
+    # one interval of slack covers the roundoff of the running sums, and
+    # comparing a float with the int max_steps is exact at any size
+    if (config.t_end - tiny - t) / interval > config.max_steps + 1:
+        raise MaxStepsExceeded(
+            f"t = {t!r} to t_end = {config.t_end!r} in steps of at most checkpoint_interval"
+            f" = {interval!r} takes more than max_steps = {config.max_steps} steps")
     kernel = _Kernel(spec, model, initial, reactions, config.cfl_safety)
     st = kernel(initial.c, bound=True)
     cum_w = 0.0
     traj = Trajectory(grid=initial.grid, names=spec.names)
-    t = initial.time
     traj.checkpoints.append(_checkpoint(st, t, kernel.h, cum_w))
 
-    interval = config.cp_interval
     next_cp = t + interval
-    tiny = 1e-12 * config.t_end
     steps = 0
     while t < config.t_end - tiny:
         if st.lam is not None:  # a refresh step

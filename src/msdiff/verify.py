@@ -1,7 +1,8 @@
 """Independent oracles and global diagnostics: the entropy/Lyapunov
 ledger, the binary filtration-equation reference solver, ternary
 closed-form checks, cross-diffusion phenomenon detectors, and the
-property sweep that ``msdiff verify`` prints."""
+property sweep that ``msdiff verify`` prints, whose states are drawn in
+closed form (:func:`_interior_samples`: one scaled Dirichlet draw per check)."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
@@ -230,27 +231,20 @@ VERIFY_SAMPLES = 200
 
 
 def _interior_samples(rng, n: int, k: int) -> np.ndarray:
-    """``k`` Dirichlet(1) compositions with every x_i >= 1e-3, shaped
-    (k, n).  Each round draws exactly the shortfall, so the stream is
-    consumed as by k sequential single draws with rejection."""
-    x = np.empty((0, n))
-    while len(x) < k:
-        draw = rng.dirichlet(np.ones(n), size=k - len(x))
-        x = np.concatenate([x, draw[draw.min(axis=1) >= 1e-3]])
-    return x
+    """``k`` Dirichlet(1) compositions conditioned on every x_i >= 1e-3,
+    shaped (k, n).  Dirichlet(1) is uniform on the simplex, so that law is
+    uniform on the sub-simplex 1e-3 + (1 - 1e-3 n) Delta: one draw, scaled."""
+    return 1e-3 + (1.0 - 1e-3 * n) * rng.dirichlet(np.ones(n), size=k)
 
 
 def _paired_samples(rng, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """VERIFY_SAMPLES compositions, each followed in the stream by a
-    standard-normal vector made zero-sum; both shaped (VERIFY_SAMPLES, n)."""
-    xs, vs = [], []
-    for _ in range(VERIFY_SAMPLES):
-        xs.append(_interior_samples(rng, n, 1)[0])
-        vs.append(rng.standard_normal(n))
-    v = np.array(vs)
+    """VERIFY_SAMPLES compositions and VERIFY_SAMPLES standard-normal
+    vectors made zero-sum, drawn in that order; both shaped (VERIFY_SAMPLES, n)."""
+    x = _interior_samples(rng, n, VERIFY_SAMPLES)
+    v = rng.standard_normal((VERIFY_SAMPLES, n))
     v -= v.mean(axis=1, keepdims=True)
     v[:, -1] = -v[:, :-1].sum(axis=1)  # rows sum to exactly 0, as driving_force requires
-    return np.array(xs), v
+    return x, v
 
 
 def _row(name: str, fails: int) -> tuple[str, str, str]:

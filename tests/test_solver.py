@@ -69,6 +69,17 @@ class TestGridAndField:
         with pytest.raises(ValueError):
             Field(c=np.zeros((2, 2)), grid=Grid1D(ncells=2, length=1.0))
 
+    @pytest.mark.parametrize("time", [np.nan, np.inf, -np.inf, "x"])
+    def test_field_time_must_be_finite(self, time):
+        fld = _binary_step_field(ncells=10)
+        with pytest.raises(ValueError):
+            Field(c=fld.c, grid=fld.grid, time=time)
+
+    @pytest.mark.parametrize("time", [1, np.float32(0.5), np.int64(-2)])
+    def test_field_stores_time_as_a_float(self, time):
+        fld = _binary_step_field(ncells=10)
+        assert type(Field(c=fld.c, grid=fld.grid, time=time).time) is float
+
     @pytest.mark.parametrize("length", [np.nan, np.inf, 0.0])
     def test_grid_rejects_bad_length(self, length):
         with pytest.raises(ValueError):
@@ -653,6 +664,16 @@ class TestReactions:
         with pytest.raises(ValueError):
             Reaction(reactants=[1, 0], products=[0, 1], rate_constant=k)
 
+    @pytest.mark.parametrize("coef", [-1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("where", ["reactants", "products", "both"])
+    def test_stoichiometry_must_be_finite_nonnegative(self, coef, where):
+        # "both" keeps the sums equal, so mole conservation cannot catch it
+        sides = {"reactants": [1.0, 0.0], "products": [0.0, 1.0]}
+        for side in sides if where == "both" else [where]:
+            sides[side] = [coef, 1.0]
+        with pytest.raises(ValueError, match="^stoichiometric coefficients must be finite"):
+            Reaction(rate_constant=1.0, **sides)
+
     def test_rate_constant_is_stored_as_a_float(self):
         assert type(Reaction([1, 0], [0, 1], rate_constant=2).rate_constant) is float
         with pytest.raises(OverflowError):
@@ -782,6 +803,45 @@ class TestSimulate:
         cfg = SimConfig(t_end=1.0, max_steps=3)
         with pytest.raises(MaxStepsExceeded):
             simulate(fld, BINARY, config=cfg)
+
+    def test_step_limit_reached_in_the_loop(self):
+        # one checkpoint interval, but the dt bound needs thousands of steps
+        fld = _binary_step_field(ncells=40)
+        cfg = SimConfig(t_end=1.0, checkpoint_interval=1.0, max_steps=3)
+        with pytest.raises(MaxStepsExceeded, match="^4 steps at t = "):
+            simulate(fld, BINARY, config=cfg)
+
+    @pytest.mark.parametrize("max_steps, interval", [(8, 0.01), (10 ** 5, 1e-300),
+                                                     (10 ** 7, 1e-300)])
+    def test_unreachable_checkpoints_fail_before_the_first_step(self, monkeypatch,
+                                                                 max_steps, interval):
+        # dt stops at every checkpoint: t_end / interval steps at least
+        def no_step(*args):
+            raise AssertionError("stepped")
+        monkeypatch.setattr(msdiff.solver, "_advance", no_step)
+        cfg = SimConfig(t_end=0.1, checkpoint_interval=interval, max_steps=max_steps)
+        with pytest.raises(MaxStepsExceeded, match=f"more than max_steps = {max_steps} "):
+            simulate(_binary_step_field(ncells=2), BINARY, config=cfg)
+
+    @pytest.mark.parametrize("max_steps", [10, 10 ** 400])
+    def test_checkpoint_limited_run_ends_at_max_steps(self, max_steps):
+        # two cells: the dt bound (0.05) exceeds the interval, so each of the
+        # 10 intervals takes one step, and max_steps = 10 is enough
+        cfg = SimConfig(t_end=0.1, checkpoint_interval=0.01, max_steps=max_steps)
+        traj = simulate(_binary_step_field(ncells=2), BINARY, config=cfg)
+        np.testing.assert_allclose(traj.times, np.linspace(0.0, 0.1, 11), atol=1e-15)
+
+    @pytest.mark.parametrize("time", [2.0, 1.0 + 1e-9])
+    def test_t_end_before_initial_time_rejected(self, time):
+        fld = _binary_step_field(ncells=10)
+        later = Field(c=fld.c, grid=fld.grid, time=time)
+        with pytest.raises(ValueError, match="precedes the initial time"):
+            simulate(later, BINARY, config=SimConfig(t_end=1.0))
+
+    def test_t_end_at_initial_time_is_one_checkpoint(self):
+        fld = _binary_step_field(ncells=10)
+        later = Field(c=fld.c, grid=fld.grid, time=1.0)
+        assert simulate(later, BINARY, config=SimConfig(t_end=1.0)).times.tolist() == [1.0]
 
     def test_positivity_preserved_on_random_quaternary(self):
         rng = np.random.default_rng(97)

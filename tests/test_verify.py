@@ -7,6 +7,7 @@ from msdiff import (IDEAL, Field, Grid1D, MixtureSpec, SimConfig, ThermoModel,
                     detect_uphill, entropy_ledger, filtration_oracle, mskernel,
                     simulate, ternary_closed_forms, thermo, verify)
 from msdiff.errors import NonMonotoneFlux
+from msdiff.mixture import SUM_TOL
 from msdiff.solver import Checkpoint, Trajectory
 
 BINARY = MixtureSpec(names=("A", "B"), dmat=[[0.0, 1.0], [1.0, 0.0]])
@@ -268,3 +269,63 @@ class TestPropertySweep:
                          "solve_fluxes_reduced": 1, "diffusion_operator_spectrum": 1,
                          "convexity_check": 2, "driving_force": 1,
                          "ternary_closed_forms": 1}
+
+
+def _rejection_samples(rng, n, k):
+    """The rejection sampler verify once ran: Dirichlet(1) draws, each kept
+    only if every entry is >= 1e-3; the reference law for the closed form."""
+    x = np.empty((0, n))
+    while len(x) < k:
+        draw = rng.dirichlet(np.ones(n), size=k - len(x))
+        x = np.concatenate([x, draw[draw.min(axis=1) >= 1e-3]])
+    return x
+
+
+def _ks_statistic(a, b):
+    """Two-sample Kolmogorov-Smirnov statistic sup |F_a - F_b|."""
+    a, b = np.sort(a), np.sort(b)
+    grid = np.concatenate([a, b])
+    return np.max(np.abs(np.searchsorted(a, grid, side="right") / a.size
+                         - np.searchsorted(b, grid, side="right") / b.size))
+
+
+class TestSamplers:
+    """The sweep's draws: Dirichlet(1) conditioned on x_i >= 1e-3, which is
+    uniform on the sub-simplex 1e-3 + (1 - 1e-3 n) Delta."""
+    DRAWS = 20_000
+    SEEDS = range(20)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_interior_samples_law(self, n):
+        scale = 1.0 - 1e-3 * n
+        # min of a uniform point on the simplex is Beta(1, n - 1) / n
+        mean = 1e-3 + scale / n**2
+        sd = scale * np.sqrt((n - 1) / (n + 1)) / n**2
+        for seed in self.SEEDS:
+            x = verify._interior_samples(np.random.default_rng(seed), n, self.DRAWS)
+            assert x.shape == (self.DRAWS, n)
+            assert x.min() >= 1e-3
+            assert np.max(np.abs(x.sum(axis=1) - 1.0)) <= SUM_TOL
+            z = (x.min(axis=1).mean() - mean) / (sd / np.sqrt(self.DRAWS))
+            assert abs(z) < 4.0, (seed, z)
+
+    @pytest.mark.parametrize("n", [2, 6])
+    def test_interior_samples_match_rejection_law(self, n):
+        # two-sample KS at alpha ~ 1e-3: c(alpha) sqrt(2 / DRAWS)
+        crit = 1.95 * np.sqrt(2.0 / self.DRAWS)
+        for seed in range(3):
+            x = verify._interior_samples(np.random.default_rng(seed), n, self.DRAWS)
+            ref = _rejection_samples(np.random.default_rng(1000 + seed), n, self.DRAWS)
+            for a, b in ((x.min(axis=1), ref.min(axis=1)), (x[:, 0], ref[:, 0])):
+                assert _ks_statistic(a, b) < crit
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_paired_gradients_sum_to_exactly_zero(self, n):
+        for seed in self.SEEDS:
+            rng = np.random.default_rng(seed)
+            for _ in range(self.DRAWS // verify.VERIFY_SAMPLES):
+                x, v = verify._paired_samples(rng, n)
+                assert x.shape == v.shape == (verify.VERIFY_SAMPLES, n)
+                assert x.min() >= 1e-3
+                # exactly: driving_force's zero-sum rule
+                assert np.all(v.sum(axis=1) == 0.0)
