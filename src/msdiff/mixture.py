@@ -40,15 +40,18 @@ def _pair_matrix(a, what: str) -> np.ndarray:
 def _inverse_diffusivities(dmat) -> np.ndarray:
     """1 / D_ij off the diagonal, 0 on it.  This is the one D rule and the
     one place 1/D is formed: ``dmat`` must be square and symmetric with
-    positive, finite off-diagonal entries, else ``ValueError``.  The
-    diagonal is not read."""
+    positive, finite off-diagonal entries whose reciprocals are finite,
+    else ``ValueError``.  The diagonal is not read."""
     d = _pair_matrix(dmat, "dmat")
     off = ~np.eye(d.shape[0], dtype=bool)
     d_off = d[off]
-    if not (d_off.min() > 0 and d_off.max() < np.inf):  # NaN fails both
-        raise ValueError("off-diagonal diffusivities must be positive and finite")
+    with np.errstate(over="ignore", divide="ignore"):  # the rule rejects them
+        inv_off = 1.0 / d_off
+    if not (d_off.min() > 0 and d_off.max() < np.inf and inv_off.max() < np.inf):  # NaN fails
+        raise ValueError("off-diagonal diffusivities must be positive and finite, "
+                         "with finite reciprocals")
     inv = np.zeros_like(d)
-    inv[off] = 1.0 / d_off
+    inv[off] = inv_off
     return inv
 
 

@@ -15,16 +15,17 @@ share one eliminator (:func:`_eliminate`, Gaussian elimination with
 partial pivoting run species-major across a whole batch) but solve
 different systems, and the projected route still checks its residual
 against the assembled A.  The eliminator takes one right-hand side per
-system and one batch shape; each route broadcasts its matrix stack once,
-at entry, to the batch of composition and forces together.
+system and one batch shape; each route broadcasts once, at entry, to the
+batch of composition and forces together: the projected route its x, the
+reduced route its B.
 
 A(x) is linear in x, and so is its restriction K = P^T A P to E (P the
 orthonormal zero-sum basis): K(x) = sum_k x_k T_k.  The tensor T
-(:func:`_reduced_tensor`) depends on D alone, so the projected route and
-the simulator's step kernel form K as one matrix product x @ T
-(:func:`_reduced_A`), with no (n, n) A on the way.  The step kernel's dt
-bound and ``diffusion_operator_spectrum`` share one route to the
-diffusion operator's real eigenvalues (:func:`_operator_eigenvalues`):
+(:func:`_reduced_tensor`) depends on D alone, so the projected solve that
+the projected route and the step kernel share (:func:`_fluxes_projected`)
+forms K from x and T as one product x @ T, with no (n, n) A on the way.
+The step kernel's dt bound and ``diffusion_operator_spectrum`` share one
+route to the diffusion operator's real eigenvalues (:func:`_operator_eigenvalues`):
 the symmetric definite pencil of the X^{1/2} symmetrization, from 1/D
 and the Margules A at every n (at n = 2 its 1x1 closed form).  The
 pencil's N is positive definite, so by Sylvester's law of inertia its
@@ -148,18 +149,13 @@ def _reduced_tensor(inv: np.ndarray) -> np.ndarray:
     return t.reshape(n, -1)
 
 
-def _reduced_A(x: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """K(x) = P^T A(x) P as x @ T (T from :func:`_reduced_tensor`),
-    batched over leading axes of ``x``; no floor."""
-    m = x.shape[-1] - 1
-    return (x @ t).reshape(x.shape[:-1] + (m, m))
-
-
-def _fluxes_projected(b: np.ndarray, k: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Batched solve of A J = b by projection onto the zero-sum subspace:
-    J = P K^{-1} P^T b, from K = P^T A P and the basis P
-    (:func:`msdiff.mixture.simplex_basis`).  ``b`` shaped (..., n), ``k``
-    (..., m, m) on one batch shape, ``p`` (n, m).  P^T drops any mean of ``b``."""
+def _fluxes_projected(x: np.ndarray, b: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Batched solve of A(x) J = b on the zero-sum subspace: J = P K^{-1} P^T b,
+    K = P^T A P = x @ T (:func:`_reduced_tensor`), P the cached ``simplex_basis``.
+    ``x`` and ``b`` (..., n) of one batch shape; no floor.  P^T drops any mean of ``b``."""
+    n = x.shape[-1]
+    p = simplex_basis(n)
+    k = (x @ t).reshape(x.shape[:-1] + (n - 1, n - 1))
     return _eliminate(k, b @ p)[0] @ p.T
 
 
@@ -176,15 +172,13 @@ def solve_fluxes_invariant(comp: Composition, dmat, d) -> FluxSet:
     Verifies each row's residual of the singular system before returning.
     """
     dv = _as_d(d)
-    x = floor_composition(comp)
+    x = floor_composition(comp.x)
     inv = _inverse_diffusivities(dmat)
     _check_species(inv, x=x, d=dv)
     a = _assemble_A(x, inv)  # for the residual check
     c_tot = np.asarray(comp.c_tot)
     rhs = c_tot[..., None] * dv  # the composition's batch, broadcast with the forces'
-    k = _reduced_A(x, _reduced_tensor(inv))
-    j = _fluxes_projected(rhs, np.broadcast_to(k, rhs.shape[:-1] + k.shape[-2:]),
-                          simplex_basis(x.shape[-1]))
+    j = _fluxes_projected(np.broadcast_to(x, rhs.shape), rhs, _reduced_tensor(inv))
     resid = np.linalg.norm((a @ j[..., None])[..., 0] - rhs, axis=-1)
     scale = (np.linalg.norm(a, axis=(-2, -1)) * np.linalg.norm(j, axis=-1)
              + c_tot * np.linalg.norm(dv, axis=-1))
@@ -347,8 +341,7 @@ def diffusion_operator_spectrum(x, dmat, model: ThermoModel,
     bad = np.abs(total - 1.0) > SUM_TOL + x.shape[-1] * X_FLOOR
     if np.any(bad):
         raise ValueError(f"mole fractions must sum to 1, got {float(total[_first_true(bad)])!r}")
-    a = None if model.is_ideal else model.interactions(x.shape[-1])
-    lam = -np.sort(-_operator_eigenvalues(x, inv, a), axis=-1)
+    lam = -np.sort(-_operator_eigenvalues(x, inv, model.interactions(x.shape[-1])), axis=-1)
     low = lam[..., -1]
     if require_convex and np.any(low <= 0):
         raise NotConvex("Gibbs energy not strongly convex: operator eigenvalue "

@@ -19,16 +19,15 @@ through ``thermo.floor_composition``.  A non-finite rate, or a step that
 leaves a NaN or -inf in the state, raises ``NonFiniteState`` without
 numpy warnings; per-cell totals that drift apart raise ``IsobaricDrift``.
 
-The kernel's set-up builds per-run tensors from D (and the Margules A),
-so that each step forms the reduced flux-force matrices of all faces as
-one product K = x_f @ T (:func:`msdiff.mskernel._reduced_A`), solves them
-in one elimination across the faces, applies Gamma to the forces without
-forming it, and on refresh steps takes the diffusion operator's spectrum
-by ``diffusion_operator_spectrum``'s route (the X^{1/2} pencil, from 1/D
-and the Margules A at every n).
-It keeps the basis P and an all-ones (n, n) matrix, so the row
-sums of c and x_f are one product each (:func:`_row_sums`) and divide
-without a broadcast; per-step reductions call ``np.*.reduce`` directly.
+The kernel's set-up resolves a run's coefficients once: 1/D, the tensor T
+of the reduced flux-force matrices and the Margules A (``None`` on ideal
+thermo).  Each step then calls only unchecked helpers on those arrays: one
+projected solve for all faces (:func:`msdiff.mskernel._fluxes_projected`,
+K = x_f @ T), Gamma applied to the forces without forming it, and on
+refresh steps ``diffusion_operator_spectrum``'s route to the spectrum (the
+X^{1/2} pencil).  An all-ones (n, n) matrix makes the row sums of c and
+x_f one product each (:func:`_row_sums`), which divide without a
+broadcast; per-step reductions call ``np.*.reduce`` directly.
 """
 from __future__ import annotations
 
@@ -39,8 +38,8 @@ import numpy as np
 
 from .errors import (IsobaricDrift, MaxStepsExceeded, NonFiniteState, NotConvex,
                      PositivityViolation)
-from .mixture import CLAMP_REL, MixtureSpec, _inverse_diffusivities, simplex_basis
-from .mskernel import _fluxes_projected, _operator_eigenvalues, _reduced_A, _reduced_tensor
+from .mixture import CLAMP_REL, MixtureSpec, _inverse_diffusivities
+from .mskernel import _fluxes_projected, _operator_eigenvalues, _reduced_tensor
 from .thermo import IDEAL, ThermoModel, _gamma_dot, _ln_gamma_x, floor_composition
 
 #: Relative tolerance on per-cell total-concentration uniformity.
@@ -253,13 +252,12 @@ class _Kernel:
         for what, n in (("field", field.nspecies), ("reaction network", reactions.nspecies)):
             if n not in (None, spec.n):
                 raise ValueError(f"{what} has {n} species, mixture has {spec.n} species")
-        self.model, self.h = model or IDEAL, field.grid.h
+        self.h, self.ones = field.grid.h, np.ones((spec.n, spec.n))
         self.reactions, self.cfl_safety = reactions, _check_cfl(cfl_safety)
-        self.ones, self.p = np.ones((spec.n, spec.n)), simplex_basis(spec.n)
         self.inv = _inverse_diffusivities(spec.dmat)
         self.t = _reduced_tensor(self.inv)
         # None on the ideal path, where Gamma = I is skipped
-        self.amat = None if self.model.is_ideal else self.model.interactions(spec.n)
+        self.amat = (model or IDEAL).interactions(spec.n)
 
     def __call__(self, c: np.ndarray, bound: bool = False) -> _State:
         """Face compositions are floored arithmetic means, shared by the flux
@@ -273,11 +271,10 @@ class _Kernel:
         xf = 0.5 * (x[:-1] + x[1:])
         xf = floor_composition(xf / _row_sums(xf, self.ones))
         d = (x[1:] - x[:-1]) / self.h
-        mu = _ln_gamma_x(self.model, floor_composition(x))
+        mu = _ln_gamma_x(floor_composition(x), self.amat)
         if self.amat is not None:
             d = _gamma_dot(xf, self.amat, d)
-        j = _fluxes_projected(0.5 * (totals[:-1] + totals[1:]) * d, _reduced_A(xf, self.t),
-                              self.p)
+        j = _fluxes_projected(xf, 0.5 * (totals[:-1] + totals[1:]) * d, self.t)
         jf = np.zeros((c.shape[0] + 1, c.shape[1]))
         jf[1:-1] = j
         w = float(-np.add.reduce(j * (mu[1:] - mu[:-1]), axis=None))
@@ -419,16 +416,19 @@ def simulate(initial: Field, spec: MixtureSpec, model: ThermoModel | None = None
     Validation happens at entry (``initial`` and ``config`` check
     themselves; the species counts of ``spec`` and ``initial`` must
     agree, and ``config.t_end`` must not precede ``initial.time``); the
-    loop steps plain arrays and checks nothing twice.  Raises
+    loop steps plain arrays and checks nothing twice.  The clock's
+    tolerance is 1e-12 of the span ``t_end - initial.time``.  Raises
     ``MaxStepsExceeded`` (before the first step when the checkpoints alone
-    need more than ``max_steps`` steps), ``PositivityViolation``,
-    ``NonFiniteState``, or ``NotConvex``.
+    need more than ``max_steps`` steps, and at once when a step's dt is too
+    small to advance t), ``PositivityViolation``, ``NonFiniteState``, or
+    ``NotConvex``.
     """
     if config is None:
         raise ValueError("a SimConfig is required")
-    t, interval, tiny = initial.time, config.cp_interval, 1e-12 * config.t_end
+    t, interval = initial.time, config.cp_interval
     if config.t_end < t:
         raise ValueError(f"t_end = {config.t_end!r} precedes the initial time {t!r}")
+    tiny = 1e-12 * (config.t_end - t)  # the clock's tolerance, relative to the run's span
     # dt stops at every checkpoint, so k steps reach at most t + k * interval;
     # one interval of slack covers the roundoff of the running sums, and
     # comparing a float with the int max_steps is exact at any size
@@ -448,6 +448,9 @@ def simulate(initial: Field, spec: MixtureSpec, model: ThermoModel | None = None
         if st.lam is not None:  # a refresh step
             dt_bound = kernel.dt_bound(st)
         dt = min(dt_bound, config.t_end - t, next_cp - t)
+        if t + dt == t:
+            raise MaxStepsExceeded(f"dt = {dt!r} does not advance t = {t!r}, "
+                                   f"so no number of steps reaches t_end = {config.t_end!r}")
         c, w = _advance(st, dt, t, kernel.h), st.w
         t += dt
         steps += 1

@@ -20,9 +20,11 @@ x_i finite and >= 0 (``ln_activity_coeffs``), or >= X_FLOOR where ln x or
 1/x is taken (``gamma_matrix``, ``chemical_potentials``, ``driving_force``,
 ``convexity_check``).  They are batched over the leading axes, one state
 being the batch of shape (), and a row that fails a check raises for the
-whole call.  The step kernel reaches no check: it calls the unchecked
-``floor_composition`` and :func:`_ln_gamma_x`, which ``gibbs_density``
-shares; that one total sums c mu over every row at the floored x.
+whole call; each resolves the model once, at entry, by ``ThermoModel.interactions``
+(``None`` for ideal thermo).  The step kernel resolves it once per run and
+reaches no check: it calls the unchecked ``floor_composition`` and
+:func:`_ln_gamma_x`, which ``gibbs_density`` shares; that one total sums
+c mu over every row at the floored x.
 """
 from __future__ import annotations
 
@@ -64,13 +66,9 @@ class ThermoModel:
     def margules(cls, amat) -> "ThermoModel":
         return cls(amat=amat)
 
-    @property
-    def is_ideal(self) -> bool:
-        return self.amat is None
-
-    def interactions(self, n: int) -> np.ndarray:
-        """The Margules interaction matrix, checked against ``n`` species."""
-        if self.amat.shape[0] != n:
+    def interactions(self, n: int) -> np.ndarray | None:
+        """The Margules matrix, checked against ``n`` species; ``None`` if ideal."""
+        if self.amat is not None and self.amat.shape[0] != n:
             raise ValueError(
                 f"interaction matrix is {self.amat.shape[0]}x{self.amat.shape[0]}, "
                 f"mixture has {n} species")
@@ -92,16 +90,17 @@ def _as_x(x, what: str, lo: float = 0.0) -> np.ndarray:
     return x
 
 
-def floor_composition(x) -> np.ndarray:
+def floor_composition(x: np.ndarray) -> np.ndarray:
     """Raise entries below X_FLOOR to X_FLOOR.  Unchecked (NaN stays NaN): the
-    floor of states that :func:`_as_x` or the step kernel has checked."""
-    return np.maximum(x.x if isinstance(x, Composition) else x, X_FLOOR)
+    floor of arrays that :func:`_as_x` or the step kernel has checked."""
+    return np.maximum(x, X_FLOOR)
 
 
 def ln_activity_coeffs(model: ThermoModel, x) -> np.ndarray:
     """ln gamma_i for every species; zeros for the ideal model."""
     x = _as_x(x, "ln_activity_coeffs")
-    return np.zeros_like(x) if model.is_ideal else _ln_gamma(x, model.interactions(x.shape[-1]))
+    a = model.interactions(x.shape[-1])
+    return np.zeros_like(x) if a is None else _ln_gamma(x, a)
 
 
 def _ln_gamma(x: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -119,9 +118,9 @@ def gamma_matrix(model: ThermoModel, x) -> np.ndarray:
     """
     x = _as_x(x, "gamma_matrix", X_FLOOR)
     n = x.shape[-1]
-    if model.is_ideal:
-        return np.broadcast_to(np.eye(n), x.shape + (n,)).copy()
     a = model.interactions(n)
+    if a is None:
+        return np.broadcast_to(np.eye(n), x.shape + (n,)).copy()
     # d(ln gamma_i)/dx_j = A_ij - (A x)_j
     return np.eye(n) + x[..., :, None] * (a - (x @ a)[..., None, :])
 
@@ -162,20 +161,21 @@ def gibbs_density(model: ThermoModel, c) -> float:
     total = c.sum(axis=-1, keepdims=True)
     if np.any(total <= 0):
         raise DegenerateComposition("total concentration must be positive")
-    return float(np.add.reduce(c * _ln_gamma_x(model, floor_composition(c / total)),
-                               axis=None))
+    a = model.interactions(c.shape[-1])
+    return float(np.add.reduce(c * _ln_gamma_x(floor_composition(c / total), a), axis=None))
 
 
 def chemical_potentials(model: ThermoModel, x) -> np.ndarray:
     """mu_i in RT units: ln(gamma_i x_i).  Requires interior x."""
-    return _ln_gamma_x(model, _as_x(x, "chemical_potentials", X_FLOOR))
+    x = _as_x(x, "chemical_potentials", X_FLOOR)
+    return _ln_gamma_x(x, model.interactions(x.shape[-1]))
 
 
-def _ln_gamma_x(model: ThermoModel, x: np.ndarray) -> np.ndarray:
-    """ln(gamma_i x_i), batched; no domain check."""
+def _ln_gamma_x(x: np.ndarray, a: np.ndarray | None) -> np.ndarray:
+    """ln(gamma_i x_i) for the resolved ``a`` (``None``: ideal), batched; no check."""
     mu = np.log(x)
-    if not model.is_ideal:
-        mu += _ln_gamma(x, model.interactions(x.shape[-1]))
+    if a is not None:
+        mu += _ln_gamma(x, a)
     return mu
 
 

@@ -13,7 +13,7 @@ from . import mskernel, thermo  # the sweep calls attributes: wrappers see each 
 from .errors import NonMonotoneFlux
 from .mixture import Composition, MixtureSpec, _inverse_diffusivities, _unbatch
 from .solver import Field, Grid1D, Trajectory, face_fluxes
-from .thermo import ThermoModel, _as_x
+from .thermo import IDEAL, ThermoModel, _as_x
 
 #: Pointwise dissipation tolerance, relative to |V(0)|.
 W_TOL_REL = 1e-10
@@ -102,7 +102,8 @@ def filtration_oracle(c0, model: ThermoModel | None, d12: float, grid: Grid1D,
         raise ValueError(f"d12 must be in (0, inf), got {d12!r}")
     if c_tot is not None and not 0.0 < c_tot < np.inf:
         raise ValueError(f"c_tot must be in (0, inf), got {c_tot!r}")
-    a = 0.0 if model is None or model.is_ideal else float(model.interactions(2)[0, 1])
+    amat = (model or IDEAL).interactions(2)
+    a = 0.0 if amat is None else float(amat[0, 1])
     if a != 0.0 and c_tot is None:
         raise ValueError("c_tot is required for the nonideal binary flux")
     ct = float(c_tot) if c_tot is not None else 1.0

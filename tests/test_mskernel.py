@@ -17,7 +17,7 @@ import msdiff.solver
 from msdiff import mskernel
 from msdiff.errors import DegenerateComposition, NotConvex, SingularSystem
 from msdiff.mixture import _inverse_diffusivities, _unbatch, simplex_basis
-from msdiff.mskernel import _eliminate, _reduced_A, _reduced_tensor
+from msdiff.mskernel import _eliminate, _reduced_tensor
 from msdiff.solver import _Kernel
 from msdiff.thermo import X_FLOOR, _as_x, floor_composition
 
@@ -25,7 +25,7 @@ from msdiff.thermo import X_FLOOR, _as_x, floor_composition
 def solve_fluxes_bordered(comp, dmat, d, mu=None):
     """Oracle route: solve (A - mu x (x) e) J = c_tot d, which is
     invertible for 0 < mu < delta.  Default mu = delta / 2."""
-    x = floor_composition(comp)
+    x = floor_composition(comp.x)
     if mu is None:
         mu = 0.5 * spectral_gap_delta(dmat)
     a_mu = assemble_A(x, dmat) - mu * np.outer(x, np.ones_like(x))
@@ -160,7 +160,7 @@ RAW_DMAT_CALLS = {
 
 
 @pytest.mark.filterwarnings("error")  # no divide-by-zero warning on the way
-@pytest.mark.parametrize("value", [0.0, -1.0, np.inf, np.nan])
+@pytest.mark.parametrize("value", [0.0, -1.0, np.inf, np.nan, 1e-310])
 @pytest.mark.parametrize("call", sorted(RAW_DMAT_CALLS))
 def test_raw_dmat_must_be_positive_and_finite(call, value):
     # D = 0 used to give NaN eigenvalues from spectrum, with warnings
@@ -301,7 +301,7 @@ class TestFluxRoutes:
         # no valid input fails the residual, so the solve is replaced by a
         # wrong zero-sum J; the message prints floats, not numpy reprs
         monkeypatch.setattr(mskernel, "_fluxes_projected",
-                            lambda b, k, p: np.array([1.0, -1.0, 0.0]))
+                            lambda x, b, t: np.array([1.0, -1.0, 0.0]))
         with pytest.raises(SingularSystem, match=r"^projected solve residual [0-9.e+-]+ "
                                                  r"\(scale [0-9.e+-]+\)$"):
             solve_fluxes_invariant(Composition(x=[0.3, 0.4, 0.3]),
@@ -737,7 +737,8 @@ class TestReducedElimination:
                 _sym(rng.uniform(0.1, 10.0, n * (n - 1) // 2), n)))
             w = rng.dirichlet(np.ones(n), size=(len(patterns), 3))
             w[np.repeat(patterns[:, None, :], 3, axis=1)] = 0.0
-            k.append(_reduced_A(floor_composition(w / w.sum(-1, keepdims=True)), t))
+            x = floor_composition(w / w.sum(-1, keepdims=True))
+            k.append((x @ t).reshape(x.shape[:-1] + (m, m)))
         k = np.concatenate(k).reshape(-1, m, m)
         growth = _growth_without_pivoting(k)
         assert growth.max() > 1e3

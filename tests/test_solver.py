@@ -18,8 +18,7 @@ from msdiff import (Composition, Field, Grid1D, IDEAL, MixtureSpec, NO_REACTIONS
 from msdiff.errors import (IsobaricDrift, MaxStepsExceeded, MsDiffError,
                            NonFiniteState, NotConvex, PositivityViolation)
 from msdiff.mixture import CLAMP_REL, _inverse_diffusivities, simplex_basis
-from msdiff.mskernel import (_assemble_A, _eliminate, _operator_eigenvalues, _reduced_A,
-                             _reduced_tensor)
+from msdiff.mskernel import _assemble_A, _eliminate, _operator_eigenvalues, _reduced_tensor
 from msdiff.solver import DT_REFRESH_STEPS, ISOBARIC_TOL, _advance, _Kernel, _State
 from msdiff.thermo import _gamma_dot, _ln_gamma_x, floor_composition, gamma_matrix
 
@@ -339,8 +338,8 @@ def test_kernel_one_product_forms(thermo, data):
     p = simplex_basis(n)
     inv = _inverse_diffusivities(dmat)
     a_full = _assemble_A(x, inv)
-    _assert_close(_reduced_A(x, _reduced_tensor(inv)), p.T @ a_full @ p,
-                  np.linalg.norm(a_full, axis=(-2, -1)))
+    k = (x @ _reduced_tensor(inv)).reshape(x.shape[:-1] + (n - 1, n - 1))
+    _assert_close(k, p.T @ a_full @ p, np.linalg.norm(a_full, axis=(-2, -1)))
 
     model = ThermoModel.margules(amat) if thermo == "margules" else IDEAL
     a = amat if thermo == "margules" else np.zeros((n, n))
@@ -497,10 +496,11 @@ def _reference_call(kernel, c, bound=False):
     xf = 0.5 * (x[:-1] + x[1:])
     xf = floor_composition(xf / xf.sum(axis=1, keepdims=True))
     d = (x[1:] - x[:-1]) / kernel.h
-    mu = _ln_gamma_x(kernel.model, floor_composition(x))
+    mu = _ln_gamma_x(floor_composition(x), kernel.amat)
     if kernel.amat is not None:
         d = _gamma_dot(xf, kernel.amat, d)
-    k = _reduced_A(xf, kernel.t)
+    m = c.shape[1] - 1
+    k = (xf @ kernel.t).reshape(xf.shape[:-1] + (m, m))
     p = simplex_basis(c.shape[1])
     rhs = (0.5 * (totals[:-1, 0] + totals[1:, 0])[..., None] * d) @ p
     j = _eliminate(k, rhs)[0] @ p.T
@@ -511,7 +511,7 @@ def _reference_call(kernel, c, bound=False):
     if bound:
         g = np.eye(k.shape[-1])
         if kernel.amat is not None:
-            g = p.T @ gamma_matrix(kernel.model, xf) @ p
+            g = p.T @ gamma_matrix(ThermoModel(kernel.amat), xf) @ p
         m = _operator_reduced(k, g)
         lam = m[..., 0] if m.shape[-1] == 1 else np.linalg.eigvals(m).real
     f = kernel.reactions.rates(c) if kernel.reactions.reactions else None
@@ -555,7 +555,8 @@ def test_kernel_matches_reference_arithmetic(problem, bound):
         return
     assert got.c_tot == pytest.approx(ref.c_tot, rel=1e-15)
     _assert_close(got.jf, ref.jf, np.max(np.abs(ref.jf)))
-    mu = _ln_gamma_x(kernel.model, floor_composition(field.c / field.c.sum(axis=1, keepdims=True)))
+    mu = _ln_gamma_x(floor_composition(field.c / field.c.sum(axis=1, keepdims=True)),
+                     kernel.amat)
     assert abs(got.w - ref.w) <= 1e-12 * np.sum(np.abs(ref.jf[1:-1] * np.diff(mu, axis=0)))
     if got.f is not None:
         _assert_close(got.f, ref.f, np.max(np.abs(ref.f)))
@@ -775,6 +776,10 @@ class TestSimulate:
         for module in (msdiff.thermo, msdiff.mskernel, msdiff.verify):
             monkeypatch.setattr(module, "_as_x", forbidden)
         monkeypatch.setattr(msdiff.thermo, "ln_activity_coeffs", forbidden)
+        resolved = []  # the model is resolved once, at the kernel's set-up
+        checked = ThermoModel.interactions
+        monkeypatch.setattr(ThermoModel, "interactions",
+                            lambda self, n: resolved.append(n) or checked(self, n))
         spec = MixtureSpec(names=("A", "B", "C"), dmat=[[0, 1, 2], [1, 0, 3], [2, 3, 0]])
         model = ThermoModel.margules(0.5 * (np.ones((3, 3)) - np.eye(3)))
         c = np.tile([0.2, 0.3, 0.5], (8, 1))
@@ -783,6 +788,7 @@ class TestSimulate:
                         ReactionNetwork(reactions=(Reaction([1, 0, 0], [0, 1, 0], 1.0),)),
                         SimConfig(t_end=1e-2, checkpoint_interval=5e-3))
         assert len(traj.checkpoints) == 3
+        assert resolved == [3]
         with pytest.raises(AssertionError, match="public input check"):
             gamma_matrix(model, c[4])  # the spies are in place
 
@@ -797,6 +803,24 @@ class TestSimulate:
         later = Field(c=fld.c, grid=fld.grid, time=0.05)
         traj = simulate(later, BINARY, config=SimConfig(t_end=0.1, checkpoint_interval=0.02))
         np.testing.assert_allclose(traj.times, [0.05, 0.07, 0.09, 0.1], atol=1e-12)
+
+    def test_clock_tolerance_follows_the_span(self):
+        # a run of span 1 from t = 1e13 once ended before its first step:
+        # its clock tolerance was 1e-12 t_end = 10, not 1e-12 of the span
+        fld = _binary_step_field(ncells=10)
+        late = Field(c=fld.c, grid=fld.grid, time=1e13)
+        traj = simulate(late, BINARY, config=SimConfig(t_end=1e13 + 1))
+        assert traj.times[0] == 1e13 and traj.times[-1] == 1e13 + 1
+        assert np.abs(traj.final().c - fld.c).max() > 0.01
+
+    def test_step_that_cannot_advance_the_clock_fails_at_once(self):
+        # at 100 cells dt ~ 2e-5 is below half the float spacing at 1e13
+        # (~2e-3), so t + dt == t and no number of steps reaches t_end
+        fld = _binary_step_field(ncells=100)
+        late = Field(c=fld.c, grid=fld.grid, time=1e13)
+        with pytest.raises(MaxStepsExceeded, match=r"^dt = [0-9.e+-]+ does not advance "
+                                                   r"t = 10000000000000\.0, "):
+            simulate(late, BINARY, config=SimConfig(t_end=1e13 + 1, max_steps=1000))
 
     def test_max_steps_guard(self):
         fld = _binary_step_field(ncells=40)

@@ -211,6 +211,11 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             model.interactions(3)
 
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_ideal_interactions_are_none(self, n):
+        # the resolved matrix of ideal thermo, at any species count
+        assert IDEAL.interactions(n) is None
+
 
 def _vertices_and_edge_midpoints(n):
     eye = np.eye(n)
