@@ -5,8 +5,8 @@ The species equations dc/dt + div J = r are discretized on a uniform
 grid; fluxes at interior faces come from the flux-force inversion in
 :mod:`msdiff.mskernel` evaluated at arithmetic-mean face compositions,
 and time stepping is explicit Euler with an adaptive step bounded by the
-spectral radius of the effective diffusion operator, recomputed every
-DT_REFRESH_STEPS steps.
+spectral radius of the effective diffusion operator.  ``simulate`` alone
+owns the schedule of dt refreshes and checkpoints (see its docstring).
 
 Inputs are validated on construction (``Grid1D``, ``Field``, ``Reaction``,
 ``ReactionNetwork``, ``SimConfig``) and by the kernel set-up (the species
@@ -23,10 +23,10 @@ The kernel's set-up resolves a run's coefficients once: 1/D, the tensor T
 of the reduced flux-force matrices and the Margules A (``None`` on ideal
 thermo).  Each step then calls only unchecked helpers on those arrays: one
 projected solve for all faces (:func:`msdiff.mskernel._fluxes_projected`,
-K = x_f @ T), Gamma applied to the forces without forming it, and on
-refresh steps ``diffusion_operator_spectrum``'s route to the spectrum (the
-X^{1/2} pencil).  An all-ones (n, n) matrix makes the row sums of c and
-x_f one product each (:func:`_row_sums`), which divide without a
+K = x_f @ T) and Gamma applied to the forces without forming it; on the
+pass's x_f, ``_Kernel.dt_bound`` takes ``diffusion_operator_spectrum``'s
+route to the spectrum (the X^{1/2} pencil).  An all-ones (n, n) matrix
+makes the row sums of c and x_f one product each, which divide without a
 broadcast; per-step reductions call ``np.*.reduce`` directly.
 """
 from __future__ import annotations
@@ -104,7 +104,9 @@ class Field:
             raise ValueError(f"c must be (ncells, nspecies), got {c.shape}")
         if not np.all((c >= 0) & (c < np.inf)):
             raise ValueError("concentrations must be finite and nonnegative")
-        if _uniform_total(_row_sums(c, np.ones((c.shape[1], 1)))) is None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            c_tot = _uniform_total(c @ np.ones((c.shape[1], 1)))
+        if c_tot is None:
             raise ValueError("per-cell total concentration must be positive and uniform")
         c.setflags(write=False)
         object.__setattr__(self, "c", c)
@@ -185,7 +187,7 @@ class SimConfig:
     the times and ``cfl_safety`` as floats and ``max_steps`` as an int."""
     t_end: float
     cfl_safety: float = 0.4
-    checkpoint_interval: float | None = None  # default t_end / 50
+    checkpoint_interval: float | None = None  # None: simulate takes a 50th of the span
     max_steps: int = 10_000_000
 
     def __post_init__(self):
@@ -199,14 +201,8 @@ class SimConfig:
         _check_cfl(self.cfl_safety)
         if not self.max_steps > 0:
             raise ValueError("max_steps must be positive")
-        if not 0 < self.cp_interval < np.inf:
+        if not (self.checkpoint_interval is None or 0 < self.checkpoint_interval < np.inf):
             raise ValueError("checkpoint_interval must be positive and finite")
-
-    @property
-    def cp_interval(self) -> float:
-        if self.checkpoint_interval is None:
-            return self.t_end / 50
-        return self.checkpoint_interval
 
 
 class _State(NamedTuple):
@@ -216,21 +212,16 @@ class _State(NamedTuple):
     jf: np.ndarray           # fluxes at all ncells+1 faces, zero at the walls
     w: float                 # dissipation W = -sum_faces sum_i J_i dmu_i
     mu: np.ndarray           # per-cell chemical potentials ln(gamma_i x_i), floored x
-    lam: np.ndarray | None   # diffusion-operator eigenvalues at the faces
+    xf: np.ndarray           # floored face compositions, the spectrum's input
     f: np.ndarray | None     # finite reaction rates r(c); None without reactions
-
-
-def _row_sums(a: np.ndarray, ones: np.ndarray) -> np.ndarray:
-    """Species-axis sums of ``a`` (rows, n), one per column of the all-ones
-    ``ones`` (n, k); at n = 2 the bits of ``a.sum(axis=1)``."""
-    return a @ ones
 
 
 def _uniform_total(totals: np.ndarray) -> float | None:
     """Mean per-cell total concentration; None unless it is positive and
-    every cell is within ISOBARIC_TOL of it."""
+    finite (an overflow fails) and every cell is within ISOBARIC_TOL of it."""
     ref = float(np.add.reduce(totals, axis=None) / totals.size)  # the bits of totals.mean()
-    if ref > 0 and np.maximum.reduce(np.abs(totals - ref), axis=None) <= ISOBARIC_TOL * ref:
+    if 0 < ref < np.inf and (np.maximum.reduce(np.abs(totals - ref), axis=None)
+                             <= ISOBARIC_TOL * ref):
         return ref
     return None
 
@@ -244,7 +235,7 @@ def _check_cfl(cfl_safety: float) -> float:
 
 class _Kernel:
     """The step kernel, owner of a run's inputs: set up once, then one call per
-    step computes face states, fluxes, W, rates and (``bound``) the dt spectrum."""
+    step computes face states, fluxes, W and rates; ``dt_bound`` bounds dt."""
 
     def __init__(self, spec: MixtureSpec, model: ThermoModel | None, field: Field,
                  reactions: ReactionNetwork = NO_REACTIONS,
@@ -259,17 +250,17 @@ class _Kernel:
         # None on the ideal path, where Gamma = I is skipped
         self.amat = (model or IDEAL).interactions(spec.n)
 
-    def __call__(self, c: np.ndarray, bound: bool = False) -> _State:
+    def __call__(self, c: np.ndarray) -> _State:
         """Face compositions are floored arithmetic means, shared by the flux
         solve, Gamma and the spectrum; h cancels in W against the gradient."""
-        totals = _row_sums(c, self.ones)
+        totals = c @ self.ones
         c_tot = _uniform_total(totals[:, 0])
         if c_tot is None:
             raise IsobaricDrift("per-cell total concentrations are no longer positive "
                                 f"and uniform to ISOBARIC_TOL = {ISOBARIC_TOL:g}")
         x = c / totals
         xf = 0.5 * (x[:-1] + x[1:])
-        xf = floor_composition(xf / _row_sums(xf, self.ones))
+        xf = floor_composition(xf / (xf @ self.ones))
         d = (x[1:] - x[:-1]) / self.h
         mu = _ln_gamma_x(floor_composition(x), self.amat)
         if self.amat is not None:
@@ -278,21 +269,21 @@ class _Kernel:
         jf = np.zeros((c.shape[0] + 1, c.shape[1]))
         jf[1:-1] = j
         w = float(-np.add.reduce(j * (mu[1:] - mu[:-1]), axis=None))
-        lam = _operator_eigenvalues(xf, self.inv, self.amat) if bound else None
         f = self.reactions.rates(c) if self.reactions.reactions else None
         if f is not None and not np.isfinite(f).all():
             cell, sp = np.unravel_index(np.argmin(np.isfinite(f)), f.shape)
             raise NonFiniteState(f"reaction rate f[{cell},{sp}] = {float(f[cell, sp])!r} "
                                  "(overflow or an invalid operation)")
-        return _State(c=c, c_tot=c_tot, jf=jf, w=w, mu=mu, lam=lam, f=f)
+        return _State(c=c, c_tot=c_tot, jf=jf, w=w, mu=mu, xf=xf, f=f)
 
     def dt_bound(self, st: _State) -> float:
-        """cfl * h^2 / (2 lambda_max) from the spectrum in ``st``, capped
-        so reactions change no concentration by more than 10% per step."""
-        lam_min = float(st.lam.min())
+        """cfl * h^2 / (2 lambda_max) from the spectrum at the faces of ``st``,
+        capped so reactions change no concentration by more than 10% per step."""
+        lam = _operator_eigenvalues(st.xf, self.inv, self.amat)
+        lam_min = float(lam.min())
         if lam_min <= 0:
             raise NotConvex(f"diffusion operator eigenvalue {lam_min!r} <= 0 at a face")
-        dt = self.cfl_safety * self.h * self.h / (2.0 * float(st.lam.max()))
+        dt = self.cfl_safety * self.h * self.h / (2.0 * float(lam.max()))
         if st.f is not None:
             neg, pos = st.f < 0, st.f > 0
             dt = min(dt, float(0.1 * np.min(st.c[neg] / -st.f[neg], initial=np.inf)),
@@ -320,7 +311,7 @@ def stable_dt(field: Field, spec: MixtureSpec, model: ThermoModel | None = None,
     ``NonFiniteState`` if a reaction rate is not finite.
     """
     kernel = _Kernel(spec, model, field, reactions, cfl_safety)
-    return kernel.dt_bound(kernel(field.c, bound=True))
+    return kernel.dt_bound(kernel(field.c))
 
 
 @_fail_closed
@@ -416,51 +407,56 @@ def simulate(initial: Field, spec: MixtureSpec, model: ThermoModel | None = None
     Validation happens at entry (``initial`` and ``config`` check
     themselves; the species counts of ``spec`` and ``initial`` must
     agree, and ``config.t_end`` must not precede ``initial.time``); the
-    loop steps plain arrays and checks nothing twice.  The clock's
-    tolerance is 1e-12 of the span ``t_end - initial.time``.  Raises
-    ``MaxStepsExceeded`` (before the first step when the checkpoints alone
-    need more than ``max_steps`` steps, and at once when a step's dt is too
-    small to advance t), ``PositivityViolation``, ``NonFiniteState``, or
-    ``NotConvex``.
+    loop steps plain arrays and owns the schedule: it refreshes the dt
+    bound before the first step and every DT_REFRESH_STEPS steps, and dt
+    stops at each checkpoint, one per ``checkpoint_interval`` (None: a 50th
+    of the span ``t_end - initial.time``) and the last at ``t_end``.  The
+    clock's tolerance is 1e-12 of the span.  Raises ``MaxStepsExceeded``
+    (before the first step when the checkpoints alone need more than
+    ``max_steps`` steps, and at once when a step's dt is too small to
+    advance t), ``PositivityViolation``, ``NonFiniteState``, or ``NotConvex``.
     """
     if config is None:
         raise ValueError("a SimConfig is required")
-    t, interval = initial.time, config.cp_interval
+    t, interval = initial.time, config.checkpoint_interval
     if config.t_end < t:
         raise ValueError(f"t_end = {config.t_end!r} precedes the initial time {t!r}")
-    tiny = 1e-12 * (config.t_end - t)  # the clock's tolerance, relative to the run's span
+    span = config.t_end - t
+    if interval is None:
+        interval = span / 50
+    tiny = 1e-12 * span  # the clock's tolerance, relative to the run's span
     # dt stops at every checkpoint, so k steps reach at most t + k * interval;
     # one interval of slack covers the roundoff of the running sums, and
-    # comparing a float with the int max_steps is exact at any size
-    if (config.t_end - tiny - t) / interval > config.max_steps + 1:
+    # comparing a float with the int max_steps is exact at any size; a zero
+    # interval (a zero span's, or a 50th that underflowed) is left to the
+    # loop, which then takes no step or one that cannot advance t
+    if interval > 0 and (config.t_end - tiny - t) / interval > config.max_steps + 1:
         raise MaxStepsExceeded(
             f"t = {t!r} to t_end = {config.t_end!r} in steps of at most checkpoint_interval"
             f" = {interval!r} takes more than max_steps = {config.max_steps} steps")
     kernel = _Kernel(spec, model, initial, reactions, config.cfl_safety)
-    st = kernel(initial.c, bound=True)
+    st = kernel(initial.c)
     cum_w = 0.0
     traj = Trajectory(grid=initial.grid, names=spec.names)
     traj.checkpoints.append(_checkpoint(st, t, kernel.h, cum_w))
 
-    next_cp = t + interval
+    next_cp = min(t + interval, config.t_end)
     steps = 0
     while t < config.t_end - tiny:
-        if st.lam is not None:  # a refresh step
+        if steps % DT_REFRESH_STEPS == 0:
             dt_bound = kernel.dt_bound(st)
-        dt = min(dt_bound, config.t_end - t, next_cp - t)
+        dt = min(dt_bound, next_cp - t)
         if t + dt == t:
             raise MaxStepsExceeded(f"dt = {dt!r} does not advance t = {t!r}, "
                                    f"so no number of steps reaches t_end = {config.t_end!r}")
         c, w = _advance(st, dt, t, kernel.h), st.w
         t += dt
         steps += 1
-        st = kernel(c, bound=steps % DT_REFRESH_STEPS == 0)
+        st = kernel(c)
         cum_w += 0.5 * (w + st.w) * dt
         if steps > config.max_steps:
             raise MaxStepsExceeded(f"{steps} steps at t = {t!r}")
         if t >= next_cp - tiny:
             traj.checkpoints.append(_checkpoint(st, t, kernel.h, cum_w))
-            next_cp += interval
-    if traj.checkpoints[-1].time < t - tiny:
-        traj.checkpoints.append(_checkpoint(st, t, kernel.h, cum_w))
+            next_cp = min(next_cp + interval, config.t_end)
     return traj

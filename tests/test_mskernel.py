@@ -17,7 +17,7 @@ import msdiff.solver
 from msdiff import mskernel
 from msdiff.errors import DegenerateComposition, NotConvex, SingularSystem
 from msdiff.mixture import _inverse_diffusivities, _unbatch, simplex_basis
-from msdiff.mskernel import _eliminate, _reduced_tensor
+from msdiff.mskernel import _eliminate, _operator_eigenvalues, _reduced_tensor
 from msdiff.solver import _Kernel
 from msdiff.thermo import X_FLOOR, _as_x, floor_composition
 
@@ -562,7 +562,8 @@ def test_spectrum_accurate_on_floored_faces(n, thermo):
     scale = 1e-8 * np.max(np.abs(ref), axis=-1, keepdims=True)
     w = diffusion_operator_spectrum(xf, dmat, model, require_convex=False)
     assert np.all(np.abs(w - ref[:, ::-1]) <= scale)
-    lam = _Kernel(spec, model, fld)(fld.c, bound=True).lam
+    kernel = _Kernel(spec, model, fld)
+    lam = _operator_eigenvalues(kernel(fld.c).xf, kernel.inv, kernel.amat)
     assert np.all(np.abs(np.sort(lam, axis=-1) - ref) <= scale)
 
 
@@ -571,7 +572,8 @@ def test_spectrum_accurate_on_floored_faces(n, thermo):
 def test_kernel_refresh_spectrum_is_the_public_spectrum(monkeypatch, n, thermo):
     """The step kernel's refresh spectrum and ``diffusion_operator_spectrum``
     take one route: on the kernel's own face compositions (interior and
-    floored) they agree bit for bit once each face's eigenvalues are sorted."""
+    floored) they agree bit for bit once each face's eigenvalues are sorted.
+    ``dt_bound`` takes that spectrum of the pass's x_f; the pass takes none."""
     rng = np.random.default_rng(600 + 10 * n + (thermo == "margules"))
     dmat = _sym(rng.uniform(0.1, 10.0, n * (n - 1) // 2), n)
     model = IDEAL
@@ -586,12 +588,16 @@ def test_kernel_refresh_spectrum_is_the_public_spectrum(monkeypatch, n, thermo):
     seen = []
 
     def spy(x, *args):
-        seen.append(x)
-        return mskernel._operator_eigenvalues(x, *args)
+        seen.append((x, mskernel._operator_eigenvalues(x, *args)))
+        return seen[-1][1]
 
     monkeypatch.setattr(msdiff.solver, "_operator_eigenvalues", spy)
-    lam = _Kernel(spec, model, fld)(fld.c, bound=True).lam
-    (xf,) = seen
+    kernel = _Kernel(spec, model, fld)
+    st = kernel(fld.c)
+    assert seen == []
+    kernel.dt_bound(st)
+    ((xf, lam),) = seen
+    assert xf is st.xf
     assert np.any(xf == X_FLOOR) and lam.shape == (len(c) - 1, n - 1)
     w = diffusion_operator_spectrum(xf, dmat, model, require_convex=False)
     assert np.array_equal(np.sort(lam, axis=-1), np.sort(w, axis=-1))

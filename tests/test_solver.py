@@ -68,6 +68,14 @@ class TestGridAndField:
         with pytest.raises(ValueError):
             Field(c=np.zeros((2, 2)), grid=Grid1D(ncells=2, length=1.0))
 
+    @pytest.mark.parametrize("c", [[[1e308, 1e308]] * 2, [[1e308, 5e307]] * 2],
+                             ids=["total", "mean"])
+    def test_field_rejects_an_overflowing_total(self, c):
+        # the row sums, or only their mean, overflow to inf, which would pass
+        # inf <= ISOBARIC_TOL * inf; the suite turns a numpy warning into a failure
+        with pytest.raises(ValueError, match="positive and uniform"):
+            Field(c=c, grid=Grid1D(ncells=2, length=1.0))
+
     @pytest.mark.parametrize("time", [np.nan, np.inf, -np.inf, "x"])
     def test_field_time_must_be_finite(self, time):
         fld = _binary_step_field(ncells=10)
@@ -142,8 +150,12 @@ class TestSimConfig:
             SimConfig(**{"t_end": 1.0, key: 10 ** 400})
 
     def test_default_checkpoint_interval(self):
-        assert SimConfig(t_end=0.1).cp_interval == pytest.approx(0.002)
-        assert SimConfig(t_end=0.1, checkpoint_interval=0.03).cp_interval == 0.03
+        fld = _binary_step_field(ncells=10)
+        times = simulate(fld, BINARY, config=SimConfig(t_end=0.1)).times
+        np.testing.assert_allclose(times, np.linspace(0.0, 0.1, 51), rtol=1e-12)
+        cfg = SimConfig(t_end=0.1, checkpoint_interval=0.03)
+        np.testing.assert_allclose(simulate(fld, BINARY, config=cfg).times,
+                                   [0.0, 0.03, 0.06, 0.09, 0.1], rtol=1e-12)
 
 
 class TestFaceFluxes:
@@ -266,7 +278,7 @@ class TestStep:
         c = np.full((3, 2), 0.5)
         jf = np.zeros((4, 2))
         jf[2] = [bad, 0.0]  # the face between cells 1 and 2
-        st = _State(c=c, c_tot=1.0, jf=jf, w=0.0, mu=np.log(c), lam=None, f=None)
+        st = _State(c=c, c_tot=1.0, jf=jf, w=0.0, mu=np.log(c), xf=None, f=None)
         with pytest.raises(NonFiniteState, match=re.escape(first)):
             _advance(st, 0.1, 0.0, 1.0)
 
@@ -483,12 +495,10 @@ def test_binary_operator_eigenvalue_is_the_reduced_operator(state, ideal):
     assert np.all(err <= bound), float(np.max(err / scale))
 
 
-def _reference_call(kernel, c, bound=False):
+def _reference_call(kernel, c):
     """One step-kernel call as species-axis ``sum`` reductions, a per-call
-    basis, ``ndarray`` reduction methods and, on refresh steps, the
-    operator M = -K^{-1} P^T Gamma P in place of the kernel's X^{1/2}
-    pencil: ``_Kernel.__call__`` must give the same bits at n = 2 but for
-    the spectrum, and agree to roundoff otherwise."""
+    basis and ``ndarray`` reduction methods: ``_Kernel.__call__`` must give
+    the same bits at n = 2, and agree to roundoff otherwise."""
     totals = c.sum(axis=1, keepdims=True)
     c_tot = float(totals.sum() / totals.size)
     assert c_tot > 0 and np.abs(totals - c_tot).max() <= ISOBARIC_TOL * c_tot
@@ -507,15 +517,21 @@ def _reference_call(kernel, c, bound=False):
     jf = np.zeros((c.shape[0] + 1, c.shape[1]))
     jf[1:-1] = j
     w = float(-(j * (mu[1:] - mu[:-1])).sum())
-    lam = None
-    if bound:
-        g = np.eye(k.shape[-1])
-        if kernel.amat is not None:
-            g = p.T @ gamma_matrix(ThermoModel(kernel.amat), xf) @ p
-        m = _operator_reduced(k, g)
-        lam = m[..., 0] if m.shape[-1] == 1 else np.linalg.eigvals(m).real
     f = kernel.reactions.rates(c) if kernel.reactions.reactions else None
-    return _State(c=c, c_tot=c_tot, jf=jf, w=w, mu=mu, lam=lam, f=f)
+    return _State(c=c, c_tot=c_tot, jf=jf, w=w, mu=mu, xf=xf, f=f)
+
+
+def _reference_spectrum(kernel, xf):
+    """Eigenvalues of the operator M = -K^{-1} P^T Gamma P at the faces
+    ``xf``, in place of the kernel's X^{1/2} pencil."""
+    m = xf.shape[-1] - 1
+    k = (xf @ kernel.t).reshape(xf.shape[:-1] + (m, m))
+    p = simplex_basis(xf.shape[-1])
+    g = np.eye(m)
+    if kernel.amat is not None:
+        g = p.T @ gamma_matrix(ThermoModel(kernel.amat), xf) @ p
+    mm = _operator_reduced(k, g)
+    return mm[..., 0] if m == 1 else np.linalg.eigvals(mm).real
 
 
 def _reference_advance(st, dt, t, h):
@@ -531,8 +547,8 @@ def _reference_advance(st, dt, t, h):
 
 
 @settings(max_examples=100, deadline=None)
-@given(problem=step_problems(), bound=st.booleans())
-def test_kernel_matches_reference_arithmetic(problem, bound):
+@given(problem=step_problems())
+def test_kernel_matches_reference_arithmetic(problem):
     """The kernel's per-run ones matrix, basis and direct reductions leave
     every bit of the state and the update unchanged at n = 2; at n >= 3
     only the row sums may round differently.  The spectrum comes from the
@@ -540,20 +556,23 @@ def test_kernel_matches_reference_arithmetic(problem, bound):
     roundoff."""
     field, spec, model, reactions = problem
     kernel = _Kernel(spec, model, field, reactions)
-    got, ref = kernel(field.c, bound), _reference_call(kernel, field.c, bound)
+    got, ref = kernel(field.c), _reference_call(kernel, field.c)
     dt = 0.5 * stable_dt(field, spec, model, reactions)
     cn, cn_ref = _advance(got, dt, 0.0, kernel.h), _reference_advance(ref, dt, 0.0, kernel.h)
     assert got.c is field.c
-    assert (got.lam is None, got.f is None) == (not bound, not reactions.reactions)
-    if bound:  # lam has no order per face: the reference's is LAPACK eigvals'
-        _assert_close(np.sort(got.lam, axis=-1), np.sort(ref.lam, axis=-1),
-                      np.max(np.abs(ref.lam)))
+    assert (got.f is None) == (not reactions.reactions)
+    # lam has no order per face: the reference's is LAPACK eigvals'
+    lam = _operator_eigenvalues(got.xf, kernel.inv, kernel.amat)
+    lam_ref = _reference_spectrum(kernel, ref.xf)
+    _assert_close(np.sort(lam, axis=-1), np.sort(lam_ref, axis=-1), np.max(np.abs(lam_ref)))
     if spec.n == 2:
         assert got.c_tot == ref.c_tot and got.w == ref.w
-        for a, b in [(got.jf, ref.jf), (got.mu, ref.mu), (got.f, ref.f), (cn, cn_ref)]:
+        for a, b in [(got.jf, ref.jf), (got.mu, ref.mu), (got.xf, ref.xf), (got.f, ref.f),
+                     (cn, cn_ref)]:
             assert a is b is None or np.array_equal(a, b)
         return
     assert got.c_tot == pytest.approx(ref.c_tot, rel=1e-15)
+    _assert_close(got.xf, ref.xf, np.max(ref.xf))
     _assert_close(got.jf, ref.jf, np.max(np.abs(ref.jf)))
     mu = _ln_gamma_x(floor_composition(field.c / field.c.sum(axis=1, keepdims=True)),
                      kernel.amat)
@@ -584,7 +603,10 @@ def test_kernel_step_count_matches_reference_at_n6(monkeypatch):
             m.setattr(msdiff.solver, "_advance", counted)
             return simulate(fld, spec, model, config=config)
     got = run()
+    kernel = _Kernel(spec, model, fld)
     monkeypatch.setattr(_Kernel, "__call__", _reference_call)
+    monkeypatch.setattr(msdiff.solver, "_operator_eigenvalues",
+                        lambda xf, *_: _reference_spectrum(kernel, xf))
     monkeypatch.setattr(msdiff.solver, "_advance", _reference_advance)
     ref = run()
     assert steps[0] == steps[1] > 10 * DT_REFRESH_STEPS
@@ -863,9 +885,41 @@ class TestSimulate:
             simulate(later, BINARY, config=SimConfig(t_end=1.0))
 
     def test_t_end_at_initial_time_is_one_checkpoint(self):
+        # the default interval is then zero, and the step-count check must
+        # not divide by it
         fld = _binary_step_field(ncells=10)
         later = Field(c=fld.c, grid=fld.grid, time=1.0)
         assert simulate(later, BINARY, config=SimConfig(t_end=1.0)).times.tolist() == [1.0]
+        cfg = SimConfig(t_end=1.0, checkpoint_interval=0.1)
+        assert simulate(later, BINARY, config=cfg).times.tolist() == [1.0]
+
+    def test_default_interval_is_a_share_of_the_span(self):
+        # from t = 0.5 the default interval is (0.55 - 0.5) / 50, not 0.55 / 50
+        fld = _binary_step_field(ncells=10)
+        later = Field(c=fld.c, grid=fld.grid, time=0.5)
+        times = simulate(later, BINARY, config=SimConfig(t_end=0.55)).times
+        np.testing.assert_allclose(times, np.linspace(0.5, 0.55, 51), rtol=1e-12)
+
+    def test_a_default_interval_that_underflows_fails_closed(self):
+        # span / 50 rounds to zero: the run cannot reach its first checkpoint
+        fld = _binary_step_field(ncells=10)
+        with pytest.raises(MaxStepsExceeded, match=r"^dt = 0\.0 does not advance t = 0\.0"):
+            simulate(fld, BINARY, config=SimConfig(t_end=1e-322))
+
+    def test_one_spectrum_per_dt_bound(self, monkeypatch):
+        # 20 steps of one interval each: the bound is taken before the first
+        # step and every DT_REFRESH_STEPS steps, with one spectrum each time,
+        # and no spectrum is taken after the last step
+        calls = []
+        eigenvalues, dt_bound = msdiff.solver._operator_eigenvalues, _Kernel.dt_bound
+        monkeypatch.setattr(msdiff.solver, "_operator_eigenvalues",
+                            lambda *a: calls.append("spectrum") or eigenvalues(*a))
+        monkeypatch.setattr(_Kernel, "dt_bound",
+                            lambda self, st: calls.append("bound") or dt_bound(self, st))
+        cfg = SimConfig(t_end=2e-3, checkpoint_interval=1e-4)
+        traj = simulate(_binary_step_field(ncells=10), BINARY, config=cfg)
+        assert len(traj.checkpoints) == 21
+        assert calls == ["bound", "spectrum"] * -(-20 // DT_REFRESH_STEPS)
 
     def test_positivity_preserved_on_random_quaternary(self):
         rng = np.random.default_rng(97)
