@@ -180,6 +180,9 @@ def _parse_initial(obj, grid: Grid1D, n: int) -> Field:
     with _config_errors("initial"):
         s = (np.arange(grid.ncells) + 0.5) / grid.ncells
         p = {k: np.asarray(obj[k], dtype=float) for k in PROFILES[kind]}
+        for k, v in p.items():  # before the profile is formed from them
+            if not np.isfinite(v).all():
+                raise ConfigError(f"initial: {k} must be finite")
         if kind == "uniform":
             x = np.tile(p["x"], (grid.ncells, 1))
         elif kind == "cells":

@@ -25,12 +25,20 @@ orthonormal zero-sum basis): K(x) = sum_k x_k T_k.  The tensor T
 the projected route and the step kernel share (:func:`_fluxes_projected`)
 forms K from x and T as one product x @ T, with no (n, n) A on the way.
 The step kernel's dt bound and ``diffusion_operator_spectrum`` share one
-route to the diffusion operator's real eigenvalues (:func:`_operator_eigenvalues`):
-the symmetric definite pencil of the X^{1/2} symmetrization, from 1/D
-and the Margules A at every n (at n = 2 its 1x1 closed form).  The
+route to the diffusion operator's real eigenvalues: the symmetric definite
+pencil of the X^{1/2} symmetrization, from 1/D and the Margules A at
+every n (at n = 2 its 1x1 closed form).  For n >= 3 one builder
+(:func:`_operator_matrix`) forms a symmetric M per row, and
+:func:`_operator_eigenvalues` is that M and one ``eigvalsh``.  The
 pencil's N is positive definite, so by Sylvester's law of inertia its
 eigenvalues have the signs of G, congruent to the X^{-1} Gamma form on E:
 ``require_convex``'s strong-convexity verdict is the spectrum's own sign.
+The kernel reads only two numbers of each refresh, the largest eigenvalue
+over the faces and the sign of the smallest, so its refresh
+(:func:`_screened_eigenvalues`) keeps each face's last exactly solved M
+and, by Weyl's inequality, sends to ``eigvalsh`` only the faces whose M
+moved far enough to hold either; both numbers keep the bits of the full
+spectrum.
 
 Compositions and forces are shaped (..., n) and every public per-state
 function is batched over the leading axes; one state is the batch of
@@ -43,6 +51,7 @@ fails a hard check raises for the call.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -249,26 +258,41 @@ def _operator_eigenvalues(x: np.ndarray, inv: np.ndarray, amat=None) -> np.ndarr
     """Real eigenvalues of the diffusion operator per row of ``x`` (..., n),
     from the paper's symmetrization by X^{1/2}; ascending for n >= 3.
 
-    With A_S = X^{-1/2} A X^{1/2} and Q an orthonormal basis of the
-    complement of sqrt(x), the operator's eigenvalues are those of the
-    symmetric definite pencil (G, N): N = -Q^T A_S Q >= delta and
-    G = I + Q^T X^{1/2} A_m X^{1/2} Q for the Margules ``amat`` (G = I on
-    ideal thermo).  At n = 2 both are scalars: with s = x_1 + x_2,
-    N = s / D_12 and G = 1 - 2 a x_1 x_2 / s for a = A_m[0, 1], and the
-    eigenvalue is G / N.  For n >= 3, Q is the first n-1 columns of one
-    Householder reflector H = I - beta v v^T per row, mapping
-    u = sqrt(x)/||sqrt(x)|| to -e_n (v = u + e_n, beta = 1 / (1 + u_n)).
-    For a symmetric S with w = S v, H S H = S - v z^T - z v^T where
-    z = beta w - beta^2 (v^T w) v / 2; for A_S, whose null vector is u,
-    w = A_S e_n and v^T w = -s_n.  Then N = L L^T (Cholesky) and one
-    ``eigvalsh`` of C = L^{-1} G L^{-T}; on ideal thermo, one ``eigvalsh``
-    of N and the reciprocals.  Everything but ``eigvalsh`` runs
-    species-major, (m, m, rows).  Batched; no floor or domain check."""
+    At n = 2 the pencil of :func:`_operator_matrix` is 1x1: with
+    s = x_1 + x_2, N = s / D_12 and G = 1 - 2 a x_1 x_2 / s for
+    a = A_m[0, 1], and the eigenvalue is G / N.  For n >= 3, one
+    ``eigvalsh`` of that function's M: the eigenvalues of C, or on ideal
+    thermo the reciprocals of N's.  Batched; no floor or domain check."""
     n = x.shape[-1]
     if n == 2:
         s = x[..., 0] + x[..., 1]
         g = 1.0 if amat is None else 1.0 - 2.0 * amat[0, 1] * x[..., 0] * x[..., 1] / s
         return (g / (s * inv[0, 1]))[..., None]
+    lam = _eigvalsh(_operator_matrix(x, inv, amat))
+    if amat is None:  # G = I: the eigenvalues are the reciprocals of N's
+        lam = 1.0 / lam[:, ::-1]
+    return lam.reshape(x.shape[:-1] + (n - 1,))
+
+
+def _operator_matrix(x: np.ndarray, inv: np.ndarray, amat=None) -> np.ndarray:
+    """The symmetric M, species-major (m, m, rows) with m = n - 1, whose
+    eigenvalues give the diffusion operator's on each row of ``x`` (..., n),
+    n >= 3: C = L^{-1} G L^{-T} for the Margules ``amat`` (the operator's
+    eigenvalues), N on ideal thermo (their reciprocals).
+
+    With A_S = X^{-1/2} A X^{1/2} and Q an orthonormal basis of the
+    complement of sqrt(x), the operator's eigenvalues are those of the
+    symmetric definite pencil (G, N): N = -Q^T A_S Q >= delta and
+    G = I + Q^T X^{1/2} A_m X^{1/2} Q (G = I on ideal thermo).  Q is the
+    first n-1 columns of one Householder reflector H = I - beta v v^T per
+    row, mapping u = sqrt(x)/||sqrt(x)|| to -e_n (v = u + e_n,
+    beta = 1 / (1 + u_n)).  For a symmetric S with w = S v,
+    H S H = S - v z^T - z v^T where z = beta w - beta^2 (v^T w) v / 2; for
+    A_S, whose null vector is u, w = A_S e_n and v^T w = -s_n.  Then
+    N = L L^T (Cholesky).  Everything runs species-major; C is symmetric
+    up to rounding, and ``eigvalsh`` reads its lower triangle.  No floor or
+    domain check."""
+    n = x.shape[-1]
     m = n - 1
     xs = np.ascontiguousarray(x.reshape(-1, n).T)
     r = np.sqrt(xs)
@@ -282,21 +306,90 @@ def _operator_eigenvalues(x: np.ndarray, inv: np.ndarray, amat=None) -> np.ndarr
     big_n += big_n.swapaxes(0, 1)
     big_n -= rr * inv[:m, :m, None]
     big_n[idx, idx] += s[:m]
-    if amat is None:  # G = I: the eigenvalues are the reciprocals of N's
-        lam = 1.0 / np.linalg.eigvalsh(np.moveaxis(big_n, -1, 0))[:, ::-1]
+    if amat is None:
+        return big_n
+    v = u.copy()
+    v[m] += 1.0
+    w = r * (amat @ (r * v))  # the same update for S = X^{1/2} A_m X^{1/2}
+    y = beta * w[:m] - (0.5 * beta * beta * np.add.reduce(v * w, axis=0)) * v[:m]
+    g = np.multiply(rr, amat[:m, :m, None], out=rr)
+    g -= v[:m, None] * y
+    g -= y[:, None] * v[:m]
+    g[idx, idx] += 1.0
+    lo = _cholesky(big_n)
+    return _forward(lo, _forward(lo, g).swapaxes(0, 1))  # in place of g
+
+
+def _eigvalsh(mat: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues (rows, m) of the species-major symmetric
+    ``mat`` (m, m, rows), from its lower triangle.  LAPACK solves each
+    matrix on its own, so a matrix's eigenvalues have the same bits in any
+    batch."""
+    return np.linalg.eigvalsh(mat.transpose(2, 0, 1))
+
+
+@lru_cache(maxsize=8)
+def _lower_triangle(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row and column indices of the m x m lower triangle, diagonal
+    included, and each entry's weight in the squared Frobenius norm of the
+    symmetric matrix it stands for: 1 on the diagonal, 2 off it."""
+    rows, cols = np.tril_indices(m)
+    weight = np.where(rows == cols, 1.0, 2.0)
+    for a in (rows, cols, weight):
+        a.setflags(write=False)
+    return rows, cols, weight
+
+
+#: The slack, per unit of m^2 ||M||_2, that covers ``eigvalsh``'s own rounding
+#: (backward stable: its eigenvalues are exact for M + E, ||E||_2 <= c m^2 eps ||M||_2)
+#: and the rounding of the Frobenius distance in :func:`_screened_eigenvalues`.
+_EIG_SLACK = 64 * np.finfo(float).eps
+
+
+def _screened_eigenvalues(x: np.ndarray, inv: np.ndarray, amat, anchor):
+    """The operator eigenvalues (k, m) of the k faces of ``x`` (faces, n),
+    n >= 3, that can hold the smallest or the largest over all faces, and the
+    per-face anchor for the next call.  Their minimum and maximum are those
+    of ``_operator_eigenvalues(x, inv, amat)`` bit for bit.
+
+    The anchor is (the lower triangles of M that ``eigvalsh`` last solved,
+    their eigenvalues), ``None`` on the first call, which solves every face;
+    it is updated in place.  On a later call, delta_f = ||M_f - anchor_f||_F
+    bounds ||M_f - anchor_f||_2, so by Weyl's inequality every eigenvalue
+    of M_f lies within delta_f of the anchor's; widened by the slack
+    tau_f >= _EIG_SLACK m^2 (||anchor_f||_2 + ||M_f||_2), that interval also
+    holds what ``eigvalsh`` would return for M_f.  A face whose M_f has the
+    anchor's bits keeps the anchor's eigenvalues, which ``eigvalsh`` would
+    return again.  Any other face is solved unless its interval certifies
+    both verdicts: its smallest eigenvalue is above tau_f (so the sign that
+    ``NotConvex`` reads is positive), and the extreme that sets lambda_max
+    (C's largest, N's smallest) cannot reach the guaranteed bound of the
+    faces whose intervals are nearest it.  The face that sets that bound is
+    solved or kept, and every face with an eigenvalue <= 0 is too."""
+    mat = _operator_matrix(x, inv, amat)
+    m = mat.shape[0]
+    rows, cols, weight = _lower_triangle(m)
+    low = mat[rows, cols]  # (m (m + 1) / 2, faces): what eigvalsh reads
+    if anchor is None:
+        anchor = low, _eigvalsh(mat)
+        keep = slice(None)
     else:
-        v = u.copy()
-        v[m] += 1.0
-        w = r * (amat @ (r * v))  # the same update for S = X^{1/2} A_m X^{1/2}
-        y = beta * w[:m] - (0.5 * beta * beta * np.add.reduce(v * w, axis=0)) * v[:m]
-        g = np.multiply(rr, amat[:m, :m, None], out=rr)
-        g -= v[:m, None] * y
-        g -= y[:, None] * v[:m]
-        g[idx, idx] += 1.0
-        lo = _cholesky(big_n)
-        c = _forward(lo, _forward(lo, g).swapaxes(0, 1))  # in place of g
-        lam = np.linalg.eigvalsh(np.moveaxis(c, -1, 0))
-    return lam.reshape(x.shape[:-1] + (m,))
+        a_low, eig = anchor
+        same = ~np.logical_or.reduce(low.view(np.int64) != a_low.view(np.int64), axis=0)
+        diff = low - a_low
+        delta = np.sqrt(weight @ (diff * diff))
+        lo, hi = eig[:, 0], eig[:, -1]
+        tau = (_EIG_SLACK * m * m) * (2.0 * np.maximum(np.abs(lo), np.abs(hi)) + delta)
+        reach = delta + tau
+        top = -lo if amat is None else hi  # the extreme that sets lambda_max
+        solve = ~same & ((top + reach >= (top - reach).max()) | ~(lo - reach > tau))
+        faces = np.flatnonzero(solve)
+        if faces.size:
+            eig[faces] = _eigvalsh(mat[:, :, faces])
+            a_low[:, faces] = low[:, faces]
+        keep = same | solve
+    eig = anchor[1][keep]
+    return (1.0 / eig if amat is None else eig), anchor
 
 
 def _cholesky(a: np.ndarray) -> np.ndarray:

@@ -25,9 +25,15 @@ thermo).  Each step then calls only unchecked helpers on those arrays: one
 projected solve for all faces (:func:`msdiff.mskernel._fluxes_projected`,
 K = x_f @ T) and Gamma applied to the forces without forming it; on the
 pass's x_f, ``_Kernel.dt_bound`` takes ``diffusion_operator_spectrum``'s
-route to the spectrum (the X^{1/2} pencil).  An all-ones (n, n) matrix
-makes the row sums of c and x_f one product each, which divide without a
-broadcast; per-step reductions call ``np.*.reduce`` directly.
+route to the spectrum (the X^{1/2} pencil).  For n >= 3 the kernel keeps
+an anchor per face, the last matrix it solved exactly, and each refresh
+screens the faces against it by Weyl's inequality
+(:func:`msdiff.mskernel._screened_eigenvalues`): ``eigvalsh`` runs only on
+the faces that can hold the largest eigenvalue or an eigenvalue <= 0, so
+dt and the ``NotConvex`` verdict stay exact, bit for bit.  An all-ones
+(n, n) matrix makes the row sums of c and x_f one product each, which
+divide without a broadcast; per-step reductions call ``np.*.reduce``
+directly.
 """
 from __future__ import annotations
 
@@ -39,7 +45,8 @@ import numpy as np
 from .errors import (IsobaricDrift, MaxStepsExceeded, NonFiniteState, NotConvex,
                      PositivityViolation)
 from .mixture import CLAMP_REL, MixtureSpec, _inverse_diffusivities
-from .mskernel import _fluxes_projected, _operator_eigenvalues, _reduced_tensor
+from .mskernel import (_fluxes_projected, _operator_eigenvalues, _reduced_tensor,
+                       _screened_eigenvalues)
 from .thermo import IDEAL, ThermoModel, _gamma_dot, _ln_gamma_x, floor_composition
 
 #: Relative tolerance on per-cell total-concentration uniformity.
@@ -77,6 +84,8 @@ class Grid1D:
             raise ValueError(f"need >= 2 cells, got {self.ncells}")
         if not 0 < self.length < np.inf:
             raise ValueError(f"domain length must be positive and finite: {self.length!r}")
+        if not self.h >= np.finfo(float).tiny:  # h = 0 would divide by zero
+            raise ValueError(f"cell width length / ncells = {self.h!r} is zero or subnormal")
 
     @property
     def h(self) -> float:
@@ -173,8 +182,13 @@ class ReactionNetwork:
         if c.shape[-1:] != self._orders.shape[1:]:
             raise ValueError(f"c has {c.shape[-1] if c.ndim else 0} species, "
                              f"reaction network has {self.nspecies} species")
-        rate = self._k * np.prod(np.power(c[..., None, :], self._orders), axis=-1)
-        return np.add.reduce(rate[..., None] * self._net, axis=-2, initial=0.0)
+        # species-major (n, reactions, rows): each reduction runs over axis 0,
+        # in its sequential order
+        cs = c.reshape(-1, c.shape[-1]).T[:, None]
+        rate = self._k[:, None] * np.multiply.reduce(np.power(cs, self._orders.T[:, :, None]),
+                                                     axis=0)
+        return np.add.reduce(rate[:, :, None] * self._net[:, None], axis=0,
+                             initial=0.0).reshape(c.shape)
 
 
 NO_REACTIONS = ReactionNetwork(reactions=())
@@ -249,6 +263,7 @@ class _Kernel:
         self.t = _reduced_tensor(self.inv)
         # None on the ideal path, where Gamma = I is skipped
         self.amat = (model or IDEAL).interactions(spec.n)
+        self.anchor = None  # n >= 3: the faces' last exact spectra (_screened_eigenvalues)
 
     def __call__(self, c: np.ndarray) -> _State:
         """Face compositions are floored arithmetic means, shared by the flux
@@ -278,8 +293,14 @@ class _Kernel:
 
     def dt_bound(self, st: _State) -> float:
         """cfl * h^2 / (2 lambda_max) from the spectrum at the faces of ``st``,
-        capped so reactions change no concentration by more than 10% per step."""
-        lam = _operator_eigenvalues(st.xf, self.inv, self.amat)
+        capped so reactions change no concentration by more than 10% per step.
+        For n >= 3 the spectrum is screened: ``eigvalsh`` runs only on the
+        faces that can hold its smallest or largest eigenvalue, and lambda_max
+        and the ``NotConvex`` verdict keep the bits of the full spectrum."""
+        if st.xf.shape[1] == 2:
+            lam = _operator_eigenvalues(st.xf, self.inv, self.amat)
+        else:
+            lam, self.anchor = _screened_eigenvalues(st.xf, self.inv, self.amat, self.anchor)
         lam_min = float(lam.min())
         if lam_min <= 0:
             raise NotConvex(f"diffusion operator eigenvalue {lam_min!r} <= 0 at a face")

@@ -621,6 +621,21 @@ class TestSimulateCommand:
                        "(overflow or an invalid operation)\n")
         assert list((tmp_path / "out").iterdir()) == []
 
+    @pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
+    @pytest.mark.parametrize("section, key, value, err", [
+        ("grid", "length", 5e-324, "grid: cell width length / ncells = 0.0 is zero or subnormal"),
+        ("initial", "x_left", [float("inf"), 0.3], "initial: x_left must be finite"),
+    ])
+    def test_degenerate_grid_or_profile_exits_2(self, tmp_path, capsys, section, key,
+                                                value, err):
+        cfg = json.loads(json.dumps(SIM))
+        cfg[section][key] = value
+        code, stdout = _run(["simulate", "--config", _write(tmp_path, cfg),
+                             "--out", str(tmp_path / "out")])
+        assert (code, stdout) == (EXIT_CONFIG, "")
+        assert capsys.readouterr().err == f"config error: {err}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_infinite_amat_exits_2(self, tmp_path, capsys):
         cfg = json.loads(json.dumps(SIM))
         cfg["thermo"] = {"model": "margules", "amat": [[0.0, "INF"], ["INF", 0.0]]}

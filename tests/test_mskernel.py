@@ -570,10 +570,13 @@ def test_spectrum_accurate_on_floored_faces(n, thermo):
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 @pytest.mark.parametrize("thermo", ["ideal", "margules"])
 def test_kernel_refresh_spectrum_is_the_public_spectrum(monkeypatch, n, thermo):
-    """The step kernel's refresh spectrum and ``diffusion_operator_spectrum``
-    take one route: on the kernel's own face compositions (interior and
-    floored) they agree bit for bit once each face's eigenvalues are sorted.
-    ``dt_bound`` takes that spectrum of the pass's x_f; the pass takes none."""
+    """The step kernel's refresh and ``diffusion_operator_spectrum`` take one
+    route on the kernel's own face compositions (interior and floored): at
+    n = 2 the closed form, whose values agree bit for bit; for n >= 3 one
+    matrix M per face (``_operator_matrix``), the same bits on both routes,
+    whose ``eigvalsh`` is the public spectrum bit for bit once each face's
+    eigenvalues are sorted.  ``dt_bound`` takes the pass's x_f; the pass
+    takes no spectrum."""
     rng = np.random.default_rng(600 + 10 * n + (thermo == "margules"))
     dmat = _sym(rng.uniform(0.1, 10.0, n * (n - 1) // 2), n)
     model = IDEAL
@@ -586,21 +589,107 @@ def test_kernel_refresh_spectrum_is_the_public_spectrum(monkeypatch, n, thermo):
     fld = Field(c=c, grid=Grid1D(ncells=len(c), length=1.0))
     spec = MixtureSpec(names=tuple(f"S{i}" for i in range(n)), dmat=dmat)
     seen = []
+    route, module = ((mskernel._operator_eigenvalues, msdiff.solver) if n == 2
+                     else (mskernel._operator_matrix, mskernel))
 
     def spy(x, *args):
-        seen.append((x, mskernel._operator_eigenvalues(x, *args)))
+        seen.append((x, route(x, *args).copy()))
         return seen[-1][1]
 
-    monkeypatch.setattr(msdiff.solver, "_operator_eigenvalues", spy)
+    monkeypatch.setattr(module, route.__name__, spy)
     kernel = _Kernel(spec, model, fld)
     st = kernel(fld.c)
     assert seen == []
     kernel.dt_bound(st)
-    ((xf, lam),) = seen
-    assert xf is st.xf
-    assert np.any(xf == X_FLOOR) and lam.shape == (len(c) - 1, n - 1)
+    ((xf, got),) = seen
+    assert xf is st.xf and np.any(xf == X_FLOOR)
     w = diffusion_operator_spectrum(xf, dmat, model, require_convex=False)
+    if n == 2:
+        assert got.shape == (len(c) - 1, 1) and np.array_equal(got, w)
+        return
+    ((_, public),) = seen[1:]
+    assert got.shape == (n - 1, n - 1, len(c) - 1) and np.array_equal(got, public)
+    lam = np.linalg.eigvalsh(np.moveaxis(got, -1, 0))
+    if thermo == "ideal":
+        lam = 1.0 / lam
     assert np.array_equal(np.sort(lam, axis=-1), np.sort(w, axis=-1))
+
+
+def _warm_cold_states(rng, n, thermo):
+    """The compositions (cells, n) of a sequence of states for one kernel:
+    a step profile whose plateaus (faces with equal M) frame cells with
+    absent species (floored faces), then perturbations of a few cells or of
+    all, from 1e-14 to 3e-1 relative.  On "spinodal" thermo the sequence then
+    moves the middle cells into the A_01 pair's spinodal in small steps, so
+    that a face loses convexity while its largest eigenvalue stays below the
+    maximum, and back out."""
+    x = np.repeat(rng.dirichlet(np.ones(n), size=2) * 0.9 + 0.1 / n, [10, 12], axis=0)
+    x[9:13] = rng.dirichlet(np.ones(n), size=4)
+    x[9:13][np.arange(4), rng.integers(0, 2 if thermo == "spinodal" else n, 4)] = 0.0
+    if thermo == "spinodal":
+        x[:, :2] *= 0.1
+    states = [x]
+    for k, scale in enumerate([1e-14, 1e-10, 1e-6, 0.0, 1e-3, 1e-8, 3e-1, 1e-12, 1e-4]):
+        cells = rng.random(len(x)) < (0.3 if k % 2 else 1.0)
+        x = x.copy()
+        x[cells] *= 1.0 + scale * rng.uniform(-1.0, 1.0, (cells.sum(), n))
+        states.append(x)
+    if thermo == "spinodal":  # in steps of 0.01 across the spinodal, then back
+        for p in np.linspace(0.3, 0.45, 16):
+            inside = x.copy()
+            inside[8:14] = (1.0 - 2.0 * p) / (n - 2)
+            inside[8:14, :2] = p
+            states.append(inside)
+        states.append(x)
+    return [x / x.sum(axis=1, keepdims=True) for x in states]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("thermo", ["ideal", "margules", "spinodal"])
+def test_screened_refresh_is_the_full_refresh(monkeypatch, n, thermo):
+    """A warm kernel screens each refresh against its anchors, a cold one
+    solves every face: on every state of a sequence their ``dt_bound`` has
+    the same bits, and so has cfl h^2 / (2 max) of ``diffusion_operator_spectrum``;
+    where one raises ``NotConvex`` (spinodal thermo: |A_01| = 3, the rest
+    |A_ij| <= 0.3), so does the other, with the same message.  The warm
+    kernel sends fewer faces to ``eigvalsh`` than there are."""
+    rng = np.random.default_rng(700 + 10 * n + len(thermo))
+    dmat = _sym(rng.uniform(0.1, 10.0, n * (n - 1) // 2), n)
+    model = IDEAL
+    if thermo != "ideal":
+        amat = _sym(rng.uniform(-0.3, 0.3, n * (n - 1) // 2), n)
+        if thermo == "spinodal":
+            amat[0, 1] = amat[1, 0] = 3.0
+        model = ThermoModel.margules(amat)
+    spec = MixtureSpec(names=tuple(f"S{i}" for i in range(n)), dmat=dmat)
+    states = _warm_cold_states(rng, n, thermo)
+    grid = Grid1D(ncells=len(states[0]), length=1.0)
+    warm = _Kernel(spec, model, Field(c=states[0], grid=grid))
+    solved = []
+    eigvalsh = mskernel._eigvalsh
+    monkeypatch.setattr(mskernel, "_eigvalsh",
+                        lambda mat: solved.append(mat.shape[-1]) or eigvalsh(mat))
+    verdicts, warm_solved = [], []
+    for x in states:
+        got = []
+        for kernel in (warm, _Kernel(spec, model, Field(c=x, grid=grid))):
+            st = kernel(x)
+            solved.clear()
+            try:
+                got.append(kernel.dt_bound(st))
+            except NotConvex as exc:
+                got.append(str(exc))
+            if kernel is warm:
+                warm_solved.append(sum(solved))
+        assert type(got[0]) is type(got[1]) and got[0] == got[1]
+        lam = diffusion_operator_spectrum(st.xf, dmat, model, require_convex=False)
+        if isinstance(got[0], str):
+            assert got[0] == f"diffusion operator eigenvalue {float(lam.min())!r} <= 0 at a face"
+        else:
+            assert got[0] == warm.cfl_safety * warm.h * warm.h / (2.0 * float(lam.max()))
+        verdicts.append(isinstance(got[0], str))
+    assert verdicts[-1] is False and any(verdicts) is (thermo == "spinodal")
+    assert warm_solved[0] == len(states[0]) - 1 and min(warm_solved[1:]) < len(states[0]) - 1
 
 
 class TestReducedElimination:

@@ -87,8 +87,10 @@ class TestGridAndField:
         fld = _binary_step_field(ncells=10)
         assert type(Field(c=fld.c, grid=fld.grid, time=time).time) is float
 
-    @pytest.mark.parametrize("length", [np.nan, np.inf, 0.0])
+    @pytest.mark.parametrize("length", [np.nan, np.inf, 0.0, 5e-324, 4e-308])
     def test_grid_rejects_bad_length(self, length):
+        # 5e-324 / 4 is 0 and 4e-308 / 4 subnormal: a cell width that divides
+        # by zero or loses its digits
         with pytest.raises(ValueError):
             Grid1D(ncells=4, length=length)
 
@@ -449,6 +451,30 @@ def test_rates_match_per_reaction_loop_bit_for_bit(problem):
     assert np.array_equal(np.signbit(f), np.signbit(ref))  # -0.0 too
 
 
+@pytest.mark.parametrize("batch", [(100,), (4, 25), (2, 3, 5)])
+def test_rates_match_per_reaction_loop_on_run_sized_batches(batch):
+    """``ReactionNetwork.rates`` reduces species-major over axis 0; on batches
+    the size of a run's cells it gives the per-reaction loop's bits too,
+    signed zeros included: 70 draws of n = 2..6 species and 1..12 reactions,
+    with rate constants and concentrations exactly 0 or from 1e-300 to 1e5."""
+    rng = np.random.default_rng(410 + len(batch))
+
+    def magnitudes(size):
+        return np.where(rng.random(size) < 0.2, 0.0, 10.0 ** rng.uniform(-300, 5, size))
+
+    for _ in range(70):
+        n = rng.integers(2, 7)
+        reactions = []
+        for _ in range(rng.integers(1, 13)):
+            r = rng.integers(0, 4, n).astype(float)
+            reactions.append(Reaction(reactants=r, products=rng.permutation(r),
+                                      rate_constant=magnitudes(()).item()))
+        net, c = ReactionNetwork(reactions=tuple(reactions)), magnitudes(batch + (n,))
+        f, ref = net.rates(c), _reference_rates(net, c)
+        assert f.shape == c.shape and np.array_equal(f, ref)
+        assert np.array_equal(np.signbit(f), np.signbit(ref))
+
+
 def _operator_reduced(k, g):
     """M = -K^{-1} G from K = P^T A P and G = P^T Gamma P, batched; one
     solve per column of G."""
@@ -605,8 +631,8 @@ def test_kernel_step_count_matches_reference_at_n6(monkeypatch):
     got = run()
     kernel = _Kernel(spec, model, fld)
     monkeypatch.setattr(_Kernel, "__call__", _reference_call)
-    monkeypatch.setattr(msdiff.solver, "_operator_eigenvalues",
-                        lambda xf, *_: _reference_spectrum(kernel, xf))
+    monkeypatch.setattr(msdiff.solver, "_screened_eigenvalues",
+                        lambda xf, *_: (_reference_spectrum(kernel, xf), None))
     monkeypatch.setattr(msdiff.solver, "_advance", _reference_advance)
     ref = run()
     assert steps[0] == steps[1] > 10 * DT_REFRESH_STEPS
