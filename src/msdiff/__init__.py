@@ -12,7 +12,7 @@ from .mskernel import (SpectrumReport, assemble_A, assemble_A_sym, assemble_B,
                        solve_fluxes_reduced, spectral_gap_delta, spectrum)
 from .solver import (Checkpoint, Field, Grid1D, NO_REACTIONS, Reaction,
                      ReactionNetwork, SimConfig, Trajectory, face_fluxes,
-                     simulate, stable_dt, step)
+                     simulate, stable_dt)
 from .thermo import (IDEAL, ThermoModel, chemical_potentials, convexity_check,
                      driving_force, gamma_matrix, gibbs_density,
                      ln_activity_coeffs)

@@ -178,7 +178,8 @@ def _as_d(d) -> np.ndarray:
 def solve_fluxes_invariant(comp: Composition, dmat, d) -> FluxSet:
     """Fluxes from A J = c_tot d, solved on the zero-sum subspace.
 
-    Verifies each row's residual of the singular system before returning.
+    Verifies each row's residual of the singular system before returning;
+    a row whose J or residual scale overflows fails the check too.
     """
     dv = _as_d(d)
     x = floor_composition(comp.x)
@@ -186,12 +187,13 @@ def solve_fluxes_invariant(comp: Composition, dmat, d) -> FluxSet:
     _check_species(inv, x=x, d=dv)
     a = _assemble_A(x, inv)  # for the residual check
     c_tot = np.asarray(comp.c_tot)
-    rhs = c_tot[..., None] * dv  # the composition's batch, broadcast with the forces'
-    j = _fluxes_projected(np.broadcast_to(x, rhs.shape), rhs, _reduced_tensor(inv))
-    resid = np.linalg.norm((a @ j[..., None])[..., 0] - rhs, axis=-1)
-    scale = (np.linalg.norm(a, axis=(-2, -1)) * np.linalg.norm(j, axis=-1)
-             + c_tot * np.linalg.norm(dv, axis=-1))
-    bad = ~((scale == 0) | (resid <= 1e-10 * scale))  # NaN fails too
+    with np.errstate(over="ignore", invalid="ignore"):  # the residual check rejects them
+        rhs = c_tot[..., None] * dv  # the composition's batch, broadcast with the forces'
+        j = _fluxes_projected(np.broadcast_to(x, rhs.shape), rhs, _reduced_tensor(inv))
+        resid = np.linalg.norm((a @ j[..., None])[..., 0] - rhs, axis=-1)
+        scale = (np.linalg.norm(a, axis=(-2, -1)) * np.linalg.norm(j, axis=-1)
+                 + c_tot * np.linalg.norm(dv, axis=-1))
+    bad = ~((scale < np.inf) & ((scale == 0) | (resid <= 1e-10 * scale)))  # NaN fails too
     if np.any(bad):
         k = _first_true(bad)
         raise SingularSystem(f"projected solve residual {resid[k].item()!r} "
@@ -202,18 +204,23 @@ def solve_fluxes_invariant(comp: Composition, dmat, d) -> FluxSet:
 def solve_fluxes_reduced(comp: Composition, dmat, d) -> FluxSet:
     """Fluxes from the reduced system B J' = -c_tot d' by Gaussian
     elimination with partial pivoting, per row; the last flux closes the
-    zero sum.  A pivot below 1e-14 ||B|| in any row raises
-    ``SingularSystem``."""
+    zero sum.  A pivot below 1e-14 ||B|| in any row, or a flux that
+    overflows, raises ``SingularSystem``."""
     dv = _as_d(d)
     b = assemble_B(comp.x, dmat)
     _check_species(_inverse_diffusivities(dmat), d=dv)
-    rhs = -np.asarray(comp.c_tot)[..., None] * dv[..., :-1]
-    b = np.broadcast_to(b, rhs.shape[:-1] + b.shape[-2:])
-    with np.errstate(divide="ignore", invalid="ignore"):  # the pivot check rejects them
+    # the pivot and finiteness checks below reject a zero pivot or an overflow
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        rhs = -np.asarray(comp.c_tot)[..., None] * dv[..., :-1]
+        b = np.broadcast_to(b, rhs.shape[:-1] + b.shape[-2:])
         jr, pivots = _eliminate(b, rhs)
+        j = np.concatenate([jr, -jr.sum(axis=-1, keepdims=True)], axis=-1)
     if np.any(np.abs(pivots) < 1e-14 * np.linalg.norm(b, axis=(-2, -1))[..., None]):
         raise SingularSystem("vanishing pivot in the reduced-system elimination")
-    return FluxSet(J=np.concatenate([jr, -jr.sum(axis=-1, keepdims=True)], axis=-1))
+    if not np.isfinite(j).all():
+        raise SingularSystem(f"reduced-system flux {j[_first_true(~np.isfinite(j))].item()!r}"
+                             " (overflow or an invalid operation)")
+    return FluxSet(J=j)
 
 
 def _eliminate(b: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -5,19 +5,22 @@ The species equations dc/dt + div J = r are discretized on a uniform
 grid; fluxes at interior faces come from the flux-force inversion in
 :mod:`msdiff.mskernel` evaluated at arithmetic-mean face compositions,
 and time stepping is explicit Euler with an adaptive step bounded by the
-spectral radius of the effective diffusion operator.  ``simulate`` alone
-owns the schedule of dt refreshes and checkpoints (see its docstring).
+spectral radius of the effective diffusion operator.  ``simulate`` is the
+one runner: it alone advances a state, and it owns the schedule of dt
+refreshes and checkpoints (see its docstring).  ``face_fluxes`` (J) and
+``stable_dt`` (the dt bound) are one-state queries over one kernel pass.
 
 Inputs are validated on construction (``Grid1D``, ``Field``, ``Reaction``,
 ``ReactionNetwork``, ``SimConfig``) and by the kernel set-up (the species
 counts of the field and a nonempty network, and ``cfl_safety`` in (0, 1])
-at every entry point.  The kernel owns a run's inputs; each step is one
-kernel pass over plain arrays that evaluates the reaction rates once, and
-a checkpoint keeps the array the kernel has just checked and reads V and W
-from the kernel's state (its mu and dissipation).  Exact zeros go
-through ``thermo.floor_composition``.  A non-finite rate, or a step that
-leaves a NaN or -inf in the state, raises ``NonFiniteState`` without
-numpy warnings; per-cell totals that drift apart raise ``IsobaricDrift``.
+at each of the three entry points.  The kernel owns a run's inputs; each
+step is one kernel pass over plain arrays that evaluates the reaction
+rates once, and a checkpoint keeps the array the kernel has just checked
+and reads V and W from the kernel's state (its mu and dissipation).  Exact
+zeros go through ``thermo.floor_composition``.  A non-finite rate or flux,
+or a step that leaves a NaN or -inf in the state, raises ``NonFiniteState``
+without numpy warnings; per-cell totals that drift apart raise
+``IsobaricDrift``.
 
 The kernel's set-up resolves a run's coefficients once: 1/D, the tensor T
 of the reduced flux-force matrices and the Margules A (``None`` on ideal
@@ -55,7 +58,7 @@ ISOBARIC_TOL = 1e-8
 #: The dt bound is recomputed every this many steps.
 DT_REFRESH_STEPS = 10
 
-#: The numpy guard of simulate, step and stable_dt: NonFiniteState reports overflow.
+#: The numpy guard of simulate, stable_dt and face_fluxes: NonFiniteState reports overflow.
 _fail_closed = np.errstate(over="ignore", invalid="ignore")
 
 
@@ -86,6 +89,9 @@ class Grid1D:
             raise ValueError(f"domain length must be positive and finite: {self.length!r}")
         if not self.h >= np.finfo(float).tiny:  # h = 0 would divide by zero
             raise ValueError(f"cell width length / ncells = {self.h!r} is zero or subnormal")
+        if not self.h * self.h >= np.finfo(float).tiny:  # dt ~ h^2 would not advance t
+            raise ValueError(f"cell width length / ncells = {self.h!r} has a square "
+                             "that is zero or subnormal")
 
     @property
     def h(self) -> float:
@@ -114,9 +120,13 @@ class Field:
         if not np.all((c >= 0) & (c < np.inf)):
             raise ValueError("concentrations must be finite and nonnegative")
         with np.errstate(over="ignore", invalid="ignore"):
-            c_tot = _uniform_total(c @ np.ones((c.shape[1], 1)))
-        if c_tot is None:
-            raise ValueError("per-cell total concentration must be positive and uniform")
+            totals = c @ np.ones((c.shape[1], 1))
+            if _uniform_total(totals) is None:
+                rule = "positive and uniform"
+                if np.add.reduce(totals, axis=None) < np.inf:
+                    raise ValueError(f"per-cell total concentration must be {rule}")
+                raise ValueError(f"the per-cell total concentrations sum to inf over "
+                                 f"{c.shape[0]} cells: they must be {rule}, with a finite sum")
         c.setflags(write=False)
         object.__setattr__(self, "c", c)
 
@@ -312,11 +322,18 @@ class _Kernel:
         return dt
 
 
+@_fail_closed
 def face_fluxes(field: Field, spec: MixtureSpec,
                 model: ThermoModel | None = None) -> np.ndarray:
     """Fluxes at all ncells+1 faces; the two boundary faces carry zero
-    flux (Neumann walls)."""
-    return _Kernel(spec, model, field)(field.c).jf
+    flux (Neumann walls).  A flux that overflows, or an invalid operation,
+    raises ``NonFiniteState``."""
+    jf = _Kernel(spec, model, field)(field.c).jf
+    if not np.isfinite(jf).all():
+        face, sp = np.unravel_index(np.argmin(np.isfinite(jf)), jf.shape)
+        raise NonFiniteState(f"flux J[{face},{sp}] = {float(jf[face, sp])!r} at "
+                             f"t = {field.time!r} (overflow or an invalid operation)")
+    return jf
 
 
 @_fail_closed
@@ -333,25 +350,6 @@ def stable_dt(field: Field, spec: MixtureSpec, model: ThermoModel | None = None,
     """
     kernel = _Kernel(spec, model, field, reactions, cfl_safety)
     return kernel.dt_bound(kernel(field.c))
-
-
-@_fail_closed
-def step(field: Field, spec: MixtureSpec, model: ThermoModel | None = None,
-         reactions: ReactionNetwork = NO_REACTIONS, *, dt: float) -> Field:
-    """One explicit Euler update c += dt (div-free flux balance + r(c)),
-    with 0 < dt < inf (``ValueError`` otherwise).
-
-    Per-cell totals are preserved exactly up to roundoff because fluxes
-    sum to zero over species and reactions conserve moles.  Negatives
-    beyond the noise threshold raise ``PositivityViolation``; tiny ones
-    are clamped to zero.  A non-finite rate or state raises
-    ``NonFiniteState``.
-    """
-    if not 0 < dt < np.inf:
-        raise ValueError(f"dt must be positive and finite, got {dt!r}")
-    kernel = _Kernel(spec, model, field, reactions)
-    cn = _advance(kernel(field.c), dt, field.time, kernel.h)
-    return Field(c=cn, grid=field.grid, time=field.time + dt)
 
 
 def _advance(st: _State, dt: float, t: float, h: float) -> np.ndarray:

@@ -420,6 +420,19 @@ class TestFluxesCommand:
         assert _run(["fluxes", "--config", _write(tmp_path, cfg)]) == (EXIT_CONFIG, "")
         assert capsys.readouterr().err == err
 
+    @pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
+    @pytest.mark.parametrize("path, err", [
+        ("binary_ideal.json", "projected solve residual 0.0 (scale inf)"),
+        ("ternary_equal_d.json", "projected solve residual nan (scale nan)"),
+    ], ids=["binary_ideal", "ternary_equal_d"])
+    def test_overflowing_fluxes_exit_6(self, tmp_path, capsys, path, err):
+        """At c_tot = 1e308 the binary's ||J|| overflows, which made the residual
+        scale inf and passed any residual; the ternary's solve overflows."""
+        cfg = json.loads((CONFIGS / path).read_text())
+        cfg["composition"]["c_tot"] = 1e308
+        assert _run(["fluxes", "--config", _write(tmp_path, cfg)]) == (EXIT_NUMERICAL, "")
+        assert capsys.readouterr().err == f"numerical failure: {err}\n"
+
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_flux_routes_batch_is_its_rows(self, n):
         rng = np.random.default_rng(n)
@@ -625,6 +638,11 @@ class TestSimulateCommand:
     @pytest.mark.parametrize("section, key, value, err", [
         ("grid", "length", 5e-324, "grid: cell width length / ncells = 0.0 is zero or subnormal"),
         ("initial", "x_left", [float("inf"), 0.3], "initial: x_left must be finite"),
+        ("grid", "length", 1e-200, "grid: cell width length / ncells = 6.25e-202 has a square "
+                                   "that is zero or subnormal"),
+        ("initial", "c_tot", 1.2e307, "initial: the per-cell total concentrations sum to inf "
+                                      "over 16 cells: they must be positive and uniform, with a "
+                                      "finite sum"),
     ])
     def test_degenerate_grid_or_profile_exits_2(self, tmp_path, capsys, section, key,
                                                 value, err):

@@ -14,7 +14,7 @@ from msdiff import (Composition, Field, Grid1D, IDEAL, MixtureSpec, NO_REACTIONS
                     Reaction, ReactionNetwork, SimConfig, ThermoModel,
                     chemical_potentials, diffusion_operator_spectrum,
                     driving_force, face_fluxes, gibbs_density, simulate,
-                    solve_fluxes_invariant, stable_dt, step)
+                    solve_fluxes_invariant, stable_dt)
 from msdiff.errors import (IsobaricDrift, MaxStepsExceeded, MsDiffError,
                            NonFiniteState, NotConvex, PositivityViolation)
 from msdiff.mixture import CLAMP_REL, _inverse_diffusivities, simplex_basis
@@ -87,10 +87,11 @@ class TestGridAndField:
         fld = _binary_step_field(ncells=10)
         assert type(Field(c=fld.c, grid=fld.grid, time=time).time) is float
 
-    @pytest.mark.parametrize("length", [np.nan, np.inf, 0.0, 5e-324, 4e-308])
+    @pytest.mark.parametrize("length", [np.nan, np.inf, 0.0, 5e-324, 4e-308, 1e-200])
     def test_grid_rejects_bad_length(self, length):
         # 5e-324 / 4 is 0 and 4e-308 / 4 subnormal: a cell width that divides
-        # by zero or loses its digits
+        # by zero or loses its digits; (1e-200 / 4)^2 underflows to 0, so
+        # dt ~ h^2 could not advance t
         with pytest.raises(ValueError):
             Grid1D(ncells=4, length=length)
 
@@ -191,6 +192,18 @@ class TestFaceFluxes:
                            dmat=[[0, 1, 2], [1, 0, 3], [2, 3, 0]])
         assert np.max(np.abs(face_fluxes(fld, spec))) < 1e-14
 
+    @pytest.mark.filterwarnings("error")  # the entry raises; numpy need not warn
+    @pytest.mark.parametrize("entry", [face_fluxes, msdiff.verify.detect_uphill],
+                             ids=["face_fluxes", "detect_uphill"])
+    def test_overflowing_flux_raises_non_finite_state(self, entry):
+        """c_tot dx/h = 1e300 * 0.8 / 1e-150 overflows at the middle face:
+        face_fluxes returned [inf, -inf] there, and detect_uphill []."""
+        c = 1e300 * np.array([[0.9, 0.1], [0.9, 0.1], [0.1, 0.9], [0.1, 0.9]])
+        fld = Field(c=c, grid=Grid1D(ncells=4, length=4e-150))
+        with pytest.raises(NonFiniteState, match=re.escape(
+                "flux J[2,0] = inf at t = 0.0 (overflow or an invalid operation)")):
+            entry(fld, BINARY)
+
 
 class TestStableDt:
     def test_ideal_equal_diffusivity_bound(self):
@@ -237,11 +250,15 @@ class TestStableDt:
 
 
 class TestStep:
+    """One explicit Euler step is one kernel pass and ``_advance``, as in
+    ``simulate``'s loop; a kernel holds no state, so one serves every step."""
+
     def test_uniform_is_fixed_point(self):
         grid = Grid1D(ncells=6, length=1.0)
         fld = Field(c=np.tile([0.8, 1.2], (6, 1)), grid=grid)
-        nxt = step(fld, BINARY, dt=1e-3)
-        np.testing.assert_allclose(nxt.c, fld.c, atol=1e-15)
+        kernel = _Kernel(BINARY, None, fld)
+        c = _advance(kernel(fld.c), 1e-3, 0.0, kernel.h)
+        np.testing.assert_allclose(c, fld.c, atol=1e-15)
 
     def test_mass_and_total_conserved(self):
         rng = np.random.default_rng(89)
@@ -250,28 +267,30 @@ class TestStep:
         x = rng.dirichlet(np.ones(3), size=20)
         fld = Field(c=1.5 * x, grid=grid)
         dt = stable_dt(fld, spec)
-        for _ in range(25):
-            nxt = step(fld, spec, dt=dt)
-            np.testing.assert_allclose(nxt.c.sum(axis=0), fld.c.sum(axis=0),
-                                       rtol=1e-13)
-            np.testing.assert_allclose(nxt.c.sum(axis=1), 1.5, rtol=1e-12)
-            fld = nxt
+        kernel, c = _Kernel(spec, None, fld), fld.c
+        for k in range(25):
+            nxt = _advance(kernel(c), dt, k * dt, kernel.h)
+            np.testing.assert_allclose(nxt.sum(axis=0), c.sum(axis=0), rtol=1e-13)
+            np.testing.assert_allclose(nxt.sum(axis=1), 1.5, rtol=1e-12)
+            c = nxt
 
     def test_step_relaxes_toward_mean(self):
         fld = _binary_step_field(ncells=10)
         dt = stable_dt(fld, BINARY)
-        for _ in range(200):
-            fld = step(fld, BINARY, dt=dt)
-        spread = fld.c[:, 0].max() - fld.c[:, 0].min()
+        kernel, c = _Kernel(BINARY, None, fld), fld.c
+        for k in range(200):
+            c = _advance(kernel(c), dt, k * dt, kernel.h)
+        spread = c[:, 0].max() - c[:, 0].min()
         assert spread < 0.4 * 0.8  # initial spread was 0.4
 
     def test_oversized_step_breaks_positivity(self):
         fld = _binary_step_field(ncells=10, left=(0.999, 0.001),
                                  right=(0.001, 0.999))
         dt = 200 * stable_dt(fld, BINARY)
+        kernel = _Kernel(BINARY, None, fld)
         with pytest.raises(PositivityViolation, match=r"^c\[\d+,\d+\] = -[0-9.e+-]+ at "
                                                       r"t = [0-9.e+-]+ \(CFL or model breach\)$"):
-            step(fld, BINARY, dt=dt)
+            _advance(kernel(fld.c), dt, 0.0, kernel.h)
 
 
     @pytest.mark.parametrize("bad, first", [(np.nan, "c[1,0] = nan"),
@@ -296,16 +315,6 @@ class TestStep:
         with pytest.raises(IsobaricDrift, match="ISOBARIC_TOL"):
             kernel(c)
         assert issubclass(IsobaricDrift, MsDiffError) and not issubclass(IsobaricDrift, ValueError)
-
-    @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("kwargs, error", [
-        ({"dt": -1e-3}, ValueError), ({"dt": 0.0}, ValueError), ({"dt": np.nan}, ValueError),
-        ({"dt": np.inf}, ValueError), ({}, TypeError)],
-        ids=["negative", "zero", "nan", "inf", "missing"])
-    def test_bad_dt_rejected(self, kwargs, error):
-        """No backwards or zero step, no default dt, and no numpy warning."""
-        with pytest.raises(error, match="dt"):
-            step(_binary_step_field(ncells=6), BINARY, **kwargs)
 
 
 def _sym(off, n):
@@ -400,12 +409,13 @@ def step_problems(draw):
 def test_single_step_conserves_totals_and_masses(problem):
     field, spec, model, reactions = problem
     dt = 0.5 * stable_dt(field, spec, model, reactions)
-    new = step(field, spec, model, reactions, dt=dt)
-    cells0, cells1 = field.c.sum(axis=1), new.c.sum(axis=1)
+    kernel = _Kernel(spec, model, field, reactions)
+    new = _advance(kernel(field.c), dt, field.time, kernel.h)
+    cells0, cells1 = field.c.sum(axis=1), new.sum(axis=1)
     assert np.all(np.abs(cells1 - cells0) <= 1e-12 * cells0)
-    assert abs(new.c.sum() - field.c.sum()) <= 1e-12 * field.c.sum()
+    assert abs(new.sum() - field.c.sum()) <= 1e-12 * field.c.sum()
     if not reactions.reactions:
-        mass0, mass1 = field.c.sum(axis=0), new.c.sum(axis=0)
+        mass0, mass1 = field.c.sum(axis=0), new.sum(axis=0)
         assert np.all(np.abs(mass1 - mass0) <= 1e-12 * mass0)
 
 
@@ -661,8 +671,7 @@ class TestReactions:
     @pytest.mark.parametrize("entry", [
         lambda fld, net: simulate(fld, BINARY, reactions=net, config=SimConfig(t_end=0.01)),
         lambda fld, net: stable_dt(fld, BINARY, reactions=net),
-        lambda fld, net: step(fld, BINARY, reactions=net, dt=1e-5),
-    ], ids=["simulate", "stable_dt", "step"])
+    ], ids=["simulate", "stable_dt"])
     def test_network_species_count_checked_at_entry(self, entry):
         net = ReactionNetwork(reactions=(Reaction([1, 0, 0], [0, 1, 0], 1.0),))
         with pytest.raises(ValueError, match=re.escape(
@@ -672,8 +681,8 @@ class TestReactions:
     @pytest.mark.filterwarnings("error")  # the entry raises; numpy need not warn
     @pytest.mark.parametrize("entry", [
         lambda fld, spec, net: stable_dt(fld, spec, reactions=net),
-        lambda fld, spec, net: step(fld, spec, reactions=net, dt=1e-3),
-    ], ids=["stable_dt", "step"])
+        lambda fld, spec, net: simulate(fld, spec, reactions=net, config=SimConfig(t_end=1e-3)),
+    ], ids=["stable_dt", "simulate"])
     @pytest.mark.parametrize("reactants, products, first", [
         ([2, 0], [0, 2], "f[0,0] = -inf"),           # the rate overflows
         ([0, 2, 0], [0, 0, 2], "f[0,0] = nan"),      # inf times a zero net coefficient
@@ -961,8 +970,7 @@ class TestSimulate:
         lambda fld, spec: simulate(fld, spec, config=SimConfig(t_end=0.01)),
         lambda fld, spec: face_fluxes(fld, spec),
         lambda fld, spec: stable_dt(fld, spec),
-        lambda fld, spec: step(fld, spec, dt=1e-5),
-    ], ids=["simulate", "face_fluxes", "stable_dt", "step"])
+    ], ids=["simulate", "face_fluxes", "stable_dt"])
     def test_species_count_mismatch_rejected_at_entry(self, entry):
         spec = _random_mixture(np.random.default_rng(5), 3)
         with pytest.raises(ValueError, match="3 species"):
