@@ -25,20 +25,19 @@ orthonormal zero-sum basis): K(x) = sum_k x_k T_k.  The tensor T
 the projected route and the step kernel share (:func:`_fluxes_projected`)
 forms K from x and T as one product x @ T, with no (n, n) A on the way.
 The step kernel's dt bound and ``diffusion_operator_spectrum`` share one
-route to the diffusion operator's real eigenvalues: the symmetric definite
-pencil of the X^{1/2} symmetrization, from 1/D and the Margules A at
-every n (at n = 2 its 1x1 closed form).  For n >= 3 one builder
-(:func:`_operator_matrix`) forms a symmetric M per row, and
-:func:`_operator_eigenvalues` is that M and one ``eigvalsh``.  The
-pencil's N is positive definite, so by Sylvester's law of inertia its
-eigenvalues have the signs of G, congruent to the X^{-1} Gamma form on E:
-``require_convex``'s strong-convexity verdict is the spectrum's own sign.
-The kernel reads only two numbers of each refresh, the largest eigenvalue
-over the faces and the sign of the smallest, so its refresh
-(:func:`_screened_eigenvalues`) keeps each face's last exactly solved M
-and, by Weyl's inequality, sends to ``eigvalsh`` only the faces whose M
-moved far enough to hold either; both numbers keep the bits of the full
-spectrum.
+route to the diffusion operator's real eigenvalues at every n,
+:func:`_operator_eigenvalues`: the symmetric definite pencil of the
+X^{1/2} symmetrization, from 1/D and the Margules A (at n = 2 its 1x1
+closed form; for n >= 3 one symmetric M per row from
+:func:`_operator_matrix`, and ``eigvalsh``).  The pencil's N is positive
+definite, so by Sylvester's law of inertia its eigenvalues have the signs
+of G, congruent to the X^{-1} Gamma form on E: ``require_convex``'s
+strong-convexity verdict is the spectrum's own sign.  The kernel reads
+only two numbers of each refresh, the largest eigenvalue over the faces
+and the sign of the smallest, so it passes back the anchor the route
+returns, each face's last exactly solved M; by Weyl's inequality the
+route then sends to ``eigvalsh`` only the faces whose M moved far enough
+to hold either, and both numbers keep the bits of the full spectrum.
 
 Compositions and forces are shaped (..., n) and every public per-state
 function is batched over the leading axes; one state is the batch of
@@ -51,7 +50,6 @@ fails a hard check raises for the call.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -175,6 +173,15 @@ def _as_d(d) -> np.ndarray:
     return (d if isinstance(d, DrivingForce) else DrivingForce(d)).d
 
 
+def _norm(v: np.ndarray, axis) -> np.ndarray:
+    """The 2-norm of ``v`` over ``axis`` (Frobenius over two axes) as
+    s ||v / s|| with s = max|v| (at least the smallest normal float): it
+    overflows only where the norm does, while ``np.linalg.norm`` alone
+    squares each entry.  NaN where ``v`` holds an inf or a NaN."""
+    s = np.maximum(np.max(np.abs(v), axis=axis, keepdims=True), np.finfo(float).tiny)
+    return s.squeeze(axis) * np.linalg.norm(v / s, axis=axis)
+
+
 def solve_fluxes_invariant(comp: Composition, dmat, d) -> FluxSet:
     """Fluxes from A J = c_tot d, solved on the zero-sum subspace.
 
@@ -190,9 +197,8 @@ def solve_fluxes_invariant(comp: Composition, dmat, d) -> FluxSet:
     with np.errstate(over="ignore", invalid="ignore"):  # the residual check rejects them
         rhs = c_tot[..., None] * dv  # the composition's batch, broadcast with the forces'
         j = _fluxes_projected(np.broadcast_to(x, rhs.shape), rhs, _reduced_tensor(inv))
-        resid = np.linalg.norm((a @ j[..., None])[..., 0] - rhs, axis=-1)
-        scale = (np.linalg.norm(a, axis=(-2, -1)) * np.linalg.norm(j, axis=-1)
-                 + c_tot * np.linalg.norm(dv, axis=-1))
+        resid = _norm((a @ j[..., None])[..., 0] - rhs, -1)
+        scale = _norm(a, (-2, -1)) * _norm(j, -1) + c_tot * _norm(dv, -1)
     bad = ~((scale < np.inf) & ((scale == 0) | (resid <= 1e-10 * scale)))  # NaN fails too
     if np.any(bad):
         k = _first_true(bad)
@@ -261,26 +267,6 @@ def _eliminate(b: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return y.T.reshape(rhs.shape), np.diagonal(a[:, :m]).reshape(rhs.shape)
 
 
-def _operator_eigenvalues(x: np.ndarray, inv: np.ndarray, amat=None) -> np.ndarray:
-    """Real eigenvalues of the diffusion operator per row of ``x`` (..., n),
-    from the paper's symmetrization by X^{1/2}; ascending for n >= 3.
-
-    At n = 2 the pencil of :func:`_operator_matrix` is 1x1: with
-    s = x_1 + x_2, N = s / D_12 and G = 1 - 2 a x_1 x_2 / s for
-    a = A_m[0, 1], and the eigenvalue is G / N.  For n >= 3, one
-    ``eigvalsh`` of that function's M: the eigenvalues of C, or on ideal
-    thermo the reciprocals of N's.  Batched; no floor or domain check."""
-    n = x.shape[-1]
-    if n == 2:
-        s = x[..., 0] + x[..., 1]
-        g = 1.0 if amat is None else 1.0 - 2.0 * amat[0, 1] * x[..., 0] * x[..., 1] / s
-        return (g / (s * inv[0, 1]))[..., None]
-    lam = _eigvalsh(_operator_matrix(x, inv, amat))
-    if amat is None:  # G = I: the eigenvalues are the reciprocals of N's
-        lam = 1.0 / lam[:, ::-1]
-    return lam.reshape(x.shape[:-1] + (n - 1,))
-
-
 def _operator_matrix(x: np.ndarray, inv: np.ndarray, amat=None) -> np.ndarray:
     """The symmetric M, species-major (m, m, rows) with m = n - 1, whose
     eigenvalues give the diffusion operator's on each row of ``x`` (..., n),
@@ -335,35 +321,33 @@ def _eigvalsh(mat: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(mat.transpose(2, 0, 1))
 
 
-@lru_cache(maxsize=8)
-def _lower_triangle(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row and column indices of the m x m lower triangle, diagonal
-    included, and each entry's weight in the squared Frobenius norm of the
-    symmetric matrix it stands for: 1 on the diagonal, 2 off it."""
-    rows, cols = np.tril_indices(m)
-    weight = np.where(rows == cols, 1.0, 2.0)
-    for a in (rows, cols, weight):
-        a.setflags(write=False)
-    return rows, cols, weight
-
-
 #: The slack, per unit of m^2 ||M||_2, that covers ``eigvalsh``'s own rounding
 #: (backward stable: its eigenvalues are exact for M + E, ||E||_2 <= c m^2 eps ||M||_2)
-#: and the rounding of the Frobenius distance in :func:`_screened_eigenvalues`.
+#: and the rounding of the Frobenius distance in :func:`_operator_eigenvalues`'s screen.
 _EIG_SLACK = 64 * np.finfo(float).eps
 
 
-def _screened_eigenvalues(x: np.ndarray, inv: np.ndarray, amat, anchor):
-    """The operator eigenvalues (k, m) of the k faces of ``x`` (faces, n),
-    n >= 3, that can hold the smallest or the largest over all faces, and the
-    per-face anchor for the next call.  Their minimum and maximum are those
-    of ``_operator_eigenvalues(x, inv, amat)`` bit for bit.
+def _operator_eigenvalues(x: np.ndarray, inv: np.ndarray, amat=None, anchor=None):
+    """Real eigenvalues of the diffusion operator per row of ``x`` (..., n),
+    from the paper's symmetrization by X^{1/2}, and the anchor for the next
+    call.  No floor or domain check.
 
-    The anchor is (the lower triangles of M that ``eigvalsh`` last solved,
-    their eigenvalues), ``None`` on the first call, which solves every face;
-    it is updated in place.  On a later call, delta_f = ||M_f - anchor_f||_F
-    bounds ||M_f - anchor_f||_2, so by Weyl's inequality every eigenvalue
-    of M_f lies within delta_f of the anchor's; widened by the slack
+    At n = 2 the pencil of :func:`_operator_matrix` is 1x1: with
+    s = x_1 + x_2, N = s / D_12 and G = 1 - 2 a x_1 x_2 / s for
+    a = A_m[0, 1], and the eigenvalue is G / N; the anchor is ``None``.
+    For n >= 3 ``eigvalsh`` solves that function's M: the eigenvalues of C,
+    or on ideal thermo the reciprocals of N's.  Without an ``anchor`` every
+    row is solved, the eigenvalues are (..., n-1) and ascending, and the
+    anchor returned is (the lower triangles of M that ``eigvalsh`` read,
+    their eigenvalues).
+
+    With the anchor of an earlier call on faces of the same shape
+    (faces, n), the call screens and updates the anchor in place: it returns
+    the eigenvalues (k, n-1) of the k faces that can hold the smallest or
+    the largest over all faces, whose minimum and maximum have the bits of
+    the full spectrum's.  delta_f = ||M_f - anchor_f||_F bounds
+    ||M_f - anchor_f||_2, so by Weyl's inequality every eigenvalue of M_f
+    lies within delta_f of the anchor's; widened by the slack
     tau_f >= _EIG_SLACK m^2 (||anchor_f||_2 + ||M_f||_2), that interval also
     holds what ``eigvalsh`` would return for M_f.  A face whose M_f has the
     anchor's bits keeps the anchor's eigenvalues, which ``eigvalsh`` would
@@ -373,29 +357,35 @@ def _screened_eigenvalues(x: np.ndarray, inv: np.ndarray, amat, anchor):
     (C's largest, N's smallest) cannot reach the guaranteed bound of the
     faces whose intervals are nearest it.  The face that sets that bound is
     solved or kept, and every face with an eigenvalue <= 0 is too."""
+    n = x.shape[-1]
+    if n == 2:
+        s = x[..., 0] + x[..., 1]
+        g = 1.0 if amat is None else 1.0 - 2.0 * amat[0, 1] * x[..., 0] * x[..., 1] / s
+        return (g / (s * inv[0, 1]))[..., None], None
     mat = _operator_matrix(x, inv, amat)
-    m = mat.shape[0]
-    rows, cols, weight = _lower_triangle(m)
+    m = n - 1
+    rows, cols = np.tril_indices(m)
     low = mat[rows, cols]  # (m (m + 1) / 2, faces): what eigvalsh reads
     if anchor is None:
-        anchor = low, _eigvalsh(mat)
-        keep = slice(None)
-    else:
-        a_low, eig = anchor
-        same = ~np.logical_or.reduce(low.view(np.int64) != a_low.view(np.int64), axis=0)
-        diff = low - a_low
-        delta = np.sqrt(weight @ (diff * diff))
-        lo, hi = eig[:, 0], eig[:, -1]
-        tau = (_EIG_SLACK * m * m) * (2.0 * np.maximum(np.abs(lo), np.abs(hi)) + delta)
-        reach = delta + tau
-        top = -lo if amat is None else hi  # the extreme that sets lambda_max
-        solve = ~same & ((top + reach >= (top - reach).max()) | ~(lo - reach > tau))
-        faces = np.flatnonzero(solve)
-        if faces.size:
-            eig[faces] = _eigvalsh(mat[:, :, faces])
-            a_low[:, faces] = low[:, faces]
-        keep = same | solve
-    eig = anchor[1][keep]
+        lam = _eigvalsh(mat)
+        anchor = low, lam
+        if amat is None:  # G = I: the eigenvalues are the reciprocals of N's
+            lam = 1.0 / lam[:, ::-1]
+        return lam.reshape(x.shape[:-1] + (m,)), anchor
+    a_low, eig = anchor
+    same = ~np.logical_or.reduce(low.view(np.int64) != a_low.view(np.int64), axis=0)
+    diff = low - a_low
+    delta = np.sqrt(np.where(rows == cols, 1.0, 2.0) @ (diff * diff))
+    lo, hi = eig[:, 0], eig[:, -1]
+    tau = (_EIG_SLACK * m * m) * (2.0 * np.maximum(np.abs(lo), np.abs(hi)) + delta)
+    reach = delta + tau
+    top = -lo if amat is None else hi  # the extreme that sets lambda_max
+    solve = ~same & ((top + reach >= (top - reach).max()) | ~(lo - reach > tau))
+    faces = np.flatnonzero(solve)
+    if faces.size:
+        eig[faces] = _eigvalsh(mat[:, :, faces])
+        a_low[:, faces] = low[:, faces]
+    eig = eig[same | solve]
     return (1.0 / eig if amat is None else eig), anchor
 
 
@@ -441,7 +431,7 @@ def diffusion_operator_spectrum(x, dmat, model: ThermoModel,
     bad = np.abs(total - 1.0) > SUM_TOL + x.shape[-1] * X_FLOOR
     if np.any(bad):
         raise ValueError(f"mole fractions must sum to 1, got {float(total[_first_true(bad)])!r}")
-    lam = -np.sort(-_operator_eigenvalues(x, inv, model.interactions(x.shape[-1])), axis=-1)
+    lam = -np.sort(-_operator_eigenvalues(x, inv, model.interactions(x.shape[-1]))[0], axis=-1)
     low = lam[..., -1]
     if require_convex and np.any(low <= 0):
         raise NotConvex("Gibbs energy not strongly convex: operator eigenvalue "

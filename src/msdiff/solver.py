@@ -27,13 +27,14 @@ of the reduced flux-force matrices and the Margules A (``None`` on ideal
 thermo).  Each step then calls only unchecked helpers on those arrays: one
 projected solve for all faces (:func:`msdiff.mskernel._fluxes_projected`,
 K = x_f @ T) and Gamma applied to the forces without forming it; on the
-pass's x_f, ``_Kernel.dt_bound`` takes ``diffusion_operator_spectrum``'s
-route to the spectrum (the X^{1/2} pencil).  For n >= 3 the kernel keeps
-an anchor per face, the last matrix it solved exactly, and each refresh
-screens the faces against it by Weyl's inequality
-(:func:`msdiff.mskernel._screened_eigenvalues`): ``eigvalsh`` runs only on
-the faces that can hold the largest eigenvalue or an eigenvalue <= 0, so
-dt and the ``NotConvex`` verdict stay exact, bit for bit.  An all-ones
+pass's x_f, ``_Kernel.dt_bound`` makes one call at every n to
+``diffusion_operator_spectrum``'s route to the spectrum (the X^{1/2}
+pencil, :func:`msdiff.mskernel._operator_eigenvalues`).  The kernel keeps
+the anchor that call returns (for n >= 3, the last matrix solved exactly
+per face) and passes it back, so each later refresh screens the faces
+against it by Weyl's inequality: ``eigvalsh`` runs only on the faces that
+can hold the largest eigenvalue or an eigenvalue <= 0, and dt and the
+``NotConvex`` verdict stay exact, bit for bit.  An all-ones
 (n, n) matrix makes the row sums of c and x_f one product each, which
 divide without a broadcast; per-step reductions call ``np.*.reduce``
 directly.
@@ -47,9 +48,8 @@ import numpy as np
 
 from .errors import (IsobaricDrift, MaxStepsExceeded, NonFiniteState, NotConvex,
                      PositivityViolation)
-from .mixture import CLAMP_REL, MixtureSpec, _inverse_diffusivities
-from .mskernel import (_fluxes_projected, _operator_eigenvalues, _reduced_tensor,
-                       _screened_eigenvalues)
+from .mixture import CLAMP_REL, MixtureSpec, _first_true, _inverse_diffusivities
+from .mskernel import _fluxes_projected, _operator_eigenvalues, _reduced_tensor
 from .thermo import IDEAL, ThermoModel, _gamma_dot, _ln_gamma_x, floor_composition
 
 #: Relative tolerance on per-cell total-concentration uniformity.
@@ -273,7 +273,7 @@ class _Kernel:
         self.t = _reduced_tensor(self.inv)
         # None on the ideal path, where Gamma = I is skipped
         self.amat = (model or IDEAL).interactions(spec.n)
-        self.anchor = None  # n >= 3: the faces' last exact spectra (_screened_eigenvalues)
+        self.anchor = None  # n >= 3: the faces' last exact spectra (_operator_eigenvalues)
 
     def __call__(self, c: np.ndarray) -> _State:
         """Face compositions are floored arithmetic means, shared by the flux
@@ -296,7 +296,7 @@ class _Kernel:
         w = float(-np.add.reduce(j * (mu[1:] - mu[:-1]), axis=None))
         f = self.reactions.rates(c) if self.reactions.reactions else None
         if f is not None and not np.isfinite(f).all():
-            cell, sp = np.unravel_index(np.argmin(np.isfinite(f)), f.shape)
+            cell, sp = _first_true(~np.isfinite(f))
             raise NonFiniteState(f"reaction rate f[{cell},{sp}] = {float(f[cell, sp])!r} "
                                  "(overflow or an invalid operation)")
         return _State(c=c, c_tot=c_tot, jf=jf, w=w, mu=mu, xf=xf, f=f)
@@ -304,13 +304,11 @@ class _Kernel:
     def dt_bound(self, st: _State) -> float:
         """cfl * h^2 / (2 lambda_max) from the spectrum at the faces of ``st``,
         capped so reactions change no concentration by more than 10% per step.
-        For n >= 3 the spectrum is screened: ``eigvalsh`` runs only on the
-        faces that can hold its smallest or largest eigenvalue, and lambda_max
-        and the ``NotConvex`` verdict keep the bits of the full spectrum."""
-        if st.xf.shape[1] == 2:
-            lam = _operator_eigenvalues(st.xf, self.inv, self.amat)
-        else:
-            lam, self.anchor = _screened_eigenvalues(st.xf, self.inv, self.amat, self.anchor)
+        For n >= 3, after the first refresh the spectrum is screened against
+        the kernel's anchor: ``eigvalsh`` runs only on the faces that can hold
+        its smallest or largest eigenvalue, and lambda_max and the
+        ``NotConvex`` verdict keep the bits of the full spectrum."""
+        lam, self.anchor = _operator_eigenvalues(st.xf, self.inv, self.amat, self.anchor)
         lam_min = float(lam.min())
         if lam_min <= 0:
             raise NotConvex(f"diffusion operator eigenvalue {lam_min!r} <= 0 at a face")
@@ -330,7 +328,7 @@ def face_fluxes(field: Field, spec: MixtureSpec,
     raises ``NonFiniteState``."""
     jf = _Kernel(spec, model, field)(field.c).jf
     if not np.isfinite(jf).all():
-        face, sp = np.unravel_index(np.argmin(np.isfinite(jf)), jf.shape)
+        face, sp = _first_true(~np.isfinite(jf))
         raise NonFiniteState(f"flux J[{face},{sp}] = {float(jf[face, sp])!r} at "
                              f"t = {field.time!r} (overflow or an invalid operation)")
     return jf
@@ -430,10 +428,12 @@ def simulate(initial: Field, spec: MixtureSpec, model: ThermoModel | None = None
     bound before the first step and every DT_REFRESH_STEPS steps, and dt
     stops at each checkpoint, one per ``checkpoint_interval`` (None: a 50th
     of the span ``t_end - initial.time``) and the last at ``t_end``.  The
-    clock's tolerance is 1e-12 of the span.  Raises ``MaxStepsExceeded``
-    (before the first step when the checkpoints alone need more than
-    ``max_steps`` steps, and at once when a step's dt is too small to
-    advance t), ``PositivityViolation``, ``NonFiniteState``, or ``NotConvex``.
+    state advances by the step the clock takes, fl(t + dt) - t, so the two
+    agree at any t; the clock's tolerance is 1e-12 of the span.  Raises
+    ``MaxStepsExceeded`` (before the first step when the checkpoints alone
+    need more than ``max_steps`` steps, and at once when a step's dt is too
+    small to advance t), ``PositivityViolation``, ``NonFiniteState``, or
+    ``NotConvex``.
     """
     if config is None:
         raise ValueError("a SimConfig is required")
@@ -468,6 +468,7 @@ def simulate(initial: Field, spec: MixtureSpec, model: ThermoModel | None = None
         if t + dt == t:
             raise MaxStepsExceeded(f"dt = {dt!r} does not advance t = {t!r}, "
                                    f"so no number of steps reaches t_end = {config.t_end!r}")
+        dt = (t + dt) - t  # the step the clock takes; exact by Sterbenz once dt <= t
         c, w = _advance(st, dt, t, kernel.h), st.w
         t += dt
         steps += 1

@@ -421,13 +421,24 @@ class TestFluxesCommand:
         assert capsys.readouterr().err == err
 
     @pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
+    def test_representable_fluxes_at_huge_total_exit_0(self, tmp_path, capsys):
+        """At c_tot = 1e308 the binary's J = [-3e307, 3e307] is representable,
+        though its squared entries overflow: the residual check's norms are
+        scaled by max|v|, so both routes print it and agree."""
+        cfg = json.loads((CONFIGS / "binary_ideal.json").read_text())
+        cfg["composition"]["c_tot"] = 1e308
+        code, out = _run(["fluxes", "--config", _write(tmp_path, cfg)])
+        assert code == EXIT_OK and capsys.readouterr().err == ""
+        (line,) = out.splitlines()
+        got = json.loads(line)
+        assert got["agreement"] <= 1e-10 and got["invariant"] == [-3e307, 3e307]
+
+    @pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
     @pytest.mark.parametrize("path, err", [
-        ("binary_ideal.json", "projected solve residual 0.0 (scale inf)"),
         ("ternary_equal_d.json", "projected solve residual nan (scale nan)"),
-    ], ids=["binary_ideal", "ternary_equal_d"])
+    ], ids=["ternary_equal_d"])
     def test_overflowing_fluxes_exit_6(self, tmp_path, capsys, path, err):
-        """At c_tot = 1e308 the binary's ||J|| overflows, which made the residual
-        scale inf and passed any residual; the ternary's solve overflows."""
+        """At c_tot = 1e308 the ternary's solve overflows."""
         cfg = json.loads((CONFIGS / path).read_text())
         cfg["composition"]["c_tot"] = 1e308
         assert _run(["fluxes", "--config", _write(tmp_path, cfg)]) == (EXIT_NUMERICAL, "")

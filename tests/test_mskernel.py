@@ -563,7 +563,7 @@ def test_spectrum_accurate_on_floored_faces(n, thermo):
     w = diffusion_operator_spectrum(xf, dmat, model, require_convex=False)
     assert np.all(np.abs(w - ref[:, ::-1]) <= scale)
     kernel = _Kernel(spec, model, fld)
-    lam = _operator_eigenvalues(kernel(fld.c).xf, kernel.inv, kernel.amat)
+    lam = _operator_eigenvalues(kernel(fld.c).xf, kernel.inv, kernel.amat)[0]
     assert np.all(np.abs(np.sort(lam, axis=-1) - ref) <= scale)
 
 
@@ -571,12 +571,12 @@ def test_spectrum_accurate_on_floored_faces(n, thermo):
 @pytest.mark.parametrize("thermo", ["ideal", "margules"])
 def test_kernel_refresh_spectrum_is_the_public_spectrum(monkeypatch, n, thermo):
     """The step kernel's refresh and ``diffusion_operator_spectrum`` take one
-    route on the kernel's own face compositions (interior and floored): at
-    n = 2 the closed form, whose values agree bit for bit; for n >= 3 one
-    matrix M per face (``_operator_matrix``), the same bits on both routes,
-    whose ``eigvalsh`` is the public spectrum bit for bit once each face's
-    eigenvalues are sorted.  ``dt_bound`` takes the pass's x_f; the pass
-    takes no spectrum."""
+    route, ``_operator_eigenvalues``, on the kernel's own face compositions
+    (interior and floored): a cold kernel's refresh returns the public
+    spectrum's bits at every n, once each face's eigenvalues are sorted.  For
+    n >= 3 both calls build one matrix M per face (``_operator_matrix``) with
+    the same bits, whose ``eigvalsh`` is that spectrum.  ``dt_bound`` takes
+    the pass's x_f; the pass takes no spectrum."""
     rng = np.random.default_rng(600 + 10 * n + (thermo == "margules"))
     dmat = _sym(rng.uniform(0.1, 10.0, n * (n - 1) // 2), n)
     model = IDEAL
@@ -588,28 +588,33 @@ def test_kernel_refresh_spectrum_is_the_public_spectrum(monkeypatch, n, thermo):
     c = 0.8 * c / c.sum(axis=1, keepdims=True)
     fld = Field(c=c, grid=Grid1D(ncells=len(c), length=1.0))
     spec = MixtureSpec(names=tuple(f"S{i}" for i in range(n)), dmat=dmat)
-    seen = []
-    route, module = ((mskernel._operator_eigenvalues, msdiff.solver) if n == 2
-                     else (mskernel._operator_matrix, mskernel))
+    seen, mats = [], []
+    eigenvalues, matrix = mskernel._operator_eigenvalues, mskernel._operator_matrix
 
     def spy(x, *args):
-        seen.append((x, route(x, *args).copy()))
-        return seen[-1][1]
+        lam, anchor = eigenvalues(x, *args)
+        seen.append((x, lam.copy()))
+        return lam, anchor
 
-    monkeypatch.setattr(module, route.__name__, spy)
+    for module in (msdiff.solver, mskernel):
+        monkeypatch.setattr(module, "_operator_eigenvalues", spy)
+    monkeypatch.setattr(mskernel, "_operator_matrix",
+                        lambda *args: mats.append(matrix(*args).copy()) or mats[-1])
     kernel = _Kernel(spec, model, fld)
     st = kernel(fld.c)
     assert seen == []
     kernel.dt_bound(st)
-    ((xf, got),) = seen
+    w = diffusion_operator_spectrum(st.xf, dmat, model, require_convex=False)
+    ((xf, got), (_, public)) = seen
     assert xf is st.xf and np.any(xf == X_FLOOR)
-    w = diffusion_operator_spectrum(xf, dmat, model, require_convex=False)
+    assert got.shape == (len(c) - 1, n - 1) and np.array_equal(got, public)
+    assert np.array_equal(np.sort(got, axis=-1), np.sort(w, axis=-1))
     if n == 2:
-        assert got.shape == (len(c) - 1, 1) and np.array_equal(got, w)
+        assert mats == []
         return
-    ((_, public),) = seen[1:]
-    assert got.shape == (n - 1, n - 1, len(c) - 1) and np.array_equal(got, public)
-    lam = np.linalg.eigvalsh(np.moveaxis(got, -1, 0))
+    mat, mat_public = mats
+    assert mat.shape == (n - 1, n - 1, len(c) - 1) and np.array_equal(mat, mat_public)
+    lam = np.linalg.eigvalsh(np.moveaxis(mat, -1, 0))
     if thermo == "ideal":
         lam = 1.0 / lam
     assert np.array_equal(np.sort(lam, axis=-1), np.sort(w, axis=-1))

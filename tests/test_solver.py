@@ -520,7 +520,7 @@ def test_binary_operator_eigenvalue_is_the_reduced_operator(state, ideal):
     inv = _inverse_diffusivities(dmat)
     model = IDEAL if ideal else ThermoModel.margules([[0.0, a], [a, 0.0]])
     a = 0.0 if ideal else a
-    lam = _operator_eigenvalues(x, inv, model.amat)
+    lam = _operator_eigenvalues(x, inv, model.amat)[0]
     p = simplex_basis(2)
     ref = _operator_reduced(p.T @ _assemble_A(x, inv) @ p, p.T @ gamma_matrix(model, x) @ p)
     assert lam.shape == ref.shape[:-1] == x.shape[:-1] + (1,)
@@ -598,7 +598,7 @@ def test_kernel_matches_reference_arithmetic(problem):
     assert got.c is field.c
     assert (got.f is None) == (not reactions.reactions)
     # lam has no order per face: the reference's is LAPACK eigvals'
-    lam = _operator_eigenvalues(got.xf, kernel.inv, kernel.amat)
+    lam = _operator_eigenvalues(got.xf, kernel.inv, kernel.amat)[0]
     lam_ref = _reference_spectrum(kernel, ref.xf)
     _assert_close(np.sort(lam, axis=-1), np.sort(lam_ref, axis=-1), np.max(np.abs(lam_ref)))
     if spec.n == 2:
@@ -641,7 +641,7 @@ def test_kernel_step_count_matches_reference_at_n6(monkeypatch):
     got = run()
     kernel = _Kernel(spec, model, fld)
     monkeypatch.setattr(_Kernel, "__call__", _reference_call)
-    monkeypatch.setattr(msdiff.solver, "_screened_eigenvalues",
+    monkeypatch.setattr(msdiff.solver, "_operator_eigenvalues",
                         lambda xf, *_: (_reference_spectrum(kernel, xf), None))
     monkeypatch.setattr(msdiff.solver, "_advance", _reference_advance)
     ref = run()
@@ -941,10 +941,18 @@ class TestSimulate:
         with pytest.raises(MaxStepsExceeded, match=r"^dt = 0\.0 does not advance t = 0\.0"):
             simulate(fld, BINARY, config=SimConfig(t_end=1e-322))
 
-    def test_one_spectrum_per_dt_bound(self, monkeypatch):
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    @pytest.mark.parametrize("thermo", ["ideal", "margules"])
+    def test_one_spectrum_per_dt_bound(self, monkeypatch, n, thermo):
         # 20 steps of one interval each: the bound is taken before the first
-        # step and every DT_REFRESH_STEPS steps, with one spectrum each time,
-        # and no spectrum is taken after the last step
+        # step and every DT_REFRESH_STEPS steps, with one spectrum each time
+        # at every n, and no spectrum is taken after the last step
+        rng = np.random.default_rng(940 + 10 * n + (thermo == "margules"))
+        spec, fld = _random_state(rng, n, ncells=10)
+        model = IDEAL
+        if thermo == "margules":
+            a = np.triu(rng.uniform(-0.15, 0.15, size=(n, n)), 1)
+            model = ThermoModel.margules(a + a.T)
         calls = []
         eigenvalues, dt_bound = msdiff.solver._operator_eigenvalues, _Kernel.dt_bound
         monkeypatch.setattr(msdiff.solver, "_operator_eigenvalues",
@@ -952,7 +960,7 @@ class TestSimulate:
         monkeypatch.setattr(_Kernel, "dt_bound",
                             lambda self, st: calls.append("bound") or dt_bound(self, st))
         cfg = SimConfig(t_end=2e-3, checkpoint_interval=1e-4)
-        traj = simulate(_binary_step_field(ncells=10), BINARY, config=cfg)
+        traj = simulate(fld, spec, model, config=cfg)
         assert len(traj.checkpoints) == 21
         assert calls == ["bound", "spectrum"] * -(-20 // DT_REFRESH_STEPS)
 
