@@ -180,7 +180,10 @@ def _parse_initial(obj, grid: Grid1D, n: int) -> Field:
     with _config_errors("initial"):
         s = (np.arange(grid.ncells) + 0.5) / grid.ncells
         p = {k: np.asarray(obj[k], dtype=float) for k in PROFILES[kind]}
+        shape = (grid.ncells, n) if kind == "cells" else (n,)
         for k, v in p.items():  # before the profile is formed from them
+            if v.shape != shape:
+                raise ConfigError(f"initial: {k} is shaped {v.shape}, expected {shape}")
             if not np.isfinite(v).all():
                 raise ConfigError(f"initial: {k} must be finite")
         if kind == "uniform":
@@ -190,10 +193,8 @@ def _parse_initial(obj, grid: Grid1D, n: int) -> Field:
         else:
             w = (s >= 0.5).astype(float)[:, None] if kind == "step" else s[:, None]
             x = (1.0 - w) * p["x_left"] + w * p["x_right"]
-        if x.shape != (grid.ncells, n):
-            raise ConfigError(f"initial: mole fractions shaped {x.shape}, expected "
-                              f"({grid.ncells}, {n}) for {n} species")
-        sums = x.sum(axis=1)
+        with np.errstate(over="ignore"):  # an overflowing sum fails below
+            sums = x.sum(axis=1)
         if np.max(np.abs(sums - 1.0)) > 1e-10:
             raise ConfigError("initial: mole fractions must sum to 1 in every cell")
         return Field(c=x / sums[:, None] * float(obj.get("c_tot", 1.0)), grid=grid)

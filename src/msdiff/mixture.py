@@ -1,4 +1,5 @@
-"""Core domain types: mixture definitions, compositions, forces, fluxes."""
+"""Core domain types: mixture definitions, compositions, forces, fluxes;
+and the library's one symmetric eigensolve, :func:`_eigvalsh`."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -6,7 +7,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NegativeConcentration, NonPositiveTotal
+from .errors import EigSolverFailure, NegativeConcentration, NonPositiveTotal
 
 #: Tolerance on |sum(x) - 1| for a valid composition.
 SUM_TOL = 1e-12
@@ -119,7 +120,8 @@ class Composition:
         if np.any(bad):
             raise ValueError(
                 f"mole fractions must be finite and nonnegative: {x[_first_true(bad)]}")
-        total = x.sum(axis=-1)
+        with np.errstate(over="ignore"):  # an overflowing sum fails below
+            total = x.sum(axis=-1)
         bad = np.abs(total - 1.0) > SUM_TOL
         if np.any(bad):
             raise ValueError(
@@ -140,13 +142,19 @@ class Composition:
 
 
 def mole_fractions(c) -> Composition:
-    """Composition from a concentration vector.
+    """Composition from one concentration vector, whose entries and total
+    must be finite, else ``ValueError``.
 
     Tiny negative entries (within -1e-10 of the total) are clamped to
     zero; larger negatives raise ``NegativeConcentration``.
     """
     c = np.asarray(c, dtype=float)
-    total = float(c.sum())
+    if c.ndim != 1:
+        raise ValueError(f"concentrations must be one vector, got shape {c.shape}")
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite total fails below
+        total = float(c.sum())
+    if not abs(total) < np.inf:  # an inf or NaN entry, or an overflow
+        raise ValueError(f"concentrations and their total must be finite, got total {total!r}")
     if total <= 0:
         raise NonPositiveTotal(f"sum of concentrations is {total!r}")
     if np.any(c < -CLAMP_REL * total):
@@ -167,6 +175,20 @@ def simplex_basis(n: int) -> np.ndarray:
     return P
 
 
+def _eigvalsh(a: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues (..., m) of the symmetric (..., m, m) ``a``, from
+    its lower triangle.  LAPACK solves each matrix on its own, so a matrix's
+    eigenvalues have the same bits in any batch.  ``EigSolverFailure`` where
+    the solve does not converge, or where ``a`` holds an inf or a NaN (for
+    which LAPACK can return finite eigenvalues)."""
+    if not np.isfinite(a).all():
+        raise EigSolverFailure("symmetric eigensolve of a matrix with an inf or NaN entry")
+    try:
+        return np.linalg.eigvalsh(a)
+    except np.linalg.LinAlgError as exc:
+        raise EigSolverFailure(str(exc)) from exc
+
+
 def _first_true(mask) -> tuple:
     """Index of the first True entry of ``mask`` in row-major order;
     () for a 0-d mask."""
@@ -183,7 +205,7 @@ def _check_zero_sum(v: np.ndarray, what: str, rtol: float = 1e-12) -> None:
     of its largest entry; the first row that is not raises ``ValueError``
     (a NaN or an infinite entry fails)."""
     scale = np.max(np.abs(v), axis=-1, initial=0.0)
-    with np.errstate(invalid="ignore"):  # inf - inf: the row fails below
+    with np.errstate(over="ignore", invalid="ignore"):  # inf, or inf - inf: the row fails below
         total = v.sum(axis=-1)
     bad = ~((np.abs(total) <= rtol * scale) & (scale < np.inf))
     if np.any(bad):

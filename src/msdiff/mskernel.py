@@ -29,15 +29,18 @@ route to the diffusion operator's real eigenvalues at every n,
 :func:`_operator_eigenvalues`: the symmetric definite pencil of the
 X^{1/2} symmetrization, from 1/D and the Margules A (at n = 2 its 1x1
 closed form; for n >= 3 one symmetric M per row from
-:func:`_operator_matrix`, and ``eigvalsh``).  The pencil's N is positive
-definite, so by Sylvester's law of inertia its eigenvalues have the signs
-of G, congruent to the X^{-1} Gamma form on E: ``require_convex``'s
-strong-convexity verdict is the spectrum's own sign.  The kernel reads
-only two numbers of each refresh, the largest eigenvalue over the faces
-and the sign of the smallest, so it passes back the anchor the route
-returns, each face's last exactly solved M; by Weyl's inequality the
-route then sends to ``eigvalsh`` only the faces whose M moved far enough
-to hold either, and both numbers keep the bits of the full spectrum.
+:func:`_operator_matrix`, and ``mixture._eigvalsh``, the library's one
+symmetric eigensolve, which ``spectrum`` and ``thermo.convexity_check``
+share and which raises ``EigSolverFailure`` for an inf or NaN entry or
+no convergence).  The pencil's N is positive definite, so by Sylvester's
+law of inertia its eigenvalues have the signs of G, congruent to the
+X^{-1} Gamma form on E: ``require_convex``'s strong-convexity verdict is
+the spectrum's own sign.  The kernel reads only two numbers of each refresh,
+the largest eigenvalue over the faces and the sign of the smallest, so
+it passes back the anchor the route returns, each face's last exactly
+solved M with its eigenvalues; by Weyl's inequality the route then
+solves only the faces whose M moved far enough to hold either, and both
+numbers keep the bits of the full spectrum.
 
 Compositions and forces are shaped (..., n) and every public per-state
 function is batched over the leading axes; one state is the batch of
@@ -53,9 +56,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EigSolverFailure, NotConvex, SingularSystem
+from .errors import NotConvex, SingularSystem
 from .mixture import (SUM_TOL, Composition, DrivingForce, FluxSet, _check_species,
-                      _first_true, _inverse_diffusivities, _unbatch, simplex_basis)
+                      _eigvalsh, _first_true, _inverse_diffusivities, _unbatch, simplex_basis)
 from .thermo import X_FLOOR, ThermoModel, _as_x, floor_composition
 
 
@@ -133,11 +136,7 @@ def spectrum(x, dmat) -> SpectrumReport:
     """Eigenvalues of A via the symmetric similar matrix A_S; each row's
     zero eigenvalue is tested against its own ||A_S||."""
     a_sym = assemble_A_sym(_as_x(x, "spectrum"), dmat)
-    try:
-        w = np.linalg.eigvalsh(a_sym)
-    except np.linalg.LinAlgError as exc:
-        raise EigSolverFailure(str(exc)) from exc
-    w = w[..., ::-1]  # descending
+    w = _eigvalsh(a_sym)[..., ::-1]  # descending
     delta = spectral_gap_delta(dmat)
     norm = np.linalg.norm(a_sym, axis=(-2, -1))
     gap_ok = ((np.abs(w[..., 0]) <= 1e-10 * norm)
@@ -313,14 +312,6 @@ def _operator_matrix(x: np.ndarray, inv: np.ndarray, amat=None) -> np.ndarray:
     return _forward(lo, _forward(lo, g).swapaxes(0, 1))  # in place of g
 
 
-def _eigvalsh(mat: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues (rows, m) of the species-major symmetric
-    ``mat`` (m, m, rows), from its lower triangle.  LAPACK solves each
-    matrix on its own, so a matrix's eigenvalues have the same bits in any
-    batch."""
-    return np.linalg.eigvalsh(mat.transpose(2, 0, 1))
-
-
 #: The slack, per unit of m^2 ||M||_2, that covers ``eigvalsh``'s own rounding
 #: (backward stable: its eigenvalues are exact for M + E, ||E||_2 <= c m^2 eps ||M||_2)
 #: and the rounding of the Frobenius distance in :func:`_operator_eigenvalues`'s screen.
@@ -329,64 +320,59 @@ _EIG_SLACK = 64 * np.finfo(float).eps
 
 def _operator_eigenvalues(x: np.ndarray, inv: np.ndarray, amat=None, anchor=None):
     """Real eigenvalues of the diffusion operator per row of ``x`` (..., n),
-    from the paper's symmetrization by X^{1/2}, and the anchor for the next
-    call.  No floor or domain check.
+    ascending and shaped (rows, n-1), from the paper's symmetrization by
+    X^{1/2}, and the anchor for the next call.  No floor or domain check.
 
     At n = 2 the pencil of :func:`_operator_matrix` is 1x1: with
     s = x_1 + x_2, N = s / D_12 and G = 1 - 2 a x_1 x_2 / s for
     a = A_m[0, 1], and the eigenvalue is G / N; the anchor is ``None``.
-    For n >= 3 ``eigvalsh`` solves that function's M: the eigenvalues of C,
-    or on ideal thermo the reciprocals of N's.  Without an ``anchor`` every
-    row is solved, the eigenvalues are (..., n-1) and ascending, and the
-    anchor returned is (the lower triangles of M that ``eigvalsh`` read,
-    their eigenvalues).
+    For n >= 3 ``_eigvalsh`` solves that function's M: the eigenvalues of
+    C, or on ideal thermo the reciprocals of N's.  Without an ``anchor``
+    every row is solved, and the anchor returned is (M, its eigenvalues).
 
     With the anchor of an earlier call on faces of the same shape
     (faces, n), the call screens and updates the anchor in place: it returns
     the eigenvalues (k, n-1) of the k faces that can hold the smallest or
     the largest over all faces, whose minimum and maximum have the bits of
-    the full spectrum's.  delta_f = ||M_f - anchor_f||_F bounds
-    ||M_f - anchor_f||_2, so by Weyl's inequality every eigenvalue of M_f
-    lies within delta_f of the anchor's; widened by the slack
-    tau_f >= _EIG_SLACK m^2 (||anchor_f||_2 + ||M_f||_2), that interval also
-    holds what ``eigvalsh`` would return for M_f.  A face whose M_f has the
-    anchor's bits keeps the anchor's eigenvalues, which ``eigvalsh`` would
-    return again.  Any other face is solved unless its interval certifies
-    both verdicts: its smallest eigenvalue is above tau_f (so the sign that
-    ``NotConvex`` reads is positive), and the extreme that sets lambda_max
-    (C's largest, N's smallest) cannot reach the guaranteed bound of the
-    faces whose intervals are nearest it.  The face that sets that bound is
-    solved or kept, and every face with an eigenvalue <= 0 is too."""
+    the full spectrum's.  delta_f = ||M_f - anchor_f||_F over the lower
+    triangles that ``eigvalsh`` reads bounds ||M_f - anchor_f||_2, so by
+    Weyl's inequality every eigenvalue of M_f lies within delta_f of the
+    anchor's; widened by the slack
+    tau_f >= _EIG_SLACK m^2 (||anchor_f||_2 + ||M_f||_2), that interval
+    also holds what ``eigvalsh`` would return for M_f.  A face whose M_f has
+    the anchor's bits keeps the anchor's eigenvalues, which ``eigvalsh``
+    would return again.  Any other face is solved unless its interval
+    certifies both verdicts: its smallest eigenvalue is above tau_f (so the
+    sign that ``NotConvex`` reads is positive), and the extreme that sets
+    lambda_max (C's largest, N's smallest) cannot reach the guaranteed bound
+    of the faces whose intervals are nearest it.  The face that sets that
+    bound, and every face with an eigenvalue <= 0, is solved or kept."""
     n = x.shape[-1]
     if n == 2:
         s = x[..., 0] + x[..., 1]
         g = 1.0 if amat is None else 1.0 - 2.0 * amat[0, 1] * x[..., 0] * x[..., 1] / s
-        return (g / (s * inv[0, 1]))[..., None], None
+        return (g / (s * inv[0, 1])).reshape(-1, 1), None
     mat = _operator_matrix(x, inv, amat)
-    m = n - 1
-    rows, cols = np.tril_indices(m)
-    low = mat[rows, cols]  # (m (m + 1) / 2, faces): what eigvalsh reads
     if anchor is None:
-        lam = _eigvalsh(mat)
-        anchor = low, lam
-        if amat is None:  # G = I: the eigenvalues are the reciprocals of N's
-            lam = 1.0 / lam[:, ::-1]
-        return lam.reshape(x.shape[:-1] + (m,)), anchor
-    a_low, eig = anchor
-    same = ~np.logical_or.reduce(low.view(np.int64) != a_low.view(np.int64), axis=0)
-    diff = low - a_low
-    delta = np.sqrt(np.where(rows == cols, 1.0, 2.0) @ (diff * diff))
-    lo, hi = eig[:, 0], eig[:, -1]
-    tau = (_EIG_SLACK * m * m) * (2.0 * np.maximum(np.abs(lo), np.abs(hi)) + delta)
-    reach = delta + tau
-    top = -lo if amat is None else hi  # the extreme that sets lambda_max
-    solve = ~same & ((top + reach >= (top - reach).max()) | ~(lo - reach > tau))
-    faces = np.flatnonzero(solve)
-    if faces.size:
-        eig[faces] = _eigvalsh(mat[:, :, faces])
-        a_low[:, faces] = low[:, faces]
-    eig = eig[same | solve]
-    return (1.0 / eig if amat is None else eig), anchor
+        eig = _eigvalsh(mat.transpose(2, 0, 1))
+        anchor = mat, eig
+    else:
+        a_mat, eig = anchor
+        m = n - 1
+        same = ~np.logical_or.reduce(mat.view(np.int64) != a_mat.view(np.int64), axis=(0, 1))
+        weight = np.tri(m) + np.tri(m, k=-1)  # the lower triangle, as eigvalsh reads it
+        delta = np.sqrt(np.einsum("ij,ijf->f", weight, np.square(mat - a_mat)))
+        lo, hi = eig[:, 0], eig[:, -1]
+        tau = (_EIG_SLACK * m * m) * (2.0 * np.maximum(np.abs(lo), np.abs(hi)) + delta)
+        reach = delta + tau
+        top = -lo if amat is None else hi  # the extreme that sets lambda_max
+        solve = ~same & ((top + reach >= (top - reach).max()) | ~(lo - reach > tau))
+        faces = np.flatnonzero(solve)
+        if faces.size:
+            eig[faces] = _eigvalsh(mat[:, :, faces].transpose(2, 0, 1))
+            a_mat[:, :, faces] = mat[:, :, faces]
+        eig = eig[same | solve]
+    return (1.0 / eig[:, ::-1] if amat is None else eig), anchor  # G = I: N's reciprocals
 
 
 def _cholesky(a: np.ndarray) -> np.ndarray:
@@ -421,7 +407,8 @@ def diffusion_operator_spectrum(x, dmat, model: ThermoModel,
     smallest eigenvalue is <= 0 raises ``NotConvex``: by Sylvester's law of
     inertia the pencil's eigenvalues have the signs of G, which is congruent
     to the X^{-1} Gamma form on the zero-sum subspace, so this is the
-    strong-convexity verdict (the sign of ``thermo.convexity_check``).
+    strong-convexity verdict (the sign of ``thermo.convexity_check``).  An
+    operator matrix that overflows raises ``EigSolverFailure``.
     """
     raw = _as_x(x, "diffusion_operator_spectrum")
     x = floor_composition(raw)
@@ -431,7 +418,9 @@ def diffusion_operator_spectrum(x, dmat, model: ThermoModel,
     bad = np.abs(total - 1.0) > SUM_TOL + x.shape[-1] * X_FLOOR
     if np.any(bad):
         raise ValueError(f"mole fractions must sum to 1, got {float(total[_first_true(bad)])!r}")
-    lam = -np.sort(-_operator_eigenvalues(x, inv, model.interactions(x.shape[-1]))[0], axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow: +-inf, or an M _eigvalsh rejects
+        lam = _operator_eigenvalues(x, inv, model.interactions(x.shape[-1]))[0]
+    lam = lam[:, ::-1].reshape(x.shape[:-1] + lam.shape[-1:])  # descending
     low = lam[..., -1]
     if require_convex and np.any(low <= 0):
         raise NotConvex("Gibbs energy not strongly convex: operator eigenvalue "

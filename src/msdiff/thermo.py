@@ -12,7 +12,9 @@ which reduces to the classical binary closed form ln gamma_1 = A x_2^2.
 Its Gamma = I + diag(x) A - x (A x)^T is affine in x, so the simulator
 applies it without forming it (:func:`_gamma_dot`); the diffusion
 operator's spectrum uses A itself, in the X^{1/2} pencil of
-:func:`msdiff.mskernel._operator_eigenvalues`.
+:func:`msdiff.mskernel._operator_eigenvalues`.  ``convexity_check`` solves
+its form with ``mixture._eigvalsh``, which rejects the inf or NaN that a
+huge finite A can leave in it.
 
 The per-state functions take a :class:`~msdiff.mixture.Composition` or an
 array shaped (..., n) through one checked conversion, :func:`_as_x`: every
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateComposition
-from .mixture import (Composition, DrivingForce, _check_zero_sum, _frozen_array,
+from .mixture import (Composition, DrivingForce, _check_zero_sum, _eigvalsh, _frozen_array,
                       _pair_matrix, _unbatch, simplex_basis)
 
 #: Compositions with any fraction below this floor (or a NaN or inf) are
@@ -188,8 +190,8 @@ def convexity_check(model: ThermoModel, x) -> float | np.ndarray:
     that composition; a negative value signals the phase-splitting regime.
     """
     x = _as_x(x, "convexity_check", X_FLOOR)
-    n = x.shape[-1]
-    m = gamma_matrix(model, x) / x[..., :, None]
-    sym = 0.5 * (m + np.swapaxes(m, -1, -2))
-    p = simplex_basis(n)
-    return _unbatch(np.linalg.eigvalsh(p.T @ sym @ p)[..., 0])
+    p = simplex_basis(x.shape[-1])
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge amat: _eigvalsh rejects inf or NaN
+        m = gamma_matrix(model, x) / x[..., :, None]
+        sym = 0.5 * m + 0.5 * np.swapaxes(m, -1, -2)  # overflows only where m does
+        return _unbatch(_eigvalsh(p.T @ sym @ p)[..., 0])

@@ -94,6 +94,22 @@ class TestLoadConfig:
         assert (code, out) == (EXIT_CONFIG, "")
         assert err.count("\n") == 1 and err.startswith("config error: gradients must be finite")
 
+    @pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
+    @pytest.mark.parametrize("command, path, err", [
+        ("fluxes", ("composition", "x"), "composition: mole fractions must sum to 1, got inf"),
+        ("fluxes", ("gradients",), "gradients must be finite and sum to zero: "
+                                   "sum=inf, max=1e+308"),
+        ("simulate", ("initial", "x_left"), "initial: mole fractions must sum to 1 in every cell"),
+    ], ids=["composition", "gradients", "initial"])
+    def test_overflowing_row_sum_exits_2(self, tmp_path, capsys, command, path, err):
+        """A row of finite entries whose sum overflows fails its check."""
+        cfg = json.loads((CONFIGS / "binary_ideal.json").read_text())
+        _section(cfg, path[:-1])[path[-1]] = [1e308, 1e308]
+        code, out = _run([command, "--config", _write(tmp_path, cfg),
+                          *(["--out", str(tmp_path / "out")] if command == "simulate" else [])])
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert capsys.readouterr().err == f"config error: {err}\n"
+
     def test_malformed_json(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text("{not json")
@@ -665,6 +681,27 @@ class TestSimulateCommand:
         assert capsys.readouterr().err == f"config error: {err}\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("initial, err", [
+        ({"kind": "step", "x_left": 0.5, "x_right": [0.3, 0.7]},
+         "x_left is shaped (), expected (2,)"),
+        ({"kind": "step", "x_left": [[0.7, 0.3]], "x_right": [0.3, 0.7]},
+         "x_left is shaped (1, 2), expected (2,)"),
+        ({"kind": "ramp", "x_left": [0.7, 0.3], "x_right": [0.2, 0.3, 0.5]},
+         "x_right is shaped (3,), expected (2,)"),
+        ({"kind": "uniform", "x": [[0.5, 0.5]]}, "x is shaped (1, 2), expected (2,)"),
+        ({"kind": "cells", "x": [[0.5, 0.5]] * 15}, "x is shaped (15, 2), expected (16, 2)"),
+    ], ids=["scalar-end", "row-end", "long-end", "uniform-row", "cells-short"])
+    def test_misshaped_profile_exits_2(self, tmp_path, capsys, initial, err):
+        """Each profile array must have its kind's shape, (n,) or (ncells, n);
+        a scalar or a 1 x n row is not broadcast."""
+        cfg = json.loads(json.dumps(SIM))
+        cfg["initial"] = initial
+        code, stdout = _run(["simulate", "--config", _write(tmp_path, cfg),
+                             "--out", str(tmp_path / "out")])
+        assert (code, stdout) == (EXIT_CONFIG, "")
+        assert capsys.readouterr().err == f"config error: initial: {err}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_infinite_amat_exits_2(self, tmp_path, capsys):
         cfg = json.loads(json.dumps(SIM))
         cfg["thermo"] = {"model": "margules", "amat": [[0.0, "INF"], ["INF", 0.0]]}
@@ -846,6 +883,26 @@ class TestVerifyCommand:
                           str(CONFIGS / "margules_spinodal.json")])
         assert code == EXIT_OK
         assert "XFAIL normal-ellipticity" in out
+
+    @pytest.mark.filterwarnings("error")  # a warning would be an extra stderr line
+    @pytest.mark.parametrize("name, a, code, err", [
+        ("binary_margules.json", 1e308, EXIT_OK, ""),
+        ("quaternary_margules.json", 1e308, EXIT_OK, ""),
+        ("quaternary_margules.json", -1e308, EXIT_NUMERICAL,
+         "numerical failure: symmetric eigensolve of a matrix with an inf or NaN entry\n"),
+    ], ids=["binary", "quaternary", "quaternary-negative"])
+    def test_huge_finite_amat_fails_closed(self, tmp_path, capsys, name, a, code, err):
+        """Every off-diagonal A_ij = +-1e308 passes ThermoModel's rule.  At
+        +1e308 the convexity form stays finite (0.5 m + 0.5 m^T) and every
+        state is phase-splitting; at -1e308 the operator matrix overflows and
+        its eigensolve fails closed."""
+        cfg = json.loads((CONFIGS / name).read_text())
+        n = len(cfg["mixture"]["names"])
+        cfg["thermo"]["amat"] = (a * (1.0 - np.eye(n))).tolist()
+        got, out = _run(["verify", "--config", _write(tmp_path, cfg)])
+        assert (got, capsys.readouterr().err) == (code, err)
+        xfail = "XFAIL normal-ellipticity: NotConvex at 200/200 states (phase-splitting thermo)"
+        assert (xfail in out.splitlines()) is (code == EXIT_OK)
 
     @pytest.mark.parametrize("seed", [True, 7.0, -1, "7"])
     def test_non_integer_seed_is_config_error(self, tmp_path, seed):

@@ -36,6 +36,16 @@ class TestMoleFractions:
         with pytest.raises(NonPositiveTotal):
             mole_fractions([0.0, 0.0])
 
+    @pytest.mark.parametrize("c, err", [
+        ([np.inf, 1.0], "concentrations and their total must be finite, got total inf"),
+        ([np.nan, 1.0], "concentrations and their total must be finite, got total nan"),
+        ([1e308, 1e308], "concentrations and their total must be finite, got total inf"),
+        ([[1.0, 2.0], [3.0, 4.0]], r"concentrations must be one vector, got shape \(2, 2\)"),
+    ], ids=["inf", "nan", "overflow", "matrix"])
+    def test_non_finite_or_batched_rejected(self, c, err):
+        with pytest.raises(ValueError, match=f"^{err}$"):
+            mole_fractions(c)
+
     def test_scale_invariance(self):
         rng = np.random.default_rng(42)
         for _ in range(50):

@@ -15,7 +15,8 @@ from msdiff import (IDEAL, Composition, Field, FluxSet, Grid1D, MixtureSpec, The
                     spectrum, ternary_closed_forms)
 import msdiff.solver
 from msdiff import mskernel
-from msdiff.errors import DegenerateComposition, NotConvex, SingularSystem
+from msdiff.errors import (DegenerateComposition, EigSolverFailure, NotConvex,
+                           SingularSystem)
 from msdiff.mixture import _inverse_diffusivities, _unbatch, simplex_basis
 from msdiff.mskernel import _eliminate, _operator_eigenvalues, _reduced_tensor
 from msdiff.solver import _Kernel
@@ -673,7 +674,7 @@ def test_screened_refresh_is_the_full_refresh(monkeypatch, n, thermo):
     solved = []
     eigvalsh = mskernel._eigvalsh
     monkeypatch.setattr(mskernel, "_eigvalsh",
-                        lambda mat: solved.append(mat.shape[-1]) or eigvalsh(mat))
+                        lambda mat: solved.append(mat.shape[0]) or eigvalsh(mat))
     verdicts, warm_solved = [], []
     for x in states:
         got = []
@@ -695,6 +696,54 @@ def test_screened_refresh_is_the_full_refresh(monkeypatch, n, thermo):
         verdicts.append(isinstance(got[0], str))
     assert verdicts[-1] is False and any(verdicts) is (thermo == "spinodal")
     assert warm_solved[0] == len(states[0]) - 1 and min(warm_solved[1:]) < len(states[0]) - 1
+
+
+@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize("call", ["spectrum", "convexity_check", "diffusion_operator_spectrum",
+                                  "dt_bound"])
+def test_every_eigensolve_fails_closed(monkeypatch, n, call):
+    """Every symmetric eigensolve is ``mixture._eigvalsh``: where LAPACK's
+    does not converge, each spectrum raises ``EigSolverFailure``, not
+    numpy's ``LinAlgError``."""
+    rng = np.random.default_rng(800 + n)
+    dmat = _sym(rng.uniform(0.1, 10.0, n * (n - 1) // 2), n)
+    model = ThermoModel.margules(_sym(rng.uniform(-0.3, 0.3, n * (n - 1) // 2), n))
+    x = rng.dirichlet(np.ones(n), size=12)
+    spec = MixtureSpec(names=tuple(f"S{i}" for i in range(n)), dmat=dmat)
+    kernel = _Kernel(spec, model, Field(c=x, grid=Grid1D(ncells=len(x), length=1.0)))
+    st = kernel(x)
+    calls = {"spectrum": lambda: spectrum(x, dmat),
+             "convexity_check": lambda: convexity_check(model, x),
+             "diffusion_operator_spectrum": lambda: diffusion_operator_spectrum(x, dmat, model),
+             "dt_bound": lambda: kernel.dt_bound(st)}
+
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    with pytest.raises(EigSolverFailure, match="^Eigenvalues did not converge$"):
+        calls[call]()
+
+
+@pytest.mark.parametrize("thermo", ["ideal", "margules"])
+def test_anchor_is_the_matrix_solved(thermo):
+    """Without an anchor, ``_operator_eigenvalues`` returns as its anchor the
+    M that ``_operator_matrix`` builds, bit for bit, with M's eigenvalues;
+    the eigenvalues it returns are ascending, one row per row of x (N's
+    reciprocals on ideal thermo)."""
+    n = 5
+    rng = np.random.default_rng(900 + len(thermo))
+    dmat = _sym(rng.uniform(0.1, 10.0, n * (n - 1) // 2), n)
+    amat = _sym(rng.uniform(-0.3, 0.3, n * (n - 1) // 2), n) if thermo == "margules" else None
+    x = floor_composition(rng.dirichlet(np.ones(n), size=(3, 4)))
+    inv = _inverse_diffusivities(dmat)
+    lam, (mat, eig) = _operator_eigenvalues(x, inv, amat)
+    ref = mskernel._operator_matrix(x, inv, amat)
+    assert mat.shape == ref.shape == (n - 1, n - 1, 12)
+    assert np.array_equal(mat.view(np.int64), ref.view(np.int64))
+    assert np.array_equal(eig, np.linalg.eigvalsh(np.moveaxis(ref, -1, 0)))
+    assert lam.shape == (12, n - 1) and np.all(np.diff(lam, axis=-1) >= 0)
+    assert np.array_equal(lam, eig if thermo == "margules" else 1.0 / eig[:, ::-1])
 
 
 class TestReducedElimination:
