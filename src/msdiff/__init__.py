@@ -14,8 +14,7 @@ from .solver import (Checkpoint, Field, Grid1D, NO_REACTIONS, Reaction,
                      ReactionNetwork, SimConfig, Trajectory, face_fluxes,
                      simulate, stable_dt)
 from .thermo import (IDEAL, ThermoModel, chemical_potentials, convexity_check,
-                     driving_force, gamma_matrix, gibbs_density,
-                     ln_activity_coeffs)
+                     driving_force, gamma_matrix, ln_activity_coeffs)
 from .verify import (CrossDiffusionEvent, EntropyLedger, TernaryReport,
                      detect_uphill, entropy_ledger, filtration_oracle,
                      ternary_closed_forms)

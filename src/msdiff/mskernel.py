@@ -45,7 +45,8 @@ numbers keep the bits of the full spectrum.
 Compositions and forces are shaped (..., n) and every public per-state
 function is batched over the leading axes; one state is the batch of
 shape ().  A raw composition enters through ``thermo._as_x`` (finite and
->= 0, else ``DegenerateComposition``), forces through :func:`_as_d`
+>= 0, else ``DegenerateComposition``; every row summing to 1 within
+SUM_TOL + n X_FLOOR, else ``ValueError``), forces through :func:`_as_d`
 (``DrivingForce``'s rule: finite and summing to zero, else ``ValueError``).
 Every check runs per row (its own norm, residual or pivot), and a row that
 fails a hard check raises for the call.
@@ -57,9 +58,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotConvex, SingularSystem
-from .mixture import (SUM_TOL, Composition, DrivingForce, FluxSet, _check_species,
-                      _eigvalsh, _first_true, _inverse_diffusivities, _unbatch, simplex_basis)
-from .thermo import X_FLOOR, ThermoModel, _as_x, floor_composition
+from .mixture import (Composition, DrivingForce, FluxSet, _check_species, _eigvalsh,
+                      _first_true, _inverse_diffusivities, _unbatch, simplex_basis)
+from .thermo import ThermoModel, _as_x, floor_composition
 
 
 def assemble_A(x, dmat) -> np.ndarray:
@@ -400,24 +401,20 @@ def diffusion_operator_spectrum(x, dmat, model: ThermoModel,
     zero-sum subspace, a real float array shaped (..., n-1).
 
     Positive eigenvalues certify normal ellipticity, i.e. parabolicity
-    of the species equations at this state.  A NaN, inf or negative entry
-    raises ``DegenerateComposition``; ``x`` is then floored, and a row whose
-    given fractions do not sum to 1 within SUM_TOL + n X_FLOOR (so that
-    floored rows pass) raises ``ValueError``.  With ``require_convex``, a row whose
+    of the species equations at this state.  ``x`` goes through
+    ``thermo._as_x``, the per-state composition rule (a NaN, inf or negative
+    entry raises ``DegenerateComposition``; a row that does not sum to 1
+    within SUM_TOL + n X_FLOOR, as floored rows do, raises ``ValueError``),
+    and is then floored.  With ``require_convex``, a row whose
     smallest eigenvalue is <= 0 raises ``NotConvex``: by Sylvester's law of
     inertia the pencil's eigenvalues have the signs of G, which is congruent
     to the X^{-1} Gamma form on the zero-sum subspace, so this is the
     strong-convexity verdict (the sign of ``thermo.convexity_check``).  An
     operator matrix that overflows raises ``EigSolverFailure``.
     """
-    raw = _as_x(x, "diffusion_operator_spectrum")
-    x = floor_composition(raw)
+    x = floor_composition(_as_x(x, "diffusion_operator_spectrum"))
     inv = _inverse_diffusivities(dmat)
     _check_species(inv, x=x)
-    total = np.add.reduce(raw, axis=-1)
-    bad = np.abs(total - 1.0) > SUM_TOL + x.shape[-1] * X_FLOOR
-    if np.any(bad):
-        raise ValueError(f"mole fractions must sum to 1, got {float(total[_first_true(bad)])!r}")
     with np.errstate(over="ignore", invalid="ignore"):  # overflow: +-inf, or an M _eigvalsh rejects
         lam = _operator_eigenvalues(x, inv, model.interactions(x.shape[-1]))[0]
     lam = lam[:, ::-1].reshape(x.shape[:-1] + lam.shape[-1:])  # descending

@@ -400,8 +400,9 @@ class Trajectory:
 
 def _checkpoint(st: _State, t: float, h: float, cum_w: float) -> Checkpoint:
     """Snapshot of the kernel state ``st``: its c, which the kernel has
-    checked and nothing writes again, is made read-only, not copied; V and
-    W come from its mu and w (:func:`msdiff.thermo.gibbs_density`'s value)."""
+    checked and nothing writes again, is made read-only, not copied; W is
+    its w, and V = h sum c mu, the Gibbs energy, uses its mu (ln(gamma x)
+    at the floored x, so a zero concentration contributes 0)."""
     c = st.c
     c.setflags(write=False)
     return Checkpoint(

@@ -1,5 +1,5 @@
-"""Activity-coefficient models, the thermodynamic-factor matrix, and
-Gibbs-energy diagnostics.
+"""Activity-coefficient models, the thermodynamic-factor matrix, chemical
+potentials, and the convexity of the Gibbs energy.
 
 All chemical potentials are expressed in RT units with the pure-species
 reference potential gauged to zero; only gradients enter the dynamics.
@@ -20,13 +20,16 @@ The per-state functions take a :class:`~msdiff.mixture.Composition` or an
 array shaped (..., n) through one checked conversion, :func:`_as_x`: every
 x_i finite and >= 0 (``ln_activity_coeffs``), or >= X_FLOOR where ln x or
 1/x is taken (``gamma_matrix``, ``chemical_potentials``, ``driving_force``,
-``convexity_check``).  They are batched over the leading axes, one state
-being the batch of shape (), and a row that fails a check raises for the
-whole call; each resolves the model once, at entry, by ``ThermoModel.interactions``
-(``None`` for ideal thermo).  The step kernel resolves it once per run and
-reaches no check: it calls the unchecked ``floor_composition`` and
-:func:`_ln_gamma_x`, which ``gibbs_density`` shares; that one total sums
-c mu over every row at the floored x.
+``convexity_check``), and every row summing to 1 within SUM_TOL + n X_FLOOR,
+so that floored rows pass.  ``gamma_matrix`` and ``ln_activity_coeffs``
+alone skip the row sum: they treat x_1..x_n as independent coordinates, so
+the rows of a finite difference stay valid.  The functions are batched
+over the leading axes, one state being the batch of shape (), and a row
+that fails a check raises for the whole call; each resolves the model
+once, at entry, by ``ThermoModel.interactions`` (``None`` for ideal
+thermo).  The step kernel resolves it once per run and reaches no check:
+it calls the unchecked ``floor_composition`` and :func:`_ln_gamma_x`, and
+its checkpoints take the Gibbs energy V = h sum c mu from the kernel's mu.
 """
 from __future__ import annotations
 
@@ -35,8 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateComposition
-from .mixture import (Composition, DrivingForce, _check_zero_sum, _eigvalsh, _frozen_array,
-                      _pair_matrix, _unbatch, simplex_basis)
+from .mixture import (SUM_TOL, Composition, DrivingForce, _check_zero_sum, _eigvalsh,
+                      _first_true, _frozen_array, _pair_matrix, _unbatch, simplex_basis)
 
 #: Compositions with any fraction below this floor (or a NaN or inf) are
 #: degenerate for quantities involving ln(x) or 1/x.  floor_composition
@@ -80,15 +83,25 @@ class ThermoModel:
 IDEAL = ThermoModel()
 
 
-def _as_x(x, what: str, lo: float = 0.0) -> np.ndarray:
+def _as_x(x, what: str, lo: float = 0.0, simplex: bool = True) -> np.ndarray:
     """The one mole-fraction conversion: ``x`` (a Composition or an array)
     as an array if every entry is finite and >= ``lo``, else
-    ``DegenerateComposition`` naming ``what``.  ``lo`` is 0, Composition's
-    rule, or X_FLOOR where ln x or 1/x is taken; row sums are not checked."""
+    ``DegenerateComposition`` naming ``what``; ``lo`` is 0, Composition's
+    rule, or X_FLOOR where ln x or 1/x is taken.  With ``simplex`` (all but
+    the independent-coordinate callers) every row must also sum to 1 within
+    SUM_TOL + n X_FLOOR, so that floored rows pass, else ``ValueError``
+    naming the first bad sum; a sum that overflows is inf and fails."""
     x = x.x if isinstance(x, Composition) else np.asarray(x, dtype=float)
     if not np.all((x >= lo) & (x < np.inf)):
         raise DegenerateComposition(f"{what} needs {'an interior' if lo else 'a'} composition "
                                     f"(every x_i finite and >= {lo:g})")
+    if simplex:
+        rows = np.atleast_1d(x)
+        with np.errstate(over="ignore"):
+            total = rows.sum(axis=-1)
+        bad = np.abs(total - 1.0) > SUM_TOL + rows.shape[-1] * X_FLOOR
+        if np.any(bad):
+            raise ValueError(f"mole fractions must sum to 1, got {float(total[_first_true(bad)])!r}")
     return x
 
 
@@ -100,7 +113,7 @@ def floor_composition(x: np.ndarray) -> np.ndarray:
 
 def ln_activity_coeffs(model: ThermoModel, x) -> np.ndarray:
     """ln gamma_i for every species; zeros for the ideal model."""
-    x = _as_x(x, "ln_activity_coeffs")
+    x = _as_x(x, "ln_activity_coeffs", simplex=False)
     a = model.interactions(x.shape[-1])
     return np.zeros_like(x) if a is None else _ln_gamma(x, a)
 
@@ -118,7 +131,7 @@ def gamma_matrix(model: ThermoModel, x) -> np.ndarray:
     partials of the Margules family, treating x_1..x_n as independent
     coordinates.  Column sums equal 1 (Gibbs-Duhem).
     """
-    x = _as_x(x, "gamma_matrix", X_FLOOR)
+    x = _as_x(x, "gamma_matrix", X_FLOOR, simplex=False)
     n = x.shape[-1]
     a = model.interactions(n)
     if a is None:
@@ -147,24 +160,6 @@ def driving_force(model: ThermoModel, x, grad_x) -> DrivingForce:
     d = (gamma_matrix(model, x) @ g[..., None])[..., 0]
     d -= d.mean(axis=-1, keepdims=True)  # exact zero sum; roundoff-level correction
     return DrivingForce(d=d)
-
-
-def gibbs_density(model: ThermoModel, c) -> float:
-    """Gibbs free energy per volume in RT units: G = sum_i c_i ln(gamma_i x_i),
-    summed over every row, with mu from :func:`_ln_gamma_x` at the floored x.
-
-    Zero concentrations contribute 0 (the c ln c limit: the floor keeps
-    mu finite); a negative, NaN or inf entry, or a row with no positive
-    total, raises ``DegenerateComposition``.
-    """
-    c = np.asarray(c, dtype=float)
-    if not np.all((c >= 0) & (c < np.inf)):
-        raise DegenerateComposition(f"concentrations must be finite and nonnegative: {c}")
-    total = c.sum(axis=-1, keepdims=True)
-    if np.any(total <= 0):
-        raise DegenerateComposition("total concentration must be positive")
-    a = model.interactions(c.shape[-1])
-    return float(np.add.reduce(c * _ln_gamma_x(floor_composition(c / total), a), axis=None))
 
 
 def chemical_potentials(model: ThermoModel, x) -> np.ndarray:

@@ -13,14 +13,15 @@ import msdiff.verify
 from msdiff import (Composition, Field, Grid1D, IDEAL, MixtureSpec, NO_REACTIONS,
                     Reaction, ReactionNetwork, SimConfig, ThermoModel,
                     chemical_potentials, diffusion_operator_spectrum,
-                    driving_force, face_fluxes, gibbs_density, simulate,
-                    solve_fluxes_invariant, stable_dt)
+                    driving_force, face_fluxes, simulate, solve_fluxes_invariant,
+                    stable_dt)
 from msdiff.errors import (IsobaricDrift, MaxStepsExceeded, MsDiffError,
                            NonFiniteState, NotConvex, PositivityViolation)
 from msdiff.mixture import CLAMP_REL, _inverse_diffusivities, simplex_basis
 from msdiff.mskernel import _assemble_A, _eliminate, _operator_eigenvalues, _reduced_tensor
 from msdiff.solver import DT_REFRESH_STEPS, ISOBARIC_TOL, _advance, _Kernel, _State
 from msdiff.thermo import _gamma_dot, _ln_gamma_x, floor_composition, gamma_matrix
+from test_thermo import gibbs_density  # the plain-numpy reference G(c), kept with its tests
 
 BINARY = MixtureSpec(names=("A", "B"), dmat=[[0.0, 1.0], [1.0, 0.0]])
 
@@ -797,9 +798,10 @@ class TestSimulate:
     @pytest.mark.parametrize("amat", [None, [[0.0, 0.3, -0.4], [0.3, 0.0, 0.2],
                                              [-0.4, 0.2, 0.0]]])
     def test_checkpoint_entropy_is_gibbs_density(self, amat):
-        """Checkpoint V is h sum c mu from the kernel's mu; it is
-        gibbs_density's value at the checkpoint's c to 1e-14, on ideal and
-        Margules thermo, with one species absent from one cell at t = 0."""
+        """Checkpoint V is h sum c mu from the kernel's mu; it is the
+        reference G(c) of the tests, written from the ideal and Margules
+        formulas, at the checkpoint's c to 1e-14, on ideal and Margules
+        thermo, with one species absent from one cell at t = 0."""
         spec = MixtureSpec(names=("A", "B", "C"), dmat=[[0, 1, 2], [1, 0, 3], [2, 3, 0]])
         model = IDEAL if amat is None else ThermoModel.margules(amat)
         c = np.random.default_rng(41).dirichlet(np.ones(3), size=8)
@@ -963,6 +965,24 @@ class TestSimulate:
         traj = simulate(fld, spec, model, config=cfg)
         assert len(traj.checkpoints) == 21
         assert calls == ["bound", "spectrum"] * -(-20 // DT_REFRESH_STEPS)
+
+    @pytest.mark.parametrize("cfl", [pytest.param(1.0, marks=pytest.mark.xfail(
+        strict=True, raises=PositivityViolation,
+        reason="dt is refreshed every DT_REFRESH_STEPS steps and goes stale while "
+               "lambda_max rises")), 0.4])
+    def test_positivity_while_lambda_max_rises_between_refreshes(self, cfl):
+        """A reaction A <-> B drives x_A from 0.97 toward 0.5, where the binary
+        Margules G = 1 + 6 x_A x_B (a = -3) is largest, so lambda_max rises
+        between two dt refreshes.  At cfl_safety = 1 a dt taken before the
+        rise breaks positivity at t = 0.006; at 0.4 the run reaches t_end."""
+        spec = MixtureSpec(names=("A", "B"), dmat=[[0.0, 1.0], [1.0, 0.0]])
+        model = ThermoModel.margules([[0.0, -3.0], [-3.0, 0.0]])
+        xa = 0.97 + 0.01 * np.random.default_rng(0).standard_normal(20)
+        fld = Field(c=np.stack([xa, 1.0 - xa], axis=1), grid=Grid1D(ncells=20, length=1.0))
+        net = ReactionNetwork(reactions=(Reaction([1, 0], [0, 1], 100.0),
+                                         Reaction([0, 1], [1, 0], 100.0)))
+        traj = simulate(fld, spec, model, net, config=SimConfig(t_end=0.05, cfl_safety=cfl))
+        assert traj.final().time == 0.05
 
     def test_positivity_preserved_on_random_quaternary(self):
         rng = np.random.default_rng(97)
