@@ -28,8 +28,7 @@ import numpy as np
 
 from . import mskernel, thermo, verify
 from .errors import (ConfigError, DegenerateComposition, MaxStepsExceeded,
-                     MsDiffError, NegativeConcentration, NonPositiveTotal,
-                     NotConvex, PositivityViolation)
+                     MsDiffError, NotConvex, PositivityViolation)
 from .mixture import Composition, MixtureSpec, _check_zero_sum
 from .solver import (Field, Grid1D, Reaction, ReactionNetwork, SimConfig,
                      simulate)
@@ -46,8 +45,6 @@ EXIT_NUMERICAL = 6
 ERROR_EXITS: dict[type[MsDiffError], tuple[int, str]] = {
     ConfigError: (EXIT_CONFIG, "config error"),
     DegenerateComposition: (EXIT_CONFIG, "degenerate composition"),
-    NonPositiveTotal: (EXIT_CONFIG, "non-positive total"),
-    NegativeConcentration: (EXIT_CONFIG, "negative concentration"),
     PositivityViolation: (EXIT_POSITIVITY, "positivity violation"),
     NotConvex: (EXIT_CONVEXITY, "convexity failure"),
     MaxStepsExceeded: (EXIT_STEP_LIMIT, "step limit"),

@@ -5,14 +5,6 @@ class MsDiffError(Exception):
     """Base class for all msdiff errors."""
 
 
-class NonPositiveTotal(MsDiffError):
-    """Total concentration is zero or negative."""
-
-
-class NegativeConcentration(MsDiffError):
-    """A concentration is negative beyond the numerical-noise clamp."""
-
-
 class DegenerateComposition(MsDiffError):
     """A composition entry is at (or below) the boundary where the
     requested quantity is not defined."""

@@ -7,14 +7,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import EigSolverFailure, NegativeConcentration, NonPositiveTotal
+from .errors import EigSolverFailure
 
 #: Tolerance on |sum(x) - 1| for a valid composition.
 SUM_TOL = 1e-12
 
 #: Concentrations below -CLAMP_REL * total are treated as genuine model
 #: violations; anything in (-CLAMP_REL * total, 0) is numerical noise and
-#: gets clamped to zero (``mole_fractions`` and every simulator step).
+#: gets clamped to zero (every simulator step).
 CLAMP_REL = 1e-10
 
 
@@ -139,30 +139,6 @@ class Composition:
     def c(self) -> np.ndarray:
         """Species concentrations c_i = x_i * c_tot."""
         return self.x * np.asarray(self.c_tot)[..., None]
-
-
-def mole_fractions(c) -> Composition:
-    """Composition from one concentration vector, whose entries and total
-    must be finite, else ``ValueError``.
-
-    Tiny negative entries (within -1e-10 of the total) are clamped to
-    zero; larger negatives raise ``NegativeConcentration``.
-    """
-    c = np.asarray(c, dtype=float)
-    if c.ndim != 1:
-        raise ValueError(f"concentrations must be one vector, got shape {c.shape}")
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite total fails below
-        total = float(c.sum())
-    if not abs(total) < np.inf:  # an inf or NaN entry, or an overflow
-        raise ValueError(f"concentrations and their total must be finite, got total {total!r}")
-    if total <= 0:
-        raise NonPositiveTotal(f"sum of concentrations is {total!r}")
-    if np.any(c < -CLAMP_REL * total):
-        bad = int(np.argmin(c))
-        raise NegativeConcentration(f"c[{bad}]={c[bad].item()!r} with total {total!r}")
-    c = np.clip(c, 0.0, None)
-    total = float(c.sum())
-    return Composition(x=c / total, c_tot=total)
 
 
 @lru_cache(maxsize=32)

@@ -44,9 +44,10 @@ numbers keep the bits of the full spectrum.
 
 Compositions and forces are shaped (..., n) and every public per-state
 function is batched over the leading axes; one state is the batch of
-shape ().  A raw composition enters through ``thermo._as_x`` (finite and
->= 0, else ``DegenerateComposition``; every row summing to 1 within
-SUM_TOL + n X_FLOOR, else ``ValueError``), forces through :func:`_as_d`
+shape ().  A raw composition enters through ``thermo._as_x`` (shaped
+(..., n), n >= 2, else ``ValueError``; finite and >= 0, else
+``DegenerateComposition``; every row summing to 1 within SUM_TOL + n
+X_FLOOR, else ``ValueError``), forces through :func:`_as_d`
 (``DrivingForce``'s rule: finite and summing to zero, else ``ValueError``).
 Every check runs per row (its own norm, residual or pivot), and a row that
 fails a hard check raises for the call.
@@ -402,7 +403,8 @@ def diffusion_operator_spectrum(x, dmat, model: ThermoModel,
 
     Positive eigenvalues certify normal ellipticity, i.e. parabolicity
     of the species equations at this state.  ``x`` goes through
-    ``thermo._as_x``, the per-state composition rule (a NaN, inf or negative
+    ``thermo._as_x``, the per-state composition rule (an x without a species
+    axis or with one species raises ``ValueError``; a NaN, inf or negative
     entry raises ``DegenerateComposition``; a row that does not sum to 1
     within SUM_TOL + n X_FLOOR, as floored rows do, raises ``ValueError``),
     and is then floored.  With ``require_convex``, a row whose

@@ -1,5 +1,5 @@
-"""Activity-coefficient models, the thermodynamic-factor matrix, chemical
-potentials, and the convexity of the Gibbs energy.
+"""Activity-coefficient models, the thermodynamic-factor matrix, and the
+convexity of the Gibbs energy; the step kernel's chemical potentials.
 
 All chemical potentials are expressed in RT units with the pure-species
 reference potential gauged to zero; only gradients enter the dynamics.
@@ -16,20 +16,22 @@ operator's spectrum uses A itself, in the X^{1/2} pencil of
 its form with ``mixture._eigvalsh``, which rejects the inf or NaN that a
 huge finite A can leave in it.
 
-The per-state functions take a :class:`~msdiff.mixture.Composition` or an
-array shaped (..., n) through one checked conversion, :func:`_as_x`: every
-x_i finite and >= 0 (``ln_activity_coeffs``), or >= X_FLOOR where ln x or
-1/x is taken (``gamma_matrix``, ``chemical_potentials``, ``driving_force``,
-``convexity_check``), and every row summing to 1 within SUM_TOL + n X_FLOOR,
-so that floored rows pass.  ``gamma_matrix`` and ``ln_activity_coeffs``
-alone skip the row sum: they treat x_1..x_n as independent coordinates, so
-the rows of a finite difference stay valid.  The functions are batched
-over the leading axes, one state being the batch of shape (), and a row
-that fails a check raises for the whole call; each resolves the model
-once, at entry, by ``ThermoModel.interactions`` (``None`` for ideal
-thermo).  The step kernel resolves it once per run and reaches no check:
-it calls the unchecked ``floor_composition`` and :func:`_ln_gamma_x`, and
-its checkpoints take the Gibbs energy V = h sum c mu from the kernel's mu.
+The per-state functions here and in ``mskernel`` and ``verify`` take a
+:class:`~msdiff.mixture.Composition` or an array through one checked
+conversion, :func:`_as_x`: Composition's shape, (..., n) with n >= 2 (else
+``ValueError``); every x_i finite and >= 0, or >= X_FLOOR where ln x or
+1/x is taken (``gamma_matrix``, ``driving_force``, ``convexity_check``);
+and every row summing to 1 within SUM_TOL + n X_FLOOR, so that floored
+rows pass.  ``gamma_matrix`` alone skips the row sum: it treats x_1..x_n
+as independent coordinates, so the rows of a finite difference stay
+valid.  The functions are batched over the leading axes, one state being
+the batch of shape (), and a row that fails a check raises for the whole
+call.  The thermo functions resolve the model once, at entry, by
+``ThermoModel.interactions`` (``None`` for ideal thermo).  The step kernel
+resolves it once per run and reaches no check: it calls the unchecked
+``floor_composition``, :func:`_ln_gamma_x` for mu and :func:`_gamma_dot`,
+and its checkpoints take the Gibbs energy V = h sum c mu from the
+kernel's mu.
 """
 from __future__ import annotations
 
@@ -85,21 +87,25 @@ IDEAL = ThermoModel()
 
 def _as_x(x, what: str, lo: float = 0.0, simplex: bool = True) -> np.ndarray:
     """The one mole-fraction conversion: ``x`` (a Composition or an array)
-    as an array if every entry is finite and >= ``lo``, else
-    ``DegenerateComposition`` naming ``what``; ``lo`` is 0, Composition's
-    rule, or X_FLOOR where ln x or 1/x is taken.  With ``simplex`` (all but
-    the independent-coordinate callers) every row must also sum to 1 within
-    SUM_TOL + n X_FLOOR, so that floored rows pass, else ``ValueError``
-    naming the first bad sum; a sum that overflows is inf and fails."""
+    as an array if it has Composition's shape, (..., n) with n >= 2, else
+    ``ValueError`` naming ``what``, and if every entry is finite and >=
+    ``lo``, else ``DegenerateComposition`` naming ``what``; ``lo`` is 0,
+    Composition's rule, or X_FLOOR where ln x or 1/x is taken.  With
+    ``simplex`` (all but ``gamma_matrix``, whose x_1..x_n are independent
+    coordinates) every row must also sum to 1 within SUM_TOL + n X_FLOOR,
+    so that floored rows pass, else ``ValueError`` naming the first bad
+    sum; a sum that overflows is inf and fails."""
     x = x.x if isinstance(x, Composition) else np.asarray(x, dtype=float)
+    if x.ndim < 1 or x.shape[-1] < 2:
+        raise ValueError(f"{what} needs x shaped (..., n) with n >= 2 species, "
+                         f"got shape {x.shape}")
     if not np.all((x >= lo) & (x < np.inf)):
         raise DegenerateComposition(f"{what} needs {'an interior' if lo else 'a'} composition "
                                     f"(every x_i finite and >= {lo:g})")
     if simplex:
-        rows = np.atleast_1d(x)
         with np.errstate(over="ignore"):
-            total = rows.sum(axis=-1)
-        bad = np.abs(total - 1.0) > SUM_TOL + rows.shape[-1] * X_FLOOR
+            total = x.sum(axis=-1)
+        bad = np.abs(total - 1.0) > SUM_TOL + x.shape[-1] * X_FLOOR
         if np.any(bad):
             raise ValueError(f"mole fractions must sum to 1, got {float(total[_first_true(bad)])!r}")
     return x
@@ -109,19 +115,6 @@ def floor_composition(x: np.ndarray) -> np.ndarray:
     """Raise entries below X_FLOOR to X_FLOOR.  Unchecked (NaN stays NaN): the
     floor of arrays that :func:`_as_x` or the step kernel has checked."""
     return np.maximum(x, X_FLOOR)
-
-
-def ln_activity_coeffs(model: ThermoModel, x) -> np.ndarray:
-    """ln gamma_i for every species; zeros for the ideal model."""
-    x = _as_x(x, "ln_activity_coeffs", simplex=False)
-    a = model.interactions(x.shape[-1])
-    return np.zeros_like(x) if a is None else _ln_gamma(x, a)
-
-
-def _ln_gamma(x: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Margules ln gamma_i for the symmetric ``a``, batched; no domain check."""
-    ax = x @ a  # (A x)_i, valid batched since A is symmetric
-    return ax - 0.5 * np.sum(x * ax, axis=-1, keepdims=True)
 
 
 def gamma_matrix(model: ThermoModel, x) -> np.ndarray:
@@ -142,8 +135,10 @@ def gamma_matrix(model: ThermoModel, x) -> np.ndarray:
 
 def _gamma_dot(x: np.ndarray, a: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Gamma(x) d = d + x * (A d - <A x, d>) for the symmetric
-    interactions ``a``; batched, Gamma not formed."""
-    return d + x * (d @ a - np.sum((x @ a) * d, axis=-1, keepdims=True))
+    interactions ``a``; batched, Gamma not formed.  Here and in
+    :func:`_ln_gamma_x` a row sum is a product with an all-ones column,
+    cheaper than ``np.sum`` on short rows."""
+    return d + x * (d @ a - ((x @ a) * d) @ np.ones((x.shape[-1], 1)))
 
 
 def driving_force(model: ThermoModel, x, grad_x) -> DrivingForce:
@@ -162,17 +157,13 @@ def driving_force(model: ThermoModel, x, grad_x) -> DrivingForce:
     return DrivingForce(d=d)
 
 
-def chemical_potentials(model: ThermoModel, x) -> np.ndarray:
-    """mu_i in RT units: ln(gamma_i x_i).  Requires interior x."""
-    x = _as_x(x, "chemical_potentials", X_FLOOR)
-    return _ln_gamma_x(x, model.interactions(x.shape[-1]))
-
-
 def _ln_gamma_x(x: np.ndarray, a: np.ndarray | None) -> np.ndarray:
-    """ln(gamma_i x_i) for the resolved ``a`` (``None``: ideal), batched; no check."""
+    """mu_i = ln(gamma_i x_i) in RT units for the resolved symmetric ``a``
+    (``None``: ideal), batched; no check."""
     mu = np.log(x)
     if a is not None:
-        mu += _ln_gamma(x, a)
+        ax = x @ a  # (A x)_i, valid batched since A is symmetric
+        mu += ax - 0.5 * ((x * ax) @ np.ones((x.shape[-1], 1)))
     return mu
 
 

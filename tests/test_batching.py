@@ -9,10 +9,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from msdiff import (Composition, DrivingForce, FluxSet, ThermoModel,
-                    chemical_potentials, convexity_check,
-                    diffusion_operator_spectrum, driving_force, gamma_matrix,
-                    solve_fluxes_invariant, solve_fluxes_reduced, spectrum,
-                    ternary_closed_forms)
+                    convexity_check, diffusion_operator_spectrum, driving_force,
+                    gamma_matrix, solve_fluxes_invariant, solve_fluxes_reduced,
+                    spectrum, ternary_closed_forms)
 from msdiff.mixture import simplex_basis
 from test_mskernel import fick_limit_D  # a test-only reference, kept with its tests
 
@@ -78,10 +77,6 @@ def _operator_convex(x, g, dmat, model):
     return {"w": diffusion_operator_spectrum(x, dmat, model)}
 
 
-def _mu(x, g, dmat, model):
-    return {"mu": chemical_potentials(model, x)}
-
-
 def _fick(x, g, dmat, model):
     return {"D_0": fick_limit_D(x, dmat, 0)}
 
@@ -112,7 +107,6 @@ CASES = {
     "gamma_matrix": (_gamma, set(), None),
     "diffusion_operator_spectrum": (_operator, set(), None),
     "diffusion_operator_spectrum_convex": (_operator_convex, set(), None),
-    "chemical_potentials": (_mu, set(), None),
     "fick_limit_D": (_fick, set(), None),
 }
 TERNARY = (_ternary, {"matches_assembly", "sector_ok"}, None)

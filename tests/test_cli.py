@@ -121,8 +121,6 @@ class TestLoadConfig:
 EXIT_OF = {
     errors.ConfigError: EXIT_CONFIG,
     errors.DegenerateComposition: EXIT_CONFIG,
-    errors.NonPositiveTotal: EXIT_CONFIG,
-    errors.NegativeConcentration: EXIT_CONFIG,
     errors.PositivityViolation: EXIT_POSITIVITY,
     errors.NotConvex: EXIT_CONVEXITY,
     errors.MaxStepsExceeded: EXIT_STEP_LIMIT,

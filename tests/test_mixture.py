@@ -3,65 +3,7 @@ import numpy as np
 import pytest
 
 from msdiff import (IDEAL, Composition, DrivingForce, FluxSet, MixtureSpec,
-                    driving_force, mole_fractions)
-from msdiff.errors import NegativeConcentration, NonPositiveTotal
-
-
-class TestMoleFractions:
-    def test_symmetric_pair(self):
-        comp = mole_fractions([1.0, 1.0])
-        assert np.array_equal(comp.x, [0.5, 0.5])
-        assert comp.c_tot == 2.0
-
-    def test_single_species_corner(self):
-        comp = mole_fractions([2.0, 0.0, 0.0])
-        assert np.array_equal(comp.x, [1.0, 0.0, 0.0])
-        assert comp.c_tot == 2.0
-
-    def test_direct_division(self):
-        comp = mole_fractions([1.0, 2.0, 3.0])
-        np.testing.assert_allclose(comp.x, [1 / 6, 1 / 3, 1 / 2], rtol=1e-15)
-        assert comp.c_tot == 6.0
-
-    def test_tiny_negative_clamped(self):
-        comp = mole_fractions([1.0, -1e-12, 1.0])
-        assert comp.x[1] == 0.0
-        assert comp.c_tot == 2.0
-
-    def test_large_negative_rejected(self):
-        with pytest.raises(NegativeConcentration, match=r"^c\[1\]=-0\.001 with total 0\.999$"):
-            mole_fractions([1.0, -1e-3])
-
-    def test_zero_total_rejected(self):
-        with pytest.raises(NonPositiveTotal):
-            mole_fractions([0.0, 0.0])
-
-    @pytest.mark.parametrize("c, err", [
-        ([np.inf, 1.0], "concentrations and their total must be finite, got total inf"),
-        ([np.nan, 1.0], "concentrations and their total must be finite, got total nan"),
-        ([1e308, 1e308], "concentrations and their total must be finite, got total inf"),
-        ([[1.0, 2.0], [3.0, 4.0]], r"concentrations must be one vector, got shape \(2, 2\)"),
-    ], ids=["inf", "nan", "overflow", "matrix"])
-    def test_non_finite_or_batched_rejected(self, c, err):
-        with pytest.raises(ValueError, match=f"^{err}$"):
-            mole_fractions(c)
-
-    def test_scale_invariance(self):
-        rng = np.random.default_rng(42)
-        for _ in range(50):
-            c = rng.uniform(0.1, 5.0, size=rng.integers(2, 7))
-            alpha = 10.0 ** rng.uniform(-6, 6)
-            x0 = mole_fractions(c).x
-            x1 = mole_fractions(alpha * c).x
-            np.testing.assert_allclose(x1, x0, atol=1e-14)
-
-    def test_round_trip(self):
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            c = rng.uniform(0.0, 3.0, size=4)
-            c[0] = max(c[0], 0.1)
-            comp = mole_fractions(c)
-            np.testing.assert_allclose(comp.x * comp.c_tot, c, rtol=1e-14)
+                    driving_force)
 
 
 class TestCompositionInvariants:

@@ -10,9 +10,9 @@ from hypothesis.extra import numpy as hnp
 
 from msdiff import (IDEAL, Composition, Field, FluxSet, Grid1D, MixtureSpec, ThermoModel,
                     assemble_A, assemble_A_sym, assemble_B, convexity_check,
-                    diffusion_operator_spectrum, gamma_matrix, mole_fractions,
-                    solve_fluxes_invariant, solve_fluxes_reduced, spectral_gap_delta,
-                    spectrum, ternary_closed_forms)
+                    diffusion_operator_spectrum, gamma_matrix, solve_fluxes_invariant,
+                    solve_fluxes_reduced, spectral_gap_delta, spectrum,
+                    ternary_closed_forms)
 import msdiff.solver
 from msdiff import mskernel
 from msdiff.errors import (DegenerateComposition, EigSolverFailure, NotConvex,
@@ -917,6 +917,6 @@ def _growth_without_pivoting(k):
 
 
 def test_mole_fractions_integration():
-    comp = mole_fractions([0.6, 1.4])
+    comp = Composition(x=[0.3, 0.7], c_tot=2.0)
     rep = spectrum(comp.x, [[0, 1], [1, 0]])
     assert rep.gap_ok

@@ -12,16 +12,15 @@ import msdiff.solver
 import msdiff.verify
 from msdiff import (Composition, Field, Grid1D, IDEAL, MixtureSpec, NO_REACTIONS,
                     Reaction, ReactionNetwork, SimConfig, ThermoModel,
-                    chemical_potentials, diffusion_operator_spectrum,
-                    driving_force, face_fluxes, simulate, solve_fluxes_invariant,
-                    stable_dt)
+                    diffusion_operator_spectrum, driving_force, face_fluxes,
+                    simulate, solve_fluxes_invariant, stable_dt)
 from msdiff.errors import (IsobaricDrift, MaxStepsExceeded, MsDiffError,
                            NonFiniteState, NotConvex, PositivityViolation)
 from msdiff.mixture import CLAMP_REL, _inverse_diffusivities, simplex_basis
 from msdiff.mskernel import _assemble_A, _eliminate, _operator_eigenvalues, _reduced_tensor
 from msdiff.solver import DT_REFRESH_STEPS, ISOBARIC_TOL, _advance, _Kernel, _State
 from msdiff.thermo import _gamma_dot, _ln_gamma_x, floor_composition, gamma_matrix
-from test_thermo import gibbs_density  # the plain-numpy reference G(c), kept with its tests
+from test_thermo import gibbs_density, mu_reference  # plain-numpy references of G and mu
 
 BINARY = MixtureSpec(names=("A", "B"), dmat=[[0.0, 1.0], [1.0, 0.0]])
 
@@ -828,13 +827,11 @@ class TestSimulate:
 
     def test_step_loop_reaches_no_input_check(self, monkeypatch):
         """The kernel steps arrays it has checked: a run never reaches the
-        composition conversion of the public functions, nor the public
-        ln gamma that converts through it."""
+        composition conversion of the public functions."""
         def forbidden(*args, **kwargs):
             raise AssertionError("the step loop reached a public input check")
         for module in (msdiff.thermo, msdiff.mskernel, msdiff.verify):
             monkeypatch.setattr(module, "_as_x", forbidden)
-        monkeypatch.setattr(msdiff.thermo, "ln_activity_coeffs", forbidden)
         resolved = []  # the model is resolved once, at the kernel's set-up
         checked = ThermoModel.interactions
         monkeypatch.setattr(ThermoModel, "interactions",
@@ -1044,7 +1041,7 @@ def test_kernel_matches_per_face_public_route(n, thermo):
     c = fld.c
     x = c / c.sum(axis=1, keepdims=True)
     h = fld.grid.h
-    mu = np.array([chemical_potentials(model, xi) for xi in x])
+    mu = mu_reference(model, x)
     ref_j, ref_w, lam_max = [], 0.0, 0.0
     for f in range(fld.grid.ncells - 1):
         xf = 0.5 * (x[f] + x[f + 1])

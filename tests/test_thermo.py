@@ -5,28 +5,33 @@ import numpy as np
 import pytest
 
 from msdiff import (IDEAL, ThermoModel, assemble_A, assemble_A_sym, assemble_B,
-                    chemical_potentials, convexity_check, diffusion_operator_spectrum,
-                    driving_force, gamma_matrix, ln_activity_coeffs, spectrum,
-                    ternary_closed_forms)
+                    convexity_check, diffusion_operator_spectrum, driving_force,
+                    gamma_matrix, spectrum, ternary_closed_forms)
 from msdiff.errors import DegenerateComposition
 from msdiff.mixture import simplex_basis
-from msdiff.thermo import X_FLOOR, floor_composition
+from msdiff.thermo import X_FLOOR, _ln_gamma_x, floor_composition
+
+
+def mu_reference(model, x) -> np.ndarray:
+    """Reference chemical potentials in RT units per row of ``x``, in plain
+    numpy: mu_i = ln x_i + (A x)_i - x.A.x / 2, the two-suffix Margules
+    form (the A terms vanish on ideal thermo)."""
+    x = np.asarray(x, dtype=float)
+    mu = np.log(x)
+    if model.amat is not None:
+        a = model.amat
+        mu += (np.einsum("ij,...j->...i", a, x)
+               - 0.5 * np.einsum("...i,ij,...j->...", x, a, x)[..., None])
+    return mu
 
 
 def gibbs_density(model, c) -> float:
     """Reference Gibbs free energy per volume in RT units, G = sum_i c_i mu_i
-    summed over every row, written from the formulas alone in plain numpy:
-    mu_i = ln x_i + ln gamma_i at x = c / c_tot raised to X_FLOOR (so a zero
-    concentration contributes 0), with the two-suffix Margules
-    ln gamma_i = sum_j A_ij x_j - sum_{j<k} A_jk x_j x_k (0 on ideal thermo)."""
+    summed over every row, with :func:`mu_reference` at x = c / c_tot
+    raised to X_FLOOR (so a zero concentration contributes 0)."""
     c = np.asarray(c, dtype=float)
     x = np.maximum(c / c.sum(axis=-1, keepdims=True), X_FLOOR)
-    mu = np.log(x)
-    if model.amat is not None:
-        a = model.amat
-        g_excess = np.einsum("...j,jk,...k->...", x, np.triu(a, 1), x)
-        mu += np.einsum("ij,...j->...i", a, x) - g_excess[..., None]
-    return float(np.sum(c * mu))
+    return float(np.sum(c * mu_reference(model, x)))
 
 
 def _random_interior_x(rng, n, xmin=1e-3):
@@ -44,31 +49,32 @@ def _random_amat(rng, n, amax=2.0):
 
 
 class TestLnActivityCoeffs:
+    """ln gamma_i = mu_i - ln x_i of the step kernel's ``_ln_gamma_x``."""
+
     def test_ideal_is_zero(self):
-        assert np.array_equal(ln_activity_coeffs(IDEAL, [0.2, 0.3, 0.5]),
-                              np.zeros(3))
+        x = np.array([0.2, 0.3, 0.5])
+        assert np.array_equal(_ln_gamma_x(x, None) - np.log(x), np.zeros(3))
 
     def test_binary_closed_form(self):
         # two-suffix binary: ln gamma_1 = A x2^2, ln gamma_2 = A x1^2
         a = 1.0
-        model = ThermoModel.margules([[0, a], [a, 0]])
-        lng = ln_activity_coeffs(model, [0.25, 0.75])
+        x = np.array([0.25, 0.75])
+        lng = _ln_gamma_x(x, np.array([[0, a], [a, 0]])) - np.log(x)
         np.testing.assert_allclose(lng, [a * 0.75**2, a * 0.25**2], rtol=1e-14)
 
     def test_pure_corner_reference(self):
-        model = ThermoModel.margules([[0, 2.0], [2.0, 0]])
-        lng = ln_activity_coeffs(model, [1.0, 0.0])
-        assert lng[0] == pytest.approx(0.0, abs=1e-15)
+        x = np.array([1.0, 0.0])
+        with np.errstate(divide="ignore"):  # ln x_2 = -inf; mu_1 = ln gamma_1 at x_1 = 1
+            mu = _ln_gamma_x(x, np.array([[0, 2.0], [2.0, 0]]))
+        assert mu[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_batched_matches_loop(self):
         rng = np.random.default_rng(3)
-        model = ThermoModel.margules(_random_amat(rng, 4))
+        a = _random_amat(rng, 4)
         xs = np.array([_random_interior_x(rng, 4) for _ in range(16)])
-        batched = ln_activity_coeffs(model, xs)
+        batched = _ln_gamma_x(xs, a)
         for k in range(16):
-            np.testing.assert_allclose(batched[k],
-                                       ln_activity_coeffs(model, xs[k]),
-                                       atol=1e-15)
+            np.testing.assert_allclose(batched[k], _ln_gamma_x(xs[k], a), atol=1e-15)
 
 
 class TestGammaMatrix:
@@ -92,7 +98,8 @@ class TestGammaMatrix:
             np.testing.assert_allclose(g.sum(axis=0), np.ones(n), atol=1e-10)
 
     def test_matches_finite_difference_jacobian(self):
-        # independent construction: FD of ln gamma_i in raw coordinates
+        # independent construction: FD of ln gamma_i = mu_i - ln x_i of the
+        # plain-numpy reference, in raw coordinates
         rng = np.random.default_rng(19)
         h = 1e-6
         for _ in range(100):
@@ -104,8 +111,8 @@ class TestGammaMatrix:
             for j in range(n):
                 e = np.zeros(n)
                 e[j] = h
-                dlng = (ln_activity_coeffs(model, x + e)
-                        - ln_activity_coeffs(model, x - e)) / (2 * h)
+                dlng = ((mu_reference(model, x + e) - np.log(x + e))
+                        - (mu_reference(model, x - e) - np.log(x - e))) / (2 * h)
                 fd[:, j] += x * dlng
             np.testing.assert_allclose(g, fd, atol=1e-6)
 
@@ -145,7 +152,7 @@ class TestGibbsDensity:
         h = 1e-6
         for model in (IDEAL, ThermoModel.margules(_random_amat(rng, 3))):
             c = np.array([1.0, 2.0, 3.0])
-            mu = chemical_potentials(model, c / c.sum())
+            mu = mu_reference(model, c / c.sum())
             for i in range(3):
                 e = np.zeros(3)
                 e[i] = h
@@ -242,7 +249,6 @@ def test_floor_output_is_accepted_at_simplex_boundary(n):
     dmat = 0.5 * (d + d.T)
     np.fill_diagonal(dmat, 0.0)
     checks = (lambda x: gamma_matrix(IDEAL, x),
-              lambda x: chemical_potentials(IDEAL, x),
               lambda x: convexity_check(IDEAL, x),
               lambda x: diffusion_operator_spectrum(x, dmat, IDEAL))
     states = list(_vertices_and_edge_midpoints(n))
@@ -250,7 +256,7 @@ def test_floor_output_is_accepted_at_simplex_boundary(n):
     for x in states:
         xf = floor_composition(x)
         assert xf.min() >= X_FLOOR
-        for check in checks[:3]:
+        for check in checks[:2]:
             check(xf)
         assert np.all(np.real(diffusion_operator_spectrum(x, dmat, IDEAL)) > 0)
         bad = x.copy()
@@ -264,9 +270,7 @@ def test_floor_output_is_accepted_at_simplex_boundary(n):
 _DOMAIN_CHECKED = {
     "convexity_check": lambda model, x, dmat: convexity_check(model, x),
     "gamma_matrix": lambda model, x, dmat: gamma_matrix(model, x),
-    "chemical_potentials": lambda model, x, dmat: chemical_potentials(model, x),
-    "driving_force": lambda model, x, dmat: driving_force(model, x, np.zeros(len(x))),
-    "ln_activity_coeffs": lambda model, x, dmat: ln_activity_coeffs(model, x),
+    "driving_force": lambda model, x, dmat: driving_force(model, x, np.zeros(np.shape(x))),
     "diffusion_operator_spectrum": lambda model, x, dmat: diffusion_operator_spectrum(
         x, dmat, model, require_convex=False),
     "assemble_A": lambda model, x, dmat: assemble_A(x, dmat),
@@ -277,8 +281,8 @@ _DOMAIN_CHECKED = {
 }
 
 
-#: The entries that treat x_1..x_n as independent coordinates: no row-sum rule.
-_INDEPENDENT_COORDINATES = {"gamma_matrix", "ln_activity_coeffs"}
+#: The entry that treats x_1..x_n as independent coordinates: no row-sum rule.
+_INDEPENDENT_COORDINATES = {"gamma_matrix"}
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -287,14 +291,21 @@ _INDEPENDENT_COORDINATES = {"gamma_matrix", "ln_activity_coeffs"}
 def test_infinite_fraction_is_degenerate(n, thermo, name):
     """A +inf fraction fails the domain check like a NaN or a negative
     one, with DegenerateComposition naming the function: no 1.0
-    certificate, NaN matrix, infinite potential, or LinAlgError, and no
-    floor that lifts -0.2 to X_FLOOR (the rows otherwise sum to 1).  Every
-    entry but the two of independent coordinates also holds x to the
+    certificate, NaN matrix, or LinAlgError, and no floor that lifts -0.2
+    to X_FLOOR (the rows otherwise sum to 1).  Every entry but
+    gamma_matrix, of independent coordinates, also holds x to the
     simplex: finite rows of [1e308] * n (whose sum overflows) and of sum
     1.1 raise one ValueError naming the sum, with no numpy warning (the
-    suite turns warnings into errors)."""
+    suite turns warnings into errors).  Every entry holds x to
+    Composition's shape: a scalar, or one species, raises one ValueError
+    naming the function, not an IndexError or a result."""
     off = np.ones((n, n)) - np.eye(n)
     model = IDEAL if thermo == "ideal" else ThermoModel.margules(0.5 * off)
+    for x in (1.0, [1.0]):
+        msg = re.escape(f"{name} needs x shaped (..., n) with n >= 2 species, "
+                        f"got shape {np.shape(x)}")
+        with pytest.raises(ValueError, match=f"^{msg}$"):
+            _DOMAIN_CHECKED[name](model, x, off)
     for bad in (np.inf, np.nan, -0.2):
         x = np.full(n, 1.2 / (n - 1))
         x[0] = bad
