@@ -131,15 +131,6 @@ class Composition:
             raise ValueError(f"c_tot must be positive and finite, got "
                              f"{c_tot[_first_true(bad)].item()!r}")
 
-    @property
-    def n(self) -> int:
-        return self.x.shape[-1]
-
-    @property
-    def c(self) -> np.ndarray:
-        """Species concentrations c_i = x_i * c_tot."""
-        return self.x * np.asarray(self.c_tot)[..., None]
-
 
 @lru_cache(maxsize=32)
 def simplex_basis(n: int) -> np.ndarray:

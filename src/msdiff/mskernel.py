@@ -44,13 +44,12 @@ numbers keep the bits of the full spectrum.
 
 Compositions and forces are shaped (..., n) and every public per-state
 function is batched over the leading axes; one state is the batch of
-shape ().  A raw composition enters through ``thermo._as_x`` (shaped
-(..., n), n >= 2, else ``ValueError``; finite and >= 0, else
-``DegenerateComposition``; every row summing to 1 within SUM_TOL + n
-X_FLOOR, else ``ValueError``), forces through :func:`_as_d`
-(``DrivingForce``'s rule: finite and summing to zero, else ``ValueError``).
-Every check runs per row (its own norm, residual or pivot), and a row that
-fails a hard check raises for the call.
+shape ().  Each public function checks its inputs once, at entry: a raw
+composition and D by :func:`_checked` (the ``thermo._as_x`` rule that
+``thermo`` states, and the D rule), forces by :func:`_as_d` (``DrivingForce``'s
+rule: finite and summing to zero, else ``ValueError``); it then calls only
+private bodies.  Every check runs per row (its own norm, residual or
+pivot), and a row that fails a hard check raises for the call.
 """
 from __future__ import annotations
 
@@ -64,15 +63,21 @@ from .mixture import (Composition, DrivingForce, FluxSet, _check_species, _eigva
 from .thermo import ThermoModel, _as_x, floor_composition
 
 
+def _checked(x, dmat, what: str, floor: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """The one entry check: ``x`` by ``_as_x`` under ``what``, the D rule, the
+    species counts.  Returns x, floored if ``floor``, and 1/D."""
+    x = _as_x(x, what)
+    inv = _inverse_diffusivities(dmat)
+    _check_species(inv, x=x)
+    return (floor_composition(x) if floor else x), inv
+
+
 def assemble_A(x, dmat) -> np.ndarray:
     """Flux-force matrix A(x): off-diagonal x_i / D_ij, diagonal -s_i.
 
     The composition is floored first (:func:`msdiff.thermo.floor_composition`).
     """
-    x = floor_composition(_as_x(x, "assemble_A"))
-    inv = _inverse_diffusivities(dmat)
-    _check_species(inv, x=x)
-    return _assemble_A(x, inv)
+    return _assemble_A(*_checked(x, dmat, "assemble_A"))
 
 
 def _assemble_A(x: np.ndarray, inv: np.ndarray) -> np.ndarray:
@@ -91,9 +96,11 @@ def _with_diagonal(a: np.ndarray, inv: np.ndarray, x: np.ndarray) -> np.ndarray:
 def assemble_A_sym(x, dmat) -> np.ndarray:
     """Symmetrized form A_S = X^{-1/2} A X^{1/2}: off-diagonal
     sqrt(x_i x_j) / D_ij, same diagonal as A.  Null vector sqrt(x)."""
-    x = floor_composition(_as_x(x, "assemble_A_sym"))
-    inv = _inverse_diffusivities(dmat)
-    _check_species(inv, x=x)
+    return _assemble_A_sym(*_checked(x, dmat, "assemble_A_sym"))
+
+
+def _assemble_A_sym(x: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """A_S(x) from the inverse diffusivities; no floor."""
     rx = np.sqrt(x)
     return _with_diagonal(rx[..., :, None] * rx[..., None, :] * inv, inv, x)
 
@@ -105,12 +112,13 @@ def assemble_B(x, dmat) -> np.ndarray:
     B_ij = x_i (1/D_in - 1/D_ij) for i != j and
     B_ii = x_i / D_in + sum_{k != i} x_k / D_ik, with x_n = 1 - sum x_m.
     """
-    x = _as_x(x, "assemble_B")
-    inv = _inverse_diffusivities(dmat)
-    _check_species(inv, x=x)
-    n = inv.shape[0]
-    m = n - 1
-    col_n = inv[:m, n - 1]
+    return _assemble_B(*_checked(x, dmat, "assemble_B", floor=False))
+
+
+def _assemble_B(x: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """B(x) from the inverse diffusivities; no floor."""
+    m = inv.shape[0] - 1
+    col_n = inv[:m, m]
     b = x[..., :m, None] * (col_n[:, None] - inv[:m, :m])
     s = np.einsum("ik,...k->...i", inv, x)[..., :m]
     idx = np.arange(m)
@@ -130,18 +138,21 @@ class SpectrumReport:
 
 def spectral_gap_delta(dmat) -> float:
     """delta = min_{i != j} 1 / D_ij."""
-    inv = _inverse_diffusivities(dmat)
+    return _delta(_inverse_diffusivities(dmat))
+
+
+def _delta(inv: np.ndarray) -> float:
     return float(inv[~np.eye(len(inv), dtype=bool)].min())
 
 
 def spectrum(x, dmat) -> SpectrumReport:
     """Eigenvalues of A via the symmetric similar matrix A_S; each row's
-    zero eigenvalue is tested against its own ||A_S||."""
-    a_sym = assemble_A_sym(_as_x(x, "spectrum"), dmat)
+    zero eigenvalue is tested against its own scaled ||A_S|| (:func:`_norm`)."""
+    x, inv = _checked(x, dmat, "spectrum")
+    a_sym = _assemble_A_sym(x, inv)
     w = _eigvalsh(a_sym)[..., ::-1]  # descending
-    delta = spectral_gap_delta(dmat)
-    norm = np.linalg.norm(a_sym, axis=(-2, -1))
-    gap_ok = ((np.abs(w[..., 0]) <= 1e-10 * norm)
+    delta = _delta(inv)
+    gap_ok = ((np.abs(w[..., 0]) <= 1e-10 * _norm(a_sym, (-2, -1)))
               & (w[..., 1] <= -delta * (1.0 - 1e-10)))
     w.setflags(write=False)
     return SpectrumReport(eigenvalues=w, delta=delta, gap_ok=_unbatch(gap_ok))
@@ -195,7 +206,8 @@ def solve_fluxes_invariant(comp: Composition, dmat, d) -> FluxSet:
     _check_species(inv, x=x, d=dv)
     a = _assemble_A(x, inv)  # for the residual check
     c_tot = np.asarray(comp.c_tot)
-    with np.errstate(over="ignore", invalid="ignore"):  # the residual check rejects them
+    # the residual check rejects an overflow, or the NaN a zero pivot leaves
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         rhs = c_tot[..., None] * dv  # the composition's batch, broadcast with the forces'
         j = _fluxes_projected(np.broadcast_to(x, rhs.shape), rhs, _reduced_tensor(inv))
         resid = _norm((a @ j[..., None])[..., 0] - rhs, -1)
@@ -214,15 +226,16 @@ def solve_fluxes_reduced(comp: Composition, dmat, d) -> FluxSet:
     zero sum.  A pivot below 1e-14 ||B|| in any row, or a flux that
     overflows, raises ``SingularSystem``."""
     dv = _as_d(d)
-    b = assemble_B(comp.x, dmat)
-    _check_species(_inverse_diffusivities(dmat), d=dv)
+    inv = _inverse_diffusivities(dmat)
+    _check_species(inv, x=comp.x, d=dv)
+    b = _assemble_B(comp.x, inv)
     # the pivot and finiteness checks below reject a zero pivot or an overflow
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         rhs = -np.asarray(comp.c_tot)[..., None] * dv[..., :-1]
         b = np.broadcast_to(b, rhs.shape[:-1] + b.shape[-2:])
         jr, pivots = _eliminate(b, rhs)
         j = np.concatenate([jr, -jr.sum(axis=-1, keepdims=True)], axis=-1)
-    if np.any(np.abs(pivots) < 1e-14 * np.linalg.norm(b, axis=(-2, -1))[..., None]):
+    if np.any(np.abs(pivots) < 1e-14 * _norm(b, (-2, -1))[..., None]):
         raise SingularSystem("vanishing pivot in the reduced-system elimination")
     if not np.isfinite(j).all():
         raise SingularSystem(f"reduced-system flux {j[_first_true(~np.isfinite(j))].item()!r}"
@@ -414,9 +427,7 @@ def diffusion_operator_spectrum(x, dmat, model: ThermoModel,
     strong-convexity verdict (the sign of ``thermo.convexity_check``).  An
     operator matrix that overflows raises ``EigSolverFailure``.
     """
-    x = floor_composition(_as_x(x, "diffusion_operator_spectrum"))
-    inv = _inverse_diffusivities(dmat)
-    _check_species(inv, x=x)
+    x, inv = _checked(x, dmat, "diffusion_operator_spectrum")
     with np.errstate(over="ignore", invalid="ignore"):  # overflow: +-inf, or an M _eigvalsh rejects
         lam = _operator_eigenvalues(x, inv, model.interactions(x.shape[-1]))[0]
     lam = lam[:, ::-1].reshape(x.shape[:-1] + lam.shape[-1:])  # descending

@@ -24,9 +24,10 @@ conversion, :func:`_as_x`: Composition's shape, (..., n) with n >= 2 (else
 and every row summing to 1 within SUM_TOL + n X_FLOOR, so that floored
 rows pass.  ``gamma_matrix`` alone skips the row sum: it treats x_1..x_n
 as independent coordinates, so the rows of a finite difference stay
-valid.  The functions are batched over the leading axes, one state being
-the batch of shape (), and a row that fails a check raises for the whole
-call.  The thermo functions resolve the model once, at entry, by
+valid.  Each function checks x once and builds Gamma by the unchecked
+:func:`_gamma`.  The functions are batched over the leading axes, one state
+being the batch of shape (), and a row that fails a check raises for the
+whole call.  The thermo functions resolve the model once, at entry, by
 ``ThermoModel.interactions`` (``None`` for ideal thermo).  The step kernel
 resolves it once per run and reaches no check: it calls the unchecked
 ``floor_composition``, :func:`_ln_gamma_x` for mu and :func:`_gamma_dot`,
@@ -125,8 +126,13 @@ def gamma_matrix(model: ThermoModel, x) -> np.ndarray:
     coordinates.  Column sums equal 1 (Gibbs-Duhem).
     """
     x = _as_x(x, "gamma_matrix", X_FLOOR, simplex=False)
+    return _gamma(x, model.interactions(x.shape[-1]))
+
+
+def _gamma(x: np.ndarray, a: np.ndarray | None) -> np.ndarray:
+    """Gamma(x) for the resolved interactions ``a`` (``None``: ideal),
+    batched; no check."""
     n = x.shape[-1]
-    a = model.interactions(n)
     if a is None:
         return np.broadcast_to(np.eye(n), x.shape + (n,)).copy()
     # d(ln gamma_i)/dx_j = A_ij - (A x)_j
@@ -152,7 +158,7 @@ def driving_force(model: ThermoModel, x, grad_x) -> DrivingForce:
     g = np.asarray(grad_x, dtype=float)
     _check_zero_sum(g, "grad_x", rtol=1e-10)
     x = _as_x(x, "driving_force", X_FLOOR)
-    d = (gamma_matrix(model, x) @ g[..., None])[..., 0]
+    d = (_gamma(x, model.interactions(x.shape[-1])) @ g[..., None])[..., 0]
     d -= d.mean(axis=-1, keepdims=True)  # exact zero sum; roundoff-level correction
     return DrivingForce(d=d)
 
@@ -178,6 +184,6 @@ def convexity_check(model: ThermoModel, x) -> float | np.ndarray:
     x = _as_x(x, "convexity_check", X_FLOOR)
     p = simplex_basis(x.shape[-1])
     with np.errstate(over="ignore", invalid="ignore"):  # a huge amat: _eigvalsh rejects inf or NaN
-        m = gamma_matrix(model, x) / x[..., :, None]
+        m = _gamma(x, model.interactions(x.shape[-1])) / x[..., :, None]
         sym = 0.5 * m + 0.5 * np.swapaxes(m, -1, -2)  # overflows only where m does
         return _unbatch(_eigvalsh(p.T @ sym @ p)[..., 0])

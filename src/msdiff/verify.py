@@ -205,15 +205,14 @@ def ternary_closed_forms(x, dmat) -> TernaryReport:
     shaped (..., 3).
     """
     x = _as_x(x, "ternary_closed_forms")
-    d = np.asarray(dmat, dtype=float)
-    _inverse_diffusivities(d)  # the D rule, before the closed forms divide by D
-    if x.shape[-1:] != (3,) or d.shape != (3, 3):
+    inv = _inverse_diffusivities(dmat)  # finite reciprocals: no division by D below
+    if x.shape[-1:] != (3,) or inv.shape != (3, 3):
         raise ValueError("ternary closed forms require exactly 3 species")
-    d12, d13, d23 = d[0, 1], d[0, 2], d[1, 2]
+    i12, i13, i23 = inv[0, 1], inv[0, 2], inv[1, 2]
     x1, x2, x3 = x[..., 0], x[..., 1], x[..., 2]
-    det_cf = x1 / (d12 * d13) + x2 / (d12 * d23) + x3 / (d13 * d23)
-    tr_cf = (x1 + x2) / d12 + (x1 + x3) / d13 + (x2 + x3) / d23
-    b = mskernel.assemble_B(x, d)
+    det_cf = x1 * (i12 * i13) + x2 * (i12 * i23) + x3 * (i13 * i23)
+    tr_cf = (x1 + x2) * i12 + (x1 + x3) * i13 + (x2 + x3) * i23
+    b = mskernel._assemble_B(x, inv)
     det_as = np.linalg.det(b)
     tr_as = np.trace(b, axis1=-2, axis2=-1)
     matches = ((np.abs(det_as - det_cf) <= 1e-12 * np.abs(det_cf))

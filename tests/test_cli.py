@@ -401,6 +401,42 @@ class TestSpectrumCommand:
         assert code == EXIT_CONFIG
 
 
+#: ``ternary_equal_d.json``'s D (50 off the diagonal) made extreme: every
+#: D_ij = 1e300, or D_12 = 1e-300 with the rest left at 50.
+EXTREME_DMAT = {
+    "uniform-1e300": [[0.0, 1e300, 1e300], [1e300, 0.0, 1e300], [1e300, 1e300, 0.0]],
+    "d12-1e-300": [[0.0, 1e-300, 50.0], [1e-300, 0.0, 50.0], [50.0, 50.0, 0.0]],
+}
+
+
+@pytest.mark.filterwarnings("error")  # a warning would be an extra stderr line
+@pytest.mark.parametrize("case, command, code, err", [
+    ("uniform-1e300", "spectrum", EXIT_OK, ""),
+    ("uniform-1e300", "fluxes", EXIT_OK, ""),
+    ("uniform-1e300", "verify", EXIT_OK, ""),
+    ("d12-1e-300", "spectrum", EXIT_OK, ""),
+    ("d12-1e-300", "fluxes", EXIT_NUMERICAL,
+     "numerical failure: projected solve residual nan (scale nan)\n"),
+    ("d12-1e-300", "verify", EXIT_NUMERICAL,
+     "numerical failure: projected solve residual nan (scale nan)\n"),
+], ids=[f"{case}-{command}" for case in EXTREME_DMAT
+        for command in ("spectrum", "fluxes", "verify")])
+def test_extreme_diffusivities_fail_closed_or_pass(tmp_path, capsys, case, command, code, err):
+    """Diffusivities that pass the D rule at either end of the float range.
+    At a uniform 1e300 the spectrum {0, -1e-300, -1e-300} meets its gap
+    delta = 1e-300: the zero eigenvalue is tested against the scaled norm of
+    A_S, whose squares would underflow, and the ternary closed forms take
+    products of 1/D, whose products of D would overflow.  At D_12 = 1e-300
+    the projected solve meets a zero pivot, and its residual check rejects
+    the NaN left behind without a numpy warning."""
+    cfg = json.loads((CONFIGS / "ternary_equal_d.json").read_text())
+    cfg["mixture"]["dmat"] = EXTREME_DMAT[case]
+    got, out = _run([command, "--config", _write(tmp_path, cfg)])
+    assert (got, capsys.readouterr().err) == (code, err)
+    if command == "verify" and code == EXIT_OK:
+        assert [line for line in out.splitlines() if line.startswith("FAIL")] == []
+
+
 class TestFluxesCommand:
     def test_routes_agree_in_output(self, tmp_path):
         code, out = _run(["fluxes", "--config", _write(tmp_path, BASE)])

@@ -1,6 +1,7 @@
 """Flux-force assembly, spectral certificates, and the three solve routes."""
 import itertools
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from hypothesis.extra import numpy as hnp
 
 from msdiff import (IDEAL, Composition, Field, FluxSet, Grid1D, MixtureSpec, ThermoModel,
                     assemble_A, assemble_A_sym, assemble_B, convexity_check,
-                    diffusion_operator_spectrum, gamma_matrix, solve_fluxes_invariant,
+                    diffusion_operator_spectrum, driving_force, gamma_matrix,
+                    solve_fluxes_invariant,
                     solve_fluxes_reduced, spectral_gap_delta, spectrum,
                     ternary_closed_forms)
 import msdiff.solver
@@ -221,6 +223,54 @@ def test_species_counts_must_match_dmat(call, bad):
         msg = "d has 4 species, dmat has 3 species"
     with pytest.raises(ValueError, match=f"^{msg}$"):
         SPECIES_CALLS[call](x, dmat, d)
+
+
+#: Every public per-state entry on a ternary batch ``x`` (with its
+#: Composition ``comp``), dmat ``d``, zero-sum rows ``g`` and Margules
+#: ``model``, and the (composition, D) checks it needs: (_as_x calls,
+#: D-rule calls).
+PER_STATE_CHECKS = {
+    "assemble_A": (lambda x, comp, d, g, model: assemble_A(x, d), (1, 1)),
+    "assemble_A_sym": (lambda x, comp, d, g, model: assemble_A_sym(x, d), (1, 1)),
+    "assemble_B": (lambda x, comp, d, g, model: assemble_B(x, d), (1, 1)),
+    "spectral_gap_delta": (lambda x, comp, d, g, model: spectral_gap_delta(d), (0, 1)),
+    "spectrum": (lambda x, comp, d, g, model: spectrum(x, d), (1, 1)),
+    "solve_fluxes_invariant": (
+        lambda x, comp, d, g, model: solve_fluxes_invariant(comp, d, g), (0, 1)),
+    "solve_fluxes_reduced": (
+        lambda x, comp, d, g, model: solve_fluxes_reduced(comp, d, g), (0, 1)),
+    "diffusion_operator_spectrum": (
+        lambda x, comp, d, g, model: diffusion_operator_spectrum(x, d, model), (1, 1)),
+    "gamma_matrix": (lambda x, comp, d, g, model: gamma_matrix(model, x), (1, 0)),
+    "driving_force": (lambda x, comp, d, g, model: driving_force(model, x, g), (1, 0)),
+    "convexity_check": (lambda x, comp, d, g, model: convexity_check(model, x), (1, 0)),
+    "ternary_closed_forms": (lambda x, comp, d, g, model: ternary_closed_forms(x, d), (1, 1)),
+}
+
+
+@pytest.mark.parametrize("call", sorted(PER_STATE_CHECKS))
+def test_each_entry_checks_its_inputs_once(monkeypatch, call):
+    """A public per-state function checks its composition and D once, at
+    its entry, and computes through private bodies: no call reaches the
+    composition conversion or the D rule a second time through another
+    public function.  Every module's binding of the two checks is spied."""
+    x = np.array([[0.2, 0.3, 0.5], [0.4, 0.4, 0.2]])
+    comp = Composition(x=x, c_tot=1.0)
+    dmat = [[0, 1, 2], [1, 0, 3], [2, 3, 0]]
+    g = np.array([[0.1, 0.2, -0.3], [-0.2, 0.0, 0.2]])
+    model = ThermoModel.margules(0.5 * (np.ones((3, 3)) - np.eye(3)))
+    counts = {"_as_x": 0, "_inverse_diffusivities": 0}
+    checks = {"_as_x": _as_x, "_inverse_diffusivities": _inverse_diffusivities}
+    for name, check in checks.items():
+        def spy(*args, _name=name, _check=check, **kwargs):
+            counts[_name] += 1
+            return _check(*args, **kwargs)
+        for module in [m for k, m in sys.modules.items() if k.split(".")[0] == "msdiff"]:
+            if getattr(module, name, None) is check:
+                monkeypatch.setattr(module, name, spy)
+    fn, expected = PER_STATE_CHECKS[call]
+    fn(x, comp, dmat, g, model)
+    assert (counts["_as_x"], counts["_inverse_diffusivities"]) == expected
 
 
 class TestSpectrum:
@@ -792,7 +842,7 @@ class TestReducedElimination:
         d = [0.1, 0.2, -0.3]
         dmat = [[0, 1, 2], [1, 0, 3], [2, 3, 0]]
         regular = assemble_B(x[0], dmat)
-        monkeypatch.setattr(mskernel, "assemble_B", lambda x, dmat: np.array(
+        monkeypatch.setattr(mskernel, "_assemble_B", lambda x, inv: np.array(
             [regular, singular] if np.ndim(x) == 2 else singular))
         for rows in (x, x[1]):
             with pytest.raises(SingularSystem):
@@ -819,6 +869,19 @@ class TestReducedElimination:
         with np.errstate(divide="ignore"), pytest.raises(ValueError):
             solve_fluxes_reduced(Composition(x=[0.5, 0.5], c_tot=1.0),
                                  [[0.0, 0.0], [0.0, 0.0]], [0.1, -0.1])
+
+    @pytest.mark.filterwarnings("error")
+    def test_pivot_test_scales_an_overflowing_norm(self):
+        """At D_12 = D_13 = 1e-300 the entries of B are about 1e300, so the
+        squares of a plain Frobenius norm overflow: the pivot test then read
+        inf, warned, and rejected every pivot of a system the projected
+        route solves.  Scaled by max|B| (``_norm``), both routes agree."""
+        comp = Composition(x=[0.3, 0.4, 0.3], c_tot=1.0)
+        dmat = [[0, 1e-300, 1e-300], [1e-300, 0, 50], [1e-300, 50, 0]]
+        d = [0.2, 0.0, -0.2]
+        ji = solve_fluxes_invariant(comp, dmat, d).J
+        np.testing.assert_allclose(solve_fluxes_reduced(comp, dmat, d).J, ji,
+                                   rtol=0, atol=1e-10 * np.abs(ji).max())
 
     @pytest.mark.parametrize("m", [2, 3, 4, 5])
     def test_batch_of_pivoting_and_non_pivoting_systems(self, m):
