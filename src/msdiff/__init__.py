@@ -6,14 +6,12 @@ reaction-diffusion simulator with entropy and positivity diagnostics.
 """
 from . import errors
 from .mixture import Composition, DrivingForce, FluxSet, MixtureSpec
-from .mskernel import (SpectrumReport, assemble_A, assemble_A_sym, assemble_B,
-                       diffusion_operator_spectrum, solve_fluxes_invariant,
-                       solve_fluxes_reduced, spectral_gap_delta, spectrum)
+from .mskernel import (SpectrumReport, diffusion_operator_spectrum, solve_fluxes_invariant,
+                       solve_fluxes_reduced, spectrum)
 from .solver import (Checkpoint, Field, Grid1D, NO_REACTIONS, Reaction,
                      ReactionNetwork, SimConfig, Trajectory, face_fluxes,
                      simulate, stable_dt)
-from .thermo import (IDEAL, ThermoModel, convexity_check, driving_force,
-                     gamma_matrix)
+from .thermo import IDEAL, ThermoModel, convexity_check, driving_force
 from .verify import (CrossDiffusionEvent, EntropyLedger, TernaryReport,
                      detect_uphill, entropy_ledger, filtration_oracle,
                      ternary_closed_forms)

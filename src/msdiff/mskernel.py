@@ -48,8 +48,10 @@ shape ().  Each public function checks its inputs once, at entry: a raw
 composition and D by :func:`_checked` (the ``thermo._as_x`` rule that
 ``thermo`` states, and the D rule), forces by :func:`_as_d` (``DrivingForce``'s
 rule: finite and summing to zero, else ``ValueError``); it then calls only
-private bodies.  Every check runs per row (its own norm, residual or
-pivot), and a row that fails a hard check raises for the call.
+private bodies.  A, A_S and B have no public entry: ``spectrum`` reports A's
+eigenvalues and delta, and the two flux routes solve with A and B.  Every
+check runs per row (its own norm, residual or pivot), and a row that fails
+a hard check raises for the call.
 """
 from __future__ import annotations
 
@@ -63,26 +65,18 @@ from .mixture import (Composition, DrivingForce, FluxSet, _check_species, _eigva
 from .thermo import ThermoModel, _as_x, floor_composition
 
 
-def _checked(x, dmat, what: str, floor: bool = True) -> tuple[np.ndarray, np.ndarray]:
+def _checked(x, dmat, what: str) -> tuple[np.ndarray, np.ndarray]:
     """The one entry check: ``x`` by ``_as_x`` under ``what``, the D rule, the
-    species counts.  Returns x, floored if ``floor``, and 1/D."""
+    species counts.  Returns the floored x and 1/D."""
     x = _as_x(x, what)
     inv = _inverse_diffusivities(dmat)
     _check_species(inv, x=x)
-    return (floor_composition(x) if floor else x), inv
-
-
-def assemble_A(x, dmat) -> np.ndarray:
-    """Flux-force matrix A(x): off-diagonal x_i / D_ij, diagonal -s_i.
-
-    The composition is floored first (:func:`msdiff.thermo.floor_composition`).
-    """
-    return _assemble_A(*_checked(x, dmat, "assemble_A"))
+    return floor_composition(x), inv
 
 
 def _assemble_A(x: np.ndarray, inv: np.ndarray) -> np.ndarray:
-    """A(x) from the inverse diffusivities, batched over leading axes of
-    ``x``; no floor."""
+    """Flux-force matrix A(x) from the inverse diffusivities: off-diagonal
+    x_i / D_ij, diagonal -s_i.  Batched over leading axes of ``x``; no floor."""
     return _with_diagonal(x[..., :, None] * inv, inv, x)
 
 
@@ -93,30 +87,18 @@ def _with_diagonal(a: np.ndarray, inv: np.ndarray, x: np.ndarray) -> np.ndarray:
     return a
 
 
-def assemble_A_sym(x, dmat) -> np.ndarray:
-    """Symmetrized form A_S = X^{-1/2} A X^{1/2}: off-diagonal
-    sqrt(x_i x_j) / D_ij, same diagonal as A.  Null vector sqrt(x)."""
-    return _assemble_A_sym(*_checked(x, dmat, "assemble_A_sym"))
-
-
 def _assemble_A_sym(x: np.ndarray, inv: np.ndarray) -> np.ndarray:
-    """A_S(x) from the inverse diffusivities; no floor."""
+    """Symmetrized form A_S = X^{-1/2} A X^{1/2}: off-diagonal
+    sqrt(x_i x_j) / D_ij, same diagonal as A, null vector sqrt(x); no floor."""
     rx = np.sqrt(x)
     return _with_diagonal(rx[..., :, None] * rx[..., None, :] * inv, inv, x)
 
 
-def assemble_B(x, dmat) -> np.ndarray:
-    """Reduced (n-1)x(n-1) matrix B of the system B J' = -c_tot d'
-    obtained by eliminating the last flux.
-
-    B_ij = x_i (1/D_in - 1/D_ij) for i != j and
-    B_ii = x_i / D_in + sum_{k != i} x_k / D_ik, with x_n = 1 - sum x_m.
-    """
-    return _assemble_B(*_checked(x, dmat, "assemble_B", floor=False))
-
-
 def _assemble_B(x: np.ndarray, inv: np.ndarray) -> np.ndarray:
-    """B(x) from the inverse diffusivities; no floor."""
+    """Reduced (n-1)x(n-1) matrix B of the system B J' = -c_tot d' obtained
+    by eliminating the last flux: B_ij = x_i (1/D_in - 1/D_ij) for i != j and
+    B_ii = x_i / D_in + sum_{k != i} x_k / D_ik.  From the inverse
+    diffusivities; no floor."""
     m = inv.shape[0] - 1
     col_n = inv[:m, m]
     b = x[..., :m, None] * (col_n[:, None] - inv[:m, :m])
@@ -136,22 +118,14 @@ class SpectrumReport:
     gap_ok: bool | np.ndarray
 
 
-def spectral_gap_delta(dmat) -> float:
-    """delta = min_{i != j} 1 / D_ij."""
-    return _delta(_inverse_diffusivities(dmat))
-
-
-def _delta(inv: np.ndarray) -> float:
-    return float(inv[~np.eye(len(inv), dtype=bool)].min())
-
-
 def spectrum(x, dmat) -> SpectrumReport:
-    """Eigenvalues of A via the symmetric similar matrix A_S; each row's
-    zero eigenvalue is tested against its own scaled ||A_S|| (:func:`_norm`)."""
+    """Eigenvalues of A via the symmetric similar matrix A_S, and
+    delta = min_{i != j} 1 / D_ij; each row's zero eigenvalue is tested
+    against its own scaled ||A_S|| (:func:`_norm`)."""
     x, inv = _checked(x, dmat, "spectrum")
     a_sym = _assemble_A_sym(x, inv)
     w = _eigvalsh(a_sym)[..., ::-1]  # descending
-    delta = _delta(inv)
+    delta = float(inv[~np.eye(len(inv), dtype=bool)].min())
     gap_ok = ((np.abs(w[..., 0]) <= 1e-10 * _norm(a_sym, (-2, -1)))
               & (w[..., 1] <= -delta * (1.0 - 1e-10)))
     w.setflags(write=False)

@@ -20,12 +20,11 @@ The per-state functions here and in ``mskernel`` and ``verify`` take a
 :class:`~msdiff.mixture.Composition` or an array through one checked
 conversion, :func:`_as_x`: Composition's shape, (..., n) with n >= 2 (else
 ``ValueError``); every x_i finite and >= 0, or >= X_FLOOR where ln x or
-1/x is taken (``gamma_matrix``, ``driving_force``, ``convexity_check``);
-and every row summing to 1 within SUM_TOL + n X_FLOOR, so that floored
-rows pass.  ``gamma_matrix`` alone skips the row sum: it treats x_1..x_n
-as independent coordinates, so the rows of a finite difference stay
-valid.  Each function checks x once and builds Gamma by the unchecked
-:func:`_gamma`.  The functions are batched over the leading axes, one state
+1/x is taken (``driving_force``, ``convexity_check``); and every row
+summing to 1 within SUM_TOL + n X_FLOOR, so that floored rows pass, with
+no exception.  Each function checks x once and builds Gamma by the
+unchecked :func:`_gamma`, which has no public entry: ``driving_force``
+applies it.  The functions are batched over the leading axes, one state
 being the batch of shape (), and a row that fails a check raises for the
 whole call.  The thermo functions resolve the model once, at entry, by
 ``ThermoModel.interactions`` (``None`` for ideal thermo).  The step kernel
@@ -86,16 +85,15 @@ class ThermoModel:
 IDEAL = ThermoModel()
 
 
-def _as_x(x, what: str, lo: float = 0.0, simplex: bool = True) -> np.ndarray:
+def _as_x(x, what: str, lo: float = 0.0) -> np.ndarray:
     """The one mole-fraction conversion: ``x`` (a Composition or an array)
     as an array if it has Composition's shape, (..., n) with n >= 2, else
     ``ValueError`` naming ``what``, and if every entry is finite and >=
     ``lo``, else ``DegenerateComposition`` naming ``what``; ``lo`` is 0,
-    Composition's rule, or X_FLOOR where ln x or 1/x is taken.  With
-    ``simplex`` (all but ``gamma_matrix``, whose x_1..x_n are independent
-    coordinates) every row must also sum to 1 within SUM_TOL + n X_FLOOR,
-    so that floored rows pass, else ``ValueError`` naming the first bad
-    sum; a sum that overflows is inf and fails."""
+    Composition's rule, or X_FLOOR where ln x or 1/x is taken.  Every row
+    must also sum to 1 within SUM_TOL + n X_FLOOR, so that floored rows
+    pass, else ``ValueError`` naming the first bad sum; a sum that
+    overflows is inf and fails."""
     x = x.x if isinstance(x, Composition) else np.asarray(x, dtype=float)
     if x.ndim < 1 or x.shape[-1] < 2:
         raise ValueError(f"{what} needs x shaped (..., n) with n >= 2 species, "
@@ -103,12 +101,11 @@ def _as_x(x, what: str, lo: float = 0.0, simplex: bool = True) -> np.ndarray:
     if not np.all((x >= lo) & (x < np.inf)):
         raise DegenerateComposition(f"{what} needs {'an interior' if lo else 'a'} composition "
                                     f"(every x_i finite and >= {lo:g})")
-    if simplex:
-        with np.errstate(over="ignore"):
-            total = x.sum(axis=-1)
-        bad = np.abs(total - 1.0) > SUM_TOL + x.shape[-1] * X_FLOOR
-        if np.any(bad):
-            raise ValueError(f"mole fractions must sum to 1, got {float(total[_first_true(bad)])!r}")
+    with np.errstate(over="ignore"):
+        total = x.sum(axis=-1)
+    bad = np.abs(total - 1.0) > SUM_TOL + x.shape[-1] * X_FLOOR
+    if np.any(bad):
+        raise ValueError(f"mole fractions must sum to 1, got {float(total[_first_true(bad)])!r}")
     return x
 
 
@@ -118,20 +115,13 @@ def floor_composition(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, X_FLOOR)
 
 
-def gamma_matrix(model: ThermoModel, x) -> np.ndarray:
-    """Thermodynamic-factor matrix G_ij = delta_ij + x_i d(ln gamma_i)/dx_j.
+def _gamma(x: np.ndarray, a: np.ndarray | None) -> np.ndarray:
+    """Thermodynamic-factor matrix G_ij = delta_ij + x_i d(ln gamma_i)/dx_j
+    for the resolved interactions ``a`` (``None``: ideal), batched; no check.
 
     Converts mole-fraction gradients to driving forces.  Uses the analytic
     partials of the Margules family, treating x_1..x_n as independent
-    coordinates.  Column sums equal 1 (Gibbs-Duhem).
-    """
-    x = _as_x(x, "gamma_matrix", X_FLOOR, simplex=False)
-    return _gamma(x, model.interactions(x.shape[-1]))
-
-
-def _gamma(x: np.ndarray, a: np.ndarray | None) -> np.ndarray:
-    """Gamma(x) for the resolved interactions ``a`` (``None``: ideal),
-    batched; no check."""
+    coordinates.  Column sums equal 1 (Gibbs-Duhem)."""
     n = x.shape[-1]
     if a is None:
         return np.broadcast_to(np.eye(n), x.shape + (n,)).copy()

@@ -202,17 +202,26 @@ def ternary_closed_forms(x, dmat) -> TernaryReport:
     compared against the assembled B to 1e-12 relative; sector_ok
     requires (tr B)^2 >= 3 det B and the eigenvalues of B^{-1} within
     angle pi/6 of the positive real axis.  Evaluated per row of ``x``
-    shaped (..., 3).
+    shaped (..., 3).  Both verdicts are scale-free, so they are taken in
+    units of s, a power of two above max 1/D_ij, where B stays in range;
+    a det B beyond the float range is reported as inf.
     """
     x = _as_x(x, "ternary_closed_forms")
     inv = _inverse_diffusivities(dmat)  # finite reciprocals: no division by D below
     if x.shape[-1:] != (3,) or inv.shape != (3, 3):
         raise ValueError("ternary closed forms require exactly 3 species")
-    i12, i13, i23 = inv[0, 1], inv[0, 2], inv[1, 2]
     x1, x2, x3 = x[..., 0], x[..., 1], x[..., 2]
-    det_cf = x1 * (i12 * i13) + x2 * (i12 * i23) + x3 * (i13 * i23)
-    tr_cf = (x1 + x2) * i12 + (x1 + x3) * i13 + (x2 + x3) * i23
-    b = mskernel._assemble_B(x, inv)
+
+    def forms(u):  # det B and tr B from the inverse diffusivities u
+        u12, u13, u23 = u[0, 1], u[0, 2], u[1, 2]
+        return (x1 * (u12 * u13) + x2 * (u12 * u23) + x3 * (u13 * u23),
+                (x1 + x2) * u12 + (x1 + x3) * u13 + (x2 + x3) * u23)
+
+    with np.errstate(over="ignore"):
+        det_b, tr_b = forms(inv)
+    u = inv / np.ldexp(1.0, np.frexp(inv.max())[1])  # exact: a power of two
+    det_cf, tr_cf = forms(u)
+    b = mskernel._assemble_B(x, u)
     det_as = np.linalg.det(b)
     tr_as = np.trace(b, axis1=-2, axis2=-1)
     matches = ((np.abs(det_as - det_cf) <= 1e-12 * np.abs(det_cf))
@@ -221,7 +230,7 @@ def ternary_closed_forms(x, dmat) -> TernaryReport:
     eig = np.linalg.eigvals(b)
     sector = ((tr_cf**2 >= 3.0 * det_cf * (1.0 - 1e-12))
               & np.all(np.abs(np.angle(eig)) < np.pi / 6, axis=-1))
-    return TernaryReport(det_b=_unbatch(det_cf), tr_b=_unbatch(tr_cf),
+    return TernaryReport(det_b=_unbatch(det_b), tr_b=_unbatch(tr_b),
                          matches_assembly=_unbatch(matches),
                          sector_ok=_unbatch(sector))
 
@@ -250,6 +259,11 @@ def _paired_samples(rng, n: int) -> tuple[np.ndarray, np.ndarray]:
 def _row(name: str, fails: int) -> tuple[str, str, str]:
     return (name, "PASS" if fails == 0 else "FAIL",
             f"{VERIFY_SAMPLES - fails}/{VERIFY_SAMPLES}")
+
+
+def _unit_rows(v: np.ndarray) -> np.ndarray:
+    """``v`` (k, n) over each row's largest |entry| (a zero row stays zero)."""
+    return v / np.maximum(np.max(np.abs(v), axis=1, keepdims=True), np.finfo(float).tiny)
 
 
 def flux_routes(comp, dmat, d):
@@ -298,7 +312,10 @@ def property_sweep(spec: MixtureSpec, model: ThermoModel,
     if np.any(convex):
         comp = Composition(x=x[convex], c_tot=1.0)
         d = thermo.driving_force(model, comp, g[convex])
-        jmu = mskernel.solve_fluxes_invariant(comp, dmat, d).J * (d.d / comp.x)
+        # J and d over their rows' largest |entry|: the rule is homogeneous in
+        # each, so its verdicts stand, and the product cannot overflow
+        jmu = (_unit_rows(mskernel.solve_fluxes_invariant(comp, dmat, d).J)
+               * (_unit_rows(d.d) / comp.x))
         rows.append(_row("pointwise-entropy", np.count_nonzero(
             -jmu.sum(axis=1) < -1e-12 * np.maximum(np.max(np.abs(jmu), axis=1), 1e-300))))
     else:  # no state to check, so no pass count

@@ -13,13 +13,13 @@ from msdiff import (IDEAL, Composition, Field, Grid1D, MixtureSpec, Reaction,
                     ReactionNetwork, SimConfig, ThermoModel, detect_uphill,
                     diffusion_operator_spectrum, driving_force, entropy_ledger,
                     face_fluxes, filtration_oracle, simulate, solve_fluxes_invariant,
-                    solve_fluxes_reduced, spectral_gap_delta, stable_dt,
-                    ternary_closed_forms)
+                    solve_fluxes_reduced, spectrum, stable_dt, ternary_closed_forms)
 from msdiff.cli import load_config
 from msdiff.mixture import simplex_basis
-from msdiff.mskernel import assemble_A
 from msdiff.solver import _advance, _Kernel
-from msdiff.thermo import floor_composition, gamma_matrix
+from msdiff.thermo import floor_composition
+from test_mskernel import a_matrix  # A and Gamma by their private bodies
+from test_thermo import gamma_of
 
 CONFIGS = Path(__file__).parents[1] / "configs"
 
@@ -48,9 +48,9 @@ def _instances(seed, count, nmin=2, nmax=6):
 def test_criterion_1_spectral_inclusion():
     failures = 0
     for rng, x, dmat in _instances(1001, 1000):
-        a = assemble_A(floor_composition(x), dmat)
+        a = a_matrix(floor_composition(x), dmat)
         w = np.linalg.eigvals(a)
-        delta = spectral_gap_delta(dmat)
+        delta = spectrum(x, dmat).delta
         real_ok = np.max(np.abs(w.imag)) <= 1e-10 * max(np.max(np.abs(w.real)), 1e-300)
         wr = np.sort(w.real)[::-1]
         zero_simple = abs(wr[0]) <= 1e-10 and wr[1] < -1e-10
@@ -161,8 +161,8 @@ def _mode_decay_error(n, margules, cfl, ncells=40, delta=1e-3):
     model = ThermoModel.margules(amat) if margules else IDEAL
     xbar = 0.7 * rng.dirichlet(np.ones(n)) + 0.3 / n
     p = simplex_basis(n)
-    m = -np.linalg.solve(p.T @ assemble_A(xbar, dmat) @ p,
-                         p.T @ gamma_matrix(model, xbar) @ p)
+    m = -np.linalg.solve(p.T @ a_matrix(xbar, dmat) @ p,
+                         p.T @ gamma_of(model, xbar) @ p)
     eig, vecs = np.linalg.eig(m)
     top = int(np.argmax(eig.real))
     mu = float(eig[top].real)

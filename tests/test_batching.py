@@ -10,10 +10,11 @@ from hypothesis.extra import numpy as hnp
 
 from msdiff import (Composition, DrivingForce, FluxSet, ThermoModel,
                     convexity_check, diffusion_operator_spectrum, driving_force,
-                    gamma_matrix, solve_fluxes_invariant, solve_fluxes_reduced,
-                    spectrum, ternary_closed_forms)
+                    solve_fluxes_invariant, solve_fluxes_reduced, spectrum,
+                    ternary_closed_forms)
 from msdiff.mixture import simplex_basis
-from test_mskernel import fick_limit_D  # a test-only reference, kept with its tests
+from test_mskernel import fick_limit_D  # test-only references, kept with their tests
+from test_thermo import gamma_of
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -66,7 +67,8 @@ def _driving_force(x, g, dmat, model):
 
 
 def _gamma(x, g, dmat, model):
-    return {"gamma": gamma_matrix(model, x)}
+    """Gamma by its private body, which driving_force and convexity_check apply."""
+    return {"gamma": gamma_of(model, x)}
 
 
 def _operator(x, g, dmat, model):
@@ -89,11 +91,11 @@ def _ternary(x, g, dmat, model):
 
 def _convexity_scale(x, g, dmat, model):
     """Size of the matrix whose smallest eigenvalue convexity_check is."""
-    return np.max(np.abs(gamma_matrix(model, x) / x[..., :, None]))
+    return np.max(np.abs(gamma_of(model, x) / x[..., :, None]))
 
 
 def _force_scale(x, g, dmat, model):
-    return np.max(np.abs(gamma_matrix(model, x))) * np.max(np.abs(g))
+    return np.max(np.abs(gamma_of(model, x))) * np.max(np.abs(g))
 
 
 #: case -> (function of (x, g, dmat, model) returning named fields, the
@@ -210,7 +212,7 @@ def test_flux_routes_agree(data):
 @given(data=stacks(a_max=3.0))
 def test_gamma_columns_sum_to_one(data):
     x, _, _, model = data
-    gam = gamma_matrix(model, x)
+    gam = gamma_of(model, x)
     np.testing.assert_allclose(gam.sum(axis=-2), 1.0,
                                atol=1e-12 * max(1.0, np.max(np.abs(gam))))
 

@@ -1,7 +1,9 @@
 """Command-line front door: config parsing, outputs, exit codes."""
+import copy
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import os
 import re
@@ -435,6 +437,67 @@ def test_extreme_diffusivities_fail_closed_or_pass(tmp_path, capsys, case, comma
     assert (got, capsys.readouterr().err) == (code, err)
     if command == "verify" and code == EXIT_OK:
         assert [line for line in out.splitlines() if line.startswith("FAIL")] == []
+
+
+#: The values an extreme D_ij or Margules A_ij takes in the table below.
+EXTREME_VALUES = {"dmat": (1e-300, 1e-200, 1e-100, 1e100, 1e200, 1e300),
+                  "amat": (-1e300, -1e100, -30.0, 1e-300, 30.0, 1e100, 1e300)}
+
+
+def _pair_sets(n: int, two: bool) -> list[tuple]:
+    """Each off-diagonal pair, each two pairs if ``two``, and all pairs, once
+    each: at n = 2 the one pair is also all pairs."""
+    pairs = list(itertools.combinations(range(n), 2))
+    sets = ([(p,) for p in pairs] + (list(itertools.combinations(pairs, 2)) if two else [])
+            + [tuple(pairs)])
+    return list(dict.fromkeys(sets))
+
+
+def _extreme_configs(cfg: dict, matrix: str):
+    """(label, config) per case: ``cfg`` with the pairs of each pair set of
+    ``matrix`` set to each extreme value.  An ideal config gets a Margules A
+    that is zero off those pairs."""
+    n = len(cfg["mixture"]["names"])
+    for pairs in _pair_sets(n, two=matrix == "dmat"):
+        for value in EXTREME_VALUES[matrix]:
+            case = copy.deepcopy(cfg)
+            if matrix == "dmat":
+                m = case["mixture"]["dmat"]
+            else:
+                if case.get("thermo", {}).get("model") != "margules":
+                    case["thermo"] = {"model": "margules", "amat": [[0.0] * n] * n}
+                m = case["thermo"]["amat"] = [list(row) for row in case["thermo"]["amat"]]
+            for i, j in pairs:
+                m[i][j] = m[j][i] = value
+            yield f"{matrix} {pairs} = {value!r}", case
+
+
+@pytest.mark.filterwarnings("error")  # a numpy warning escapes as an exception
+@pytest.mark.parametrize("matrix", ["dmat", "amat"])
+@pytest.mark.parametrize("name", sorted(p.stem for p in CONFIGS.glob("*.json")))
+def test_extreme_matrices_fail_closed_or_pass(tmp_path, capsys, name, matrix):
+    """Every shipped config with whole D or Margules A pairs at either end of
+    the float range, through ``spectrum``, ``fluxes`` (where the config has
+    gradients) and ``verify``: each run returns an exit code in 0-6, prints
+    one stderr line on exits 2-6 and none on 0 or 1, raises nothing (a numpy
+    warning included), and prints no ``np.float64`` repr.  A verify FAIL row
+    is not flagged: the gap verdict at a 1e300 spread of D is beyond double
+    precision."""
+    cfg = json.loads((CONFIGS / f"{name}.json").read_text())
+    commands = ["spectrum"] + (["fluxes"] if "gradients" in cfg else []) + ["verify"]
+    flagged = []
+    for label, case in _extreme_configs(cfg, matrix):
+        path = _write(tmp_path, case)
+        for command in commands:
+            try:
+                code, out = _run([command, "--config", path])
+            except Exception as exc:  # noqa: BLE001 - any escape is flagged
+                code, out = f"raised {exc!r}", ""
+            err = capsys.readouterr().err
+            lines = err.splitlines()
+            if code not in range(7) or len(lines) != (code >= 2) or "np.float64" in out + err:
+                flagged.append(f"{label} {command}: exit {code}, stderr {lines}")
+    assert flagged == []
 
 
 class TestFluxesCommand:

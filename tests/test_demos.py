@@ -35,11 +35,10 @@ PUBLIC_API = [
     "Checkpoint", "Composition", "CrossDiffusionEvent", "DrivingForce", "EntropyLedger",
     "Field", "FluxSet", "Grid1D", "IDEAL", "MixtureSpec", "NO_REACTIONS", "Reaction",
     "ReactionNetwork", "SimConfig", "SpectrumReport", "TernaryReport", "ThermoModel",
-    "Trajectory", "assemble_A", "assemble_A_sym", "assemble_B", "convexity_check",
-    "detect_uphill", "diffusion_operator_spectrum", "driving_force", "entropy_ledger",
-    "face_fluxes", "filtration_oracle", "gamma_matrix", "simulate",
-    "solve_fluxes_invariant", "solve_fluxes_reduced", "spectral_gap_delta", "spectrum",
-    "stable_dt", "ternary_closed_forms",
+    "Trajectory", "convexity_check", "detect_uphill", "diffusion_operator_spectrum",
+    "driving_force", "entropy_ledger", "face_fluxes", "filtration_oracle", "simulate",
+    "solve_fluxes_invariant", "solve_fluxes_reduced", "spectrum", "stable_dt",
+    "ternary_closed_forms",
 ]
 ERRORS = [
     "ConfigError", "DegenerateComposition", "EigSolverFailure", "IsobaricDrift",

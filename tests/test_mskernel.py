@@ -10,19 +10,42 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from msdiff import (IDEAL, Composition, Field, FluxSet, Grid1D, MixtureSpec, ThermoModel,
-                    assemble_A, assemble_A_sym, assemble_B, convexity_check,
-                    diffusion_operator_spectrum, driving_force, gamma_matrix,
-                    solve_fluxes_invariant,
-                    solve_fluxes_reduced, spectral_gap_delta, spectrum,
+                    convexity_check, diffusion_operator_spectrum, driving_force,
+                    solve_fluxes_invariant, solve_fluxes_reduced, spectrum,
                     ternary_closed_forms)
 import msdiff.solver
 from msdiff import mskernel
 from msdiff.errors import (DegenerateComposition, EigSolverFailure, NotConvex,
                            SingularSystem)
 from msdiff.mixture import _inverse_diffusivities, _unbatch, simplex_basis
-from msdiff.mskernel import _eliminate, _operator_eigenvalues, _reduced_tensor
+from msdiff.mskernel import (_assemble_A, _assemble_A_sym, _assemble_B, _eliminate,
+                             _operator_eigenvalues, _reduced_tensor)
 from msdiff.solver import _Kernel
 from msdiff.thermo import X_FLOOR, _as_x, floor_composition
+from test_thermo import gamma_of  # Gamma by its private body, kept with its tests
+
+
+def a_matrix(x, dmat) -> np.ndarray:
+    """A at the floored ``x``, by the library's private body."""
+    return _assemble_A(floor_composition(np.asarray(x, dtype=float)),
+                       _inverse_diffusivities(dmat))
+
+
+def a_sym_matrix(x, dmat) -> np.ndarray:
+    """A_S = X^{-1/2} A X^{1/2} at the floored ``x``, by the private body."""
+    return _assemble_A_sym(floor_composition(np.asarray(x, dtype=float)),
+                           _inverse_diffusivities(dmat))
+
+
+def b_matrix(x, dmat) -> np.ndarray:
+    """The reduced matrix B at ``x`` (no floor), by the private body."""
+    return _assemble_B(np.asarray(x, dtype=float), _inverse_diffusivities(dmat))
+
+
+def delta_reference(dmat) -> float:
+    """delta = min_{i != j} 1 / D_ij, in plain numpy."""
+    d = np.asarray(dmat, dtype=float)
+    return float(np.min(1.0 / d[~np.eye(len(d), dtype=bool)]))
 
 
 def solve_fluxes_bordered(comp, dmat, d, mu=None):
@@ -30,8 +53,8 @@ def solve_fluxes_bordered(comp, dmat, d, mu=None):
     invertible for 0 < mu < delta.  Default mu = delta / 2."""
     x = floor_composition(comp.x)
     if mu is None:
-        mu = 0.5 * spectral_gap_delta(dmat)
-    a_mu = assemble_A(x, dmat) - mu * np.outer(x, np.ones_like(x))
+        mu = 0.5 * delta_reference(dmat)
+    a_mu = a_matrix(x, dmat) - mu * np.outer(x, np.ones_like(x))
     j = np.linalg.solve(a_mu, comp.c_tot * np.asarray(d, dtype=float))
     return FluxSet(J=j - j.mean())
 
@@ -101,21 +124,21 @@ def _random_zero_sum(rng, n):
 
 class TestAssembly:
     def test_binary_equimolar_matrix(self):
-        a = assemble_A([0.5, 0.5], [[0, 1], [1, 0]])
+        a = a_matrix([0.5, 0.5], [[0, 1], [1, 0]])
         np.testing.assert_allclose(a, [[-0.5, 0.5], [0.5, -0.5]], atol=1e-12)
 
     def test_null_vector_and_zero_column_sums(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
             x, d = _random_instance(rng)
-            a = assemble_A(x, d)
+            a = a_matrix(x, d)
             np.testing.assert_allclose(a @ x, 0.0, atol=1e-14)
             np.testing.assert_allclose(a.sum(axis=0), 0.0, atol=1e-14)
 
     def test_quasi_positive_off_diagonal(self):
         rng = np.random.default_rng(13)
         x, d = _random_instance(rng, nmin=4, nmax=4)
-        a = assemble_A(x, d)
+        a = a_matrix(x, d)
         off = a[~np.eye(4, dtype=bool)]
         assert np.all(off > 0)
 
@@ -124,8 +147,8 @@ class TestAssembly:
         for _ in range(50):
             x, d = _random_instance(rng)
             xs = floor_composition(x)
-            a = assemble_A(xs, d)
-            a_sym = assemble_A_sym(xs, d)
+            a = a_matrix(xs, d)
+            a_sym = a_sym_matrix(xs, d)
             rx = np.sqrt(xs)
             np.testing.assert_allclose(a_sym, a / rx[:, None] * rx[None, :],
                                        atol=1e-13)
@@ -137,8 +160,8 @@ class TestAssembly:
         for _ in range(50):
             x, d = _random_instance(rng)
             n = x.size
-            a = assemble_A(x, d)
-            b = assemble_B(x, d)
+            a = a_matrix(x, d)
+            b = b_matrix(x, d)
             v = _random_zero_sum(rng, n)
             lhs_full = (a @ v)[:-1]
             np.testing.assert_allclose(-b @ v[:-1], lhs_full,
@@ -149,15 +172,11 @@ class TestAssembly:
 #: state with dmat ``d``.
 RAW_DMAT_CALLS = {
     "spectrum": spectrum,
-    "spectral_gap_delta": lambda x, d: spectral_gap_delta(d),
     "diffusion_operator_spectrum": lambda x, d: diffusion_operator_spectrum(x, d, IDEAL),
     "solve_fluxes_invariant": lambda x, d: solve_fluxes_invariant(
         Composition(x=x, c_tot=1.0), d, [0.1, 0.0, -0.1]),
     "solve_fluxes_reduced": lambda x, d: solve_fluxes_reduced(
         Composition(x=x, c_tot=1.0), d, [0.1, 0.0, -0.1]),
-    "assemble_A": assemble_A,
-    "assemble_A_sym": assemble_A_sym,
-    "assemble_B": assemble_B,
     "ternary_closed_forms": ternary_closed_forms,
 }
 
@@ -196,9 +215,6 @@ def test_raw_dmat_must_be_square_and_symmetric(call, case):
 #: Every public kernel function that takes a composition (and forces),
 #: called with composition ``x``, dmat ``d`` and forces ``f``.
 SPECIES_CALLS = {
-    "assemble_A": lambda x, d, f: assemble_A(x, d),
-    "assemble_A_sym": lambda x, d, f: assemble_A_sym(x, d),
-    "assemble_B": lambda x, d, f: assemble_B(x, d),
     "spectrum": lambda x, d, f: spectrum(x, d),
     "solve_fluxes_invariant": lambda x, d, f: solve_fluxes_invariant(
         Composition(x=x, c_tot=1.0), d, f),
@@ -230,10 +246,6 @@ def test_species_counts_must_match_dmat(call, bad):
 #: ``model``, and the (composition, D) checks it needs: (_as_x calls,
 #: D-rule calls).
 PER_STATE_CHECKS = {
-    "assemble_A": (lambda x, comp, d, g, model: assemble_A(x, d), (1, 1)),
-    "assemble_A_sym": (lambda x, comp, d, g, model: assemble_A_sym(x, d), (1, 1)),
-    "assemble_B": (lambda x, comp, d, g, model: assemble_B(x, d), (1, 1)),
-    "spectral_gap_delta": (lambda x, comp, d, g, model: spectral_gap_delta(d), (0, 1)),
     "spectrum": (lambda x, comp, d, g, model: spectrum(x, d), (1, 1)),
     "solve_fluxes_invariant": (
         lambda x, comp, d, g, model: solve_fluxes_invariant(comp, d, g), (0, 1)),
@@ -241,7 +253,6 @@ PER_STATE_CHECKS = {
         lambda x, comp, d, g, model: solve_fluxes_reduced(comp, d, g), (0, 1)),
     "diffusion_operator_spectrum": (
         lambda x, comp, d, g, model: diffusion_operator_spectrum(x, d, model), (1, 1)),
-    "gamma_matrix": (lambda x, comp, d, g, model: gamma_matrix(model, x), (1, 0)),
     "driving_force": (lambda x, comp, d, g, model: driving_force(model, x, g), (1, 0)),
     "convexity_check": (lambda x, comp, d, g, model: convexity_check(model, x), (1, 0)),
     "ternary_closed_forms": (lambda x, comp, d, g, model: ternary_closed_forms(x, d), (1, 1)),
@@ -282,7 +293,7 @@ class TestSpectrum:
 
     def test_delta_formula(self):
         d = np.array([[0, 2.0, 0.5], [2.0, 0, 4.0], [0.5, 4.0, 0]])
-        assert spectral_gap_delta(d) == 0.25
+        assert spectrum([0.2, 0.3, 0.5], d).delta == 0.25
 
     def test_gap_certified_on_sweep(self):
         rng = np.random.default_rng(41)
@@ -298,7 +309,7 @@ class TestSpectrum:
         for _ in range(50):
             x, d = _random_instance(rng)
             rep = spectrum(x, d)
-            w = np.sort(np.linalg.eigvals(assemble_A(floor_composition(x), d)).real)[::-1]
+            w = np.sort(np.linalg.eigvals(a_matrix(floor_composition(x), d)).real)[::-1]
             np.testing.assert_allclose(rep.eigenvalues, w,
                                        atol=1e-9 * max(1.0, abs(w[-1])))
 
@@ -333,7 +344,7 @@ class TestFluxRoutes:
         x, dmat = _random_instance(rng, nmin=4, nmax=4)
         comp = Composition(x=x, c_tot=1.0)
         d = 0.2 * _random_zero_sum(rng, 4)
-        delta = spectral_gap_delta(dmat)
+        delta = delta_reference(dmat)
         ref = solve_fluxes_bordered(comp, dmat, d, mu=0.5 * delta).J
         for frac in (0.1, 0.9):
             j = solve_fluxes_bordered(comp, dmat, d, mu=frac * delta).J
@@ -428,10 +439,9 @@ class TestDiffusionOperator:
             np.fill_diagonal(amat, 0.0)
             model = ThermoModel.margules(amat)
             xs = floor_composition(x)
-            from msdiff.thermo import gamma_matrix
             rx = np.sqrt(xs)
-            dfull = -(rx[:, None] * np.linalg.pinv(assemble_A_sym(xs, dmat))
-                      / rx[None, :]) @ gamma_matrix(model, xs)
+            dfull = -(rx[:, None] * np.linalg.pinv(a_sym_matrix(xs, dmat))
+                      / rx[None, :]) @ gamma_of(model, xs)
             p = simplex_basis(n)
             w_ind = np.linalg.eigvals(p.T @ dfull @ p)
             w_ind = w_ind[np.argsort(-w_ind.real)]
@@ -539,8 +549,8 @@ def test_operator_spectrum_is_real(state):
     assert w.dtype == np.float64 and w.shape == x.shape[:-1] + (x.shape[-1] - 1,)
     assert np.all(np.diff(w, axis=-1) <= 0)
     p = simplex_basis(x.shape[-1])
-    ev = np.linalg.eigvals(-np.linalg.solve(p.T @ assemble_A(x, dmat) @ p,
-                                            p.T @ gamma_matrix(model, x) @ p))
+    ev = np.linalg.eigvals(-np.linalg.solve(p.T @ a_matrix(x, dmat) @ p,
+                                            p.T @ gamma_of(model, x) @ p))
     assert np.all(np.max(np.abs(ev.imag), axis=-1)
                   <= 1e-10 * np.max(np.abs(ev.real), axis=-1))
 
@@ -580,8 +590,8 @@ def _pencil_spectrum(x, dmat, model):
         v = r / np.linalg.norm(r)
         v[0] += np.copysign(1.0, v[0])
         q = (np.eye(xi.size) - 2.0 * np.outer(v, v) / (v @ v))[:, 1:]
-        h = q.T @ (gamma_matrix(model, xi) * (r[None, :] / r[:, None])) @ q
-        li = np.linalg.inv(np.linalg.cholesky(-(q.T @ assemble_A_sym(xi, dmat) @ q)))
+        h = q.T @ (gamma_of(model, xi) * (r[None, :] / r[:, None])) @ q
+        li = np.linalg.inv(np.linalg.cholesky(-(q.T @ a_sym_matrix(xi, dmat) @ q)))
         c = li @ h @ li.T
         out.append(np.linalg.eigvalsh(0.5 * (c + c.T)))
     return np.array(out)
@@ -804,7 +814,7 @@ class TestReducedElimination:
         b = [rng.standard_normal((60, m, m))]
         for _ in range(60):
             x, dmat = _random_instance(rng, nmin=m + 1, nmax=m + 1)
-            b.append(assemble_B(x, dmat)[None])
+            b.append(b_matrix(x, dmat)[None])
         b = np.concatenate(b)
         rhs = rng.standard_normal((len(b), m))
         y, pivot = _solve_one(b, rhs)
@@ -841,7 +851,7 @@ class TestReducedElimination:
         x = np.array([[0.2, 0.3, 0.5], [0.4, 0.4, 0.2]])
         d = [0.1, 0.2, -0.3]
         dmat = [[0, 1, 2], [1, 0, 3], [2, 3, 0]]
-        regular = assemble_B(x[0], dmat)
+        regular = b_matrix(x[0], dmat)
         monkeypatch.setattr(mskernel, "_assemble_B", lambda x, inv: np.array(
             [regular, singular] if np.ndim(x) == 2 else singular))
         for rows in (x, x[1]):

@@ -19,8 +19,8 @@ from msdiff.errors import (IsobaricDrift, MaxStepsExceeded, MsDiffError,
 from msdiff.mixture import CLAMP_REL, _inverse_diffusivities, simplex_basis
 from msdiff.mskernel import _assemble_A, _eliminate, _operator_eigenvalues, _reduced_tensor
 from msdiff.solver import DT_REFRESH_STEPS, ISOBARIC_TOL, _advance, _Kernel, _State
-from msdiff.thermo import _gamma_dot, _ln_gamma_x, floor_composition, gamma_matrix
-from test_thermo import gibbs_density, mu_reference  # plain-numpy references of G and mu
+from msdiff.thermo import _gamma_dot, _ln_gamma_x, floor_composition
+from test_thermo import gamma_of, gibbs_density, mu_reference  # reference G and mu; Gamma
 
 BINARY = MixtureSpec(names=("A", "B"), dmat=[[0.0, 1.0], [1.0, 0.0]])
 
@@ -366,7 +366,7 @@ def test_kernel_one_product_forms(thermo, data):
 
     model = ThermoModel.margules(amat) if thermo == "margules" else IDEAL
     a = amat if thermo == "margules" else np.zeros((n, n))
-    g = gamma_matrix(model, x)
+    g = gamma_of(model, x)
     gd_ref = (g @ d[..., None])[..., 0]
     _assert_close(_gamma_dot(x, a, d), gd_ref,
                   np.linalg.norm(g, axis=(-2, -1)) * np.linalg.norm(d, axis=-1))
@@ -522,7 +522,7 @@ def test_binary_operator_eigenvalue_is_the_reduced_operator(state, ideal):
     a = 0.0 if ideal else a
     lam = _operator_eigenvalues(x, inv, model.amat)[0]
     p = simplex_basis(2)
-    ref = _operator_reduced(p.T @ _assemble_A(x, inv) @ p, p.T @ gamma_matrix(model, x) @ p)
+    ref = _operator_reduced(p.T @ _assemble_A(x, inv) @ p, p.T @ gamma_of(model, x) @ p)
     assert lam.shape == ref.shape[:-1] == x.shape[:-1] + (1,)
     s = x.sum(axis=-1)
     scale = (1.0 + 2.0 * abs(a) * x[:, 0] * x[:, 1] / s) * d12 / s
@@ -565,7 +565,7 @@ def _reference_spectrum(kernel, xf):
     p = simplex_basis(xf.shape[-1])
     g = np.eye(m)
     if kernel.amat is not None:
-        g = p.T @ gamma_matrix(ThermoModel(kernel.amat), xf) @ p
+        g = p.T @ gamma_of(ThermoModel(kernel.amat), xf) @ p
     mm = _operator_reduced(k, g)
     return mm[..., 0] if m == 1 else np.linalg.eigvals(mm).real
 
@@ -846,7 +846,7 @@ class TestSimulate:
         assert len(traj.checkpoints) == 3
         assert resolved == [3]
         with pytest.raises(AssertionError, match="public input check"):
-            gamma_matrix(model, c[4])  # the spies are in place
+            driving_force(model, c[4], np.zeros(3))  # the spies are in place
 
     def test_entropy_monotone_decreasing(self):
         fld = _binary_step_field(ncells=30)

@@ -4,12 +4,11 @@ import re
 import numpy as np
 import pytest
 
-from msdiff import (IDEAL, ThermoModel, assemble_A, assemble_A_sym, assemble_B,
-                    convexity_check, diffusion_operator_spectrum, driving_force,
-                    gamma_matrix, spectrum, ternary_closed_forms)
+from msdiff import (IDEAL, ThermoModel, convexity_check, diffusion_operator_spectrum,
+                    driving_force, spectrum, ternary_closed_forms)
 from msdiff.errors import DegenerateComposition
 from msdiff.mixture import simplex_basis
-from msdiff.thermo import X_FLOOR, _ln_gamma_x, floor_composition
+from msdiff.thermo import X_FLOOR, _gamma, _ln_gamma_x, floor_composition
 
 
 def mu_reference(model, x) -> np.ndarray:
@@ -77,15 +76,21 @@ class TestLnActivityCoeffs:
             np.testing.assert_allclose(batched[k], _ln_gamma_x(xs[k], a), atol=1e-15)
 
 
+def gamma_of(model, x) -> np.ndarray:
+    """Gamma at ``x``, by the private body that driving_force applies."""
+    x = np.asarray(x, dtype=float)
+    return _gamma(x, model.interactions(x.shape[-1]))
+
+
 class TestGammaMatrix:
     def test_ideal_is_identity(self):
-        g = gamma_matrix(IDEAL, [0.3, 0.3, 0.4])
+        g = gamma_of(IDEAL, [0.3, 0.3, 0.4])
         assert np.array_equal(g, np.eye(3))
 
     def test_binary_symmetric_point(self):
         a = 1.0
         model = ThermoModel.margules([[0, a], [a, 0]])
-        g = gamma_matrix(model, [0.5, 0.5])
+        g = gamma_of(model, [0.5, 0.5])
         # 1 - 2 A x1 x2 acting within the zero-sum subspace
         np.testing.assert_allclose(g, [[0.75, 0.25], [0.25, 0.75]], rtol=1e-14)
 
@@ -94,7 +99,7 @@ class TestGammaMatrix:
         for _ in range(100):
             n = int(rng.integers(2, 6))
             model = ThermoModel.margules(_random_amat(rng, n))
-            g = gamma_matrix(model, _random_interior_x(rng, n))
+            g = gamma_of(model, _random_interior_x(rng, n))
             np.testing.assert_allclose(g.sum(axis=0), np.ones(n), atol=1e-10)
 
     def test_matches_finite_difference_jacobian(self):
@@ -106,7 +111,7 @@ class TestGammaMatrix:
             n = int(rng.integers(2, 6))
             model = ThermoModel.margules(_random_amat(rng, n))
             x = _random_interior_x(rng, n, xmin=1e-2)
-            g = gamma_matrix(model, x)
+            g = gamma_of(model, x)
             fd = np.eye(n).astype(float)
             for j in range(n):
                 e = np.zeros(n)
@@ -117,8 +122,9 @@ class TestGammaMatrix:
             np.testing.assert_allclose(g, fd, atol=1e-6)
 
     def test_boundary_rejected(self):
+        # Gamma's public route, driving_force, holds x to the interior
         with pytest.raises(DegenerateComposition):
-            gamma_matrix(IDEAL, [1.0, 0.0])
+            driving_force(IDEAL, [1.0, 0.0], [0.1, -0.1])
 
 
 class TestDrivingForce:
@@ -186,7 +192,7 @@ class TestConvexity:
             n = int(rng.integers(2, 6))
             model = ThermoModel.margules(_random_amat(rng, n))
             x = _random_interior_x(rng, n)
-            m = gamma_matrix(model, x) / x[:, None]
+            m = gamma_of(model, x) / x[:, None]
             p = simplex_basis(n)
             red = p.T @ m @ p
             np.testing.assert_allclose(red, red.T, atol=1e-9 * np.abs(red).max())
@@ -248,7 +254,7 @@ def test_floor_output_is_accepted_at_simplex_boundary(n):
     d = rng.uniform(0.5, 5.0, size=(n, n))
     dmat = 0.5 * (d + d.T)
     np.fill_diagonal(dmat, 0.0)
-    checks = (lambda x: gamma_matrix(IDEAL, x),
+    checks = (lambda x: driving_force(IDEAL, x, np.zeros(n)),
               lambda x: convexity_check(IDEAL, x),
               lambda x: diffusion_operator_spectrum(x, dmat, IDEAL))
     states = list(_vertices_and_edge_midpoints(n))
@@ -269,20 +275,12 @@ def test_floor_output_is_accepted_at_simplex_boundary(n):
 #: Every public function that takes a composition, called with model, x and dmat.
 _DOMAIN_CHECKED = {
     "convexity_check": lambda model, x, dmat: convexity_check(model, x),
-    "gamma_matrix": lambda model, x, dmat: gamma_matrix(model, x),
     "driving_force": lambda model, x, dmat: driving_force(model, x, np.zeros(np.shape(x))),
     "diffusion_operator_spectrum": lambda model, x, dmat: diffusion_operator_spectrum(
         x, dmat, model, require_convex=False),
-    "assemble_A": lambda model, x, dmat: assemble_A(x, dmat),
-    "assemble_A_sym": lambda model, x, dmat: assemble_A_sym(x, dmat),
-    "assemble_B": lambda model, x, dmat: assemble_B(x, dmat),
     "spectrum": lambda model, x, dmat: spectrum(x, dmat),
     "ternary_closed_forms": lambda model, x, dmat: ternary_closed_forms(x, dmat),
 }
-
-
-#: The entry that treats x_1..x_n as independent coordinates: no row-sum rule.
-_INDEPENDENT_COORDINATES = {"gamma_matrix"}
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -292,10 +290,9 @@ def test_infinite_fraction_is_degenerate(n, thermo, name):
     """A +inf fraction fails the domain check like a NaN or a negative
     one, with DegenerateComposition naming the function: no 1.0
     certificate, NaN matrix, or LinAlgError, and no floor that lifts -0.2
-    to X_FLOOR (the rows otherwise sum to 1).  Every entry but
-    gamma_matrix, of independent coordinates, also holds x to the
-    simplex: finite rows of [1e308] * n (whose sum overflows) and of sum
-    1.1 raise one ValueError naming the sum, with no numpy warning (the
+    to X_FLOOR (the rows otherwise sum to 1).  Every entry also holds x to
+    the simplex: finite rows of [1e308] * n (whose sum overflows) and of
+    sum 1.1 raise one ValueError naming the sum, with no numpy warning (the
     suite turns warnings into errors).  Every entry holds x to
     Composition's shape: a scalar, or one species, raises one ValueError
     naming the function, not an IndexError or a result."""
@@ -311,8 +308,6 @@ def test_infinite_fraction_is_degenerate(n, thermo, name):
         x[0] = bad
         with pytest.raises(DegenerateComposition, match=f"^{name} needs "):
             _DOMAIN_CHECKED[name](model, x, off)
-    if name in _INDEPENDENT_COORDINATES:
-        return
     for x in (np.full(n, 1e308), np.full(n, 1.1 / n)):
         msg = re.escape(f"mole fractions must sum to 1, got {sum(x.tolist())!r}")  # inf, or 1.1
         with pytest.raises(ValueError, match=f"^{msg}$"):

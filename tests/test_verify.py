@@ -3,7 +3,7 @@ and ternary closed forms."""
 import numpy as np
 import pytest
 
-from msdiff import (IDEAL, Field, Grid1D, MixtureSpec, SimConfig, ThermoModel,
+from msdiff import (IDEAL, Field, FluxSet, Grid1D, MixtureSpec, SimConfig, ThermoModel,
                     detect_uphill, entropy_ledger, filtration_oracle, mskernel,
                     simulate, ternary_closed_forms, thermo, verify)
 from msdiff.errors import NonMonotoneFlux
@@ -242,6 +242,20 @@ class TestTernaryClosedForms:
         with pytest.raises(ValueError):
             ternary_closed_forms([0.5, 0.5], np.zeros((2, 2)))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("tiny", [1e-200, 1e-300])
+    def test_tiny_diffusivities_keep_the_verdicts(self, tiny):
+        """D_12 = D_13 = tiny: det B ~ x_1 / tiny^2 is beyond the float range
+        and reads inf, with no warning; tr B keeps the closed form's bits, and
+        both verdicts, taken in units of a power of two above max 1/D_ij, hold."""
+        d = np.array([[0.0, tiny, tiny], [tiny, 0.0, 50.0], [tiny, 50.0, 0.0]])
+        x = np.array([[0.2, 0.3, 0.5], [0.6, 0.3, 0.1]])
+        rep = ternary_closed_forms(x, d)
+        inv = 1.0 / tiny
+        tr = (x[:, 0] + x[:, 1]) * inv + (x[:, 0] + x[:, 2]) * inv + (x[:, 1] + x[:, 2]) / 50.0
+        assert np.all(rep.det_b == np.inf) and np.array_equal(rep.tr_b, tr)
+        assert np.all(rep.matches_assembly) and np.all(rep.sector_ok)
+
 
 class TestPropertySweep:
     def test_reaches_every_traced_kernel_attribute(self, monkeypatch):
@@ -269,6 +283,20 @@ class TestPropertySweep:
                          "solve_fluxes_reduced": 1, "diffusion_operator_spectrum": 1,
                          "convexity_check": 2, "driving_force": 1,
                          "ternary_closed_forms": 1}
+
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("a", [1.5, -1e300])
+    def test_pointwise_entropy_row_reads_the_sign_of_w(self, monkeypatch, a):
+        """The row passes on the true fluxes and fails every state on -J,
+        also at A = -1e300, where J (d / x) overflows: the row is taken on J
+        and d over their rows' largest |entry|, with no overflow warning."""
+        model = ThermoModel.margules([[0.0, a], [a, 0.0]])
+        assert ("pointwise-entropy", "PASS", "200/200") in verify.property_sweep(BINARY, model, 0)
+        solve = mskernel.solve_fluxes_invariant
+        monkeypatch.setattr(mskernel, "solve_fluxes_invariant",
+                            lambda *args: FluxSet(J=-solve(*args).J))
+        assert ("pointwise-entropy", "FAIL", "0/200") in verify.property_sweep(BINARY, model, 0)
 
 
 def _rejection_samples(rng, n, k):
